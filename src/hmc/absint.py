@@ -9,8 +9,14 @@ Blocks are executed symbolically: havoc/assume/assign build an SSA path
 formula; a get conjoins the source invariant with fields renamed to the
 tuple temps; an assert is checked as path => assertion; a set classifies
 each target predicate as forced true, forced false or unknown and records
-the resulting cube. A fixpoint over blocks either proves every assert or
-reports the first one that may fail.
+the resulting cube. The symbolic run does not depend on the invariant, so
+each block is executed symbolically once.
+
+The fixpoint runs the blocks round-robin, but runs a block again only when
+a kvar it gets has gained a cube since the block last ran: the invariant
+reaches a block only through its gets, so that run would change nothing.
+Each block's assert statuses are those of its last run. The result either
+proves every assert or reports the first one that may fail.
 
 Predicates come from two deterministic sources: harvesting (atomic
 comparisons from any block rewritten through each write's argument map) and
@@ -21,13 +27,13 @@ written fields by Fourier-Motzkin elimination, plus pairwise sums).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import sexpr
 from .logic import (
     Add,
     And,
     App,
-    BOOL,
     Cmp,
     FALSE,
     INT,
@@ -38,12 +44,12 @@ from .logic import (
     TRUE,
     TypeEnv,
     VALID,
+    VALUE_VAR,
     Var,
     check_valid,
     expr_to_sexpr,
     mk_and,
     mk_or,
-    pred_to_sexpr,
     print_pred,
     rename_pred,
     subst_expr,
@@ -51,7 +57,8 @@ from .logic import (
     typecheck_pred,
 )
 from .constraints import INTENSIONAL, Solution
-from .imp import Assert, Assign, Assume, Get, Havoc, Set
+from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set
+from .smt import lin_add, lin_const, lin_scale, lin_sub, lin_var, lin_vars, norm_le
 
 MAX_PREDS_PER_KVAR = 14
 MAX_MINED_INEQS = 64
@@ -73,12 +80,6 @@ class FieldPredicate:
 @dataclass
 class AbstractInvariant:
     cubes: dict = field(default_factory=dict)  # kvar -> set of cubes
-
-    def copy(self):
-        return AbstractInvariant({k: set(v) for k, v in self.cubes.items()})
-
-    def __eq__(self, other):
-        return self.cubes == other.cubes
 
 
 # ---------------------------------------------------------------------------
@@ -276,46 +277,37 @@ def harvest_predicates(p, extra=None, mine=True):
 def _expr_lin(e, keys):
     """Expression over syms -> {key: coeff}; apps become atomic keys."""
     if isinstance(e, Var):
-        return {("var", e.name): 1}
+        return lin_var(("var", e.name))
     if isinstance(e, IntLit):
-        return {None: e.value} if e.value else {}
+        return lin_const(e.value)
     if isinstance(e, Add):
-        out = dict(_expr_lin(e.left, keys))
-        for k, v in _expr_lin(e.right, keys).items():
-            out[k] = out.get(k, 0) + v
-            if not out[k]:
-                del out[k]
-        return out
+        return lin_add(_expr_lin(e.left, keys), _expr_lin(e.right, keys))
     if isinstance(e, ScalarMul):
-        return {k: v * e.coeff for k, v in _expr_lin(e.arg, keys).items()}
+        return lin_scale(_expr_lin(e.arg, keys), e.coeff)
     if isinstance(e, App):
         key = ("app", e.func, tuple(sexpr.to_str(expr_to_sexpr(a)) for a in e.args))
         keys[key] = e
-        return {key: 1}
+        return lin_var(key)
     raise ValueError(e)
 
 
 def _lin_le(l, r, keys, extra_const=0):
-    out = dict(_expr_lin(l, keys))
-    for k, v in _expr_lin(r, keys).items():
-        out[k] = out.get(k, 0) - v
-        if not out[k]:
-            del out[k]
-    if extra_const:
-        out[None] = out.get(None, 0) + extra_const
-    return out
+    return lin_add(lin_sub(_expr_lin(l, keys), _expr_lin(r, keys)), lin_const(extra_const))
 
 
 def _path_ineqs(items, upto):
-    """Linear inequalities (lin <= 0) from the conjuncts before item `upto`."""
+    """Linear inequalities (lin <= 0) from the top-level comparisons of the
+    conjuncts before item `upto` (under-approximating the path)."""
     keys = {}
     les = []
     for item in items[:upto]:
         if item.kind != "conj":
             continue
         flat = []
-        _atoms_conj(item.payload, flat)
+        _flatten_and(item.payload, flat)
         for atom in flat:
+            if not isinstance(atom, Cmp):
+                continue
             try:
                 if atom.op == "<=":
                     les.append(_lin_le(atom.left, atom.right, keys))
@@ -333,27 +325,11 @@ def _path_ineqs(items, upto):
     return les, keys
 
 
-def _atoms_conj(q, out):
-    """Top-level conjunction atoms only (under-approximating the path)."""
-    if isinstance(q, Cmp):
-        out.append(q)
-    elif isinstance(q, And):
-        _atoms_conj(q.left, out)
-        _atoms_conj(q.right, out)
-
-
 def _project(les, keep):
     """Fourier-Motzkin elimination of every key not in `keep`."""
     les = [l for l in les if l]
     while True:
-        drop = None
-        for lin in les:
-            for k in lin:
-                if k is not None and k not in keep:
-                    drop = k
-                    break
-            if drop:
-                break
+        drop = next((k for lin in les for k in lin_vars(lin) if k not in keep), None)
         if drop is None:
             return les
         lowers, uppers, rest = [], [], []
@@ -367,36 +343,23 @@ def _project(les, keep):
                 rest.append(lin)
         for lo in lowers:
             for up in uppers:
-                a, b = up[drop], -lo[drop]
-                comb = {}
-                for k, v in up.items():
-                    comb[k] = comb.get(k, 0) + b * v
-                for k, v in lo.items():
-                    comb[k] = comb.get(k, 0) + a * v
-                comb = {k: v for k, v in comb.items() if v}
-                if comb.get(drop):
-                    continue
-                rest.append(comb)
+                rest.append(lin_add(lin_scale(up, -lo[drop]), lin_scale(lo, up[drop])))
         les = rest[:MAX_MINED_INEQS]
 
 
 def _lin_to_pred(lin, rename):
     """{key: coeff} (lin <= 0) -> Cmp over field expressions."""
-    import math
-
-    ks = [k for k in lin if k is not None]
+    lin = norm_le(lin)
+    ks = sorted(lin_vars(lin), key=str)
     if not ks:
         return None
-    g = math.gcd(*(abs(lin[k]) for k in ks))
-    if g > 1:
-        lin = {k: (v // g if k is not None else -((-v) // g)) for k, v in lin.items()}
 
     def term(k, c):
         e = rename[k]
         return e if c == 1 else ScalarMul(c, e)
 
-    pos = [term(k, lin[k]) for k in sorted(ks, key=str) if lin[k] > 0]
-    neg = [term(k, -lin[k]) for k in sorted(ks, key=str) if lin[k] < 0]
+    pos = [term(k, lin[k]) for k in ks if lin[k] > 0]
+    neg = [term(k, -lin[k]) for k in ks if lin[k] < 0]
     c = lin.get(None, 0)
     if c > 0:
         pos.append(IntLit(c))
@@ -443,13 +406,7 @@ def mined_predicates(p):
                         ),
                     )
             basis = _project(les, keep)
-            sums = []
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    comb = dict(basis[i])
-                    for k, v in basis[j].items():
-                        comb[k] = comb.get(k, 0) + v
-                    sums.append({k: v for k, v in comb.items() if v})
+            sums = [lin_add(a, b) for a, b in combinations(basis, 2)]
             for lin in basis + sums:
                 q = _lin_to_pred(lin, rename)
                 if q is not None:
@@ -467,7 +424,7 @@ def parse_preds(text, p):
     out = []
     for kvar, pred in sorted(sol.entries.items()):
         flat = []
-        _flatten_and(rename_pred(pred, {"v": field_var(kvar, 0)}), flat)
+        _flatten_and(rename_pred(pred, {VALUE_VAR: field_var(kvar, 0)}), flat)
         for q in flat:
             out.append((kvar, q))
     return out
@@ -498,6 +455,12 @@ class Engine:
         self.preds = preds
         self.mode = mode
         self.memo = {}
+        # block -> (symbolic run, type environment of its SSA names); the
+        # run does not depend on the invariant
+        self.runs = {}
+        for _, block in p.blocks:
+            trace = SymExec(p).run(block)
+            self.runs[block] = (trace.items, TypeEnv(tuple(sorted(trace.types.items()))))
 
     def valid(self, tenv, q):
         key = (tuple(tenv.bindings), print_pred(q))
@@ -505,31 +468,13 @@ class Engine:
             self.memo[key] = check_valid(tenv, q, self.mode, self.p.func_sigs).status
         return self.memo[key]
 
-    def cube_pred(self, kvar, cube, syms):
-        parts = []
-        for fp, bit in zip(self.preds[kvar], cube):
-            if bit is None:
-                continue
-            q = rename_pred(
-                fp.formula,
-                {field_var(kvar, i): s for i, s in enumerate(syms)},
-            )
-            parts.append(q if bit else Not(q))
-        return mk_and(*parts)
-
-    def invariant_pred(self, kvar, inv, syms):
-        return mk_or(
-            *(self.cube_pred(kvar, c, syms) for c in sorted(inv.cubes.get(kvar, ()), key=str))
-        )
-
     def abstract_post(self, label, block, inv):
         """Returns (statuses, new cubes as [(kvar, cube)])."""
-        trace = SymExec(self.p).run(block)
-        tenv = TypeEnv(tuple(sorted(trace.types.items())))
+        items, tenv = self.runs[block]
         path = []
         statuses = []
         new = []
-        for item in trace.items:
+        for item in items:
             if item.kind == "conj":
                 path.append(item.payload)
             elif item.kind == "assert":
@@ -547,17 +492,15 @@ class Engine:
                     # nothing written yet: the relation is empty, the block
                     # halts here (remaining asserts vacuously hold)
                     return statuses, new
-                path.append(self.invariant_pred(kvar, inv, syms))
+                path.append(cubes_pred(self.preds[kvar], inv.cubes[kvar], _fields(kvar, syms)))
             elif item.kind == "set":
                 kvar, syms = item.payload
                 if path and self.valid(tenv, _implies(path, FALSE)) == VALID:
                     continue  # the write is unreachable on this path
+                rename = _fields(kvar, syms)
                 cube = []
                 for fp in self.preds[kvar]:
-                    q = rename_pred(
-                        fp.formula,
-                        {field_var(kvar, i): s for i, s in enumerate(syms)},
-                    )
+                    q = rename_pred(fp.formula, rename)
                     if self.valid(tenv, _implies(path, q)) == VALID:
                         cube.append(True)
                     elif self.valid(tenv, _implies(path, Not(q))) == VALID:
@@ -573,8 +516,28 @@ def _implies(path, q):
     return q if hyp == TRUE else Implies(hyp, q)
 
 
+def _fields(kvar, names):
+    """Renaming of the kvar's field variables to `names`, in field order."""
+    return {field_var(kvar, i): n for i, n in enumerate(names)}
+
+
+def cube_literals(preds, cube, rename):
+    """The predicates a cube fixes, renamed by `rename`: each one as is where
+    the cube holds it true, negated where false."""
+    out = []
+    for fp, bit in zip(preds, cube):
+        if bit is not None:
+            q = rename_pred(fp.formula, rename)
+            out.append(q if bit else Not(q))
+    return out
+
+
+def cubes_pred(preds, cubes, rename):
+    """The disjunction of the cubes, each the conjunction of its literals."""
+    return mk_or(*(mk_and(*cube_literals(preds, c, rename)) for c in sorted(cubes, key=str)))
+
+
 PROVED = "proved"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
@@ -586,25 +549,32 @@ class SolveResult:
 
 
 def solve(p, preds, mode):
+    """Round-robin over the blocks until no kvar gains a cube, running only
+    the blocks that get a kvar grown since their last run. The order stays
+    round-robin: a set adds one cube for the whole disjunction its block
+    read, so another order could end with other cubes."""
     engine = Engine(p, preds, mode)
     inv = AbstractInvariant({k: set() for k in p.relvar_sigs})
-    changed = True
-    while changed:
-        changed = False
-        for label, block in p.blocks:
-            _, new = engine.abstract_post(label, block, inv)
+    readers = {k: set() for k in p.relvar_sigs}  # kvar -> indices of blocks that get it
+    for i, (_, block) in enumerate(p.blocks):
+        for item in engine.runs[block][0]:
+            if item.kind == "get":
+                readers[item.payload[0]].add(i)
+    last = [[] for _ in p.blocks]  # each block's statuses from its last run
+    stale = set(range(len(p.blocks)))
+    while stale:
+        for i, (label, block) in enumerate(p.blocks):
+            if i not in stale:
+                continue
+            stale.discard(i)
+            last[i], new = engine.abstract_post(label, block, inv)
             for kvar, cube in new:
                 if cube not in inv.cubes[kvar]:
                     inv.cubes[kvar].add(cube)
-                    changed = True
-    statuses = []
-    for label, block in p.blocks:
-        st, _ = engine.abstract_post(label, block, inv)
-        statuses.extend(st)
-    for st in statuses:
-        if st.status != HOLDS:
-            return SolveResult(INCONCLUSIVE, inv, statuses, st)
-    return SolveResult(PROVED, inv, statuses)
+                    stale |= readers[kvar]
+    statuses = [st for sts in last for st in sts]
+    failing = next((st for st in statuses if st.status != HOLDS), None)
+    return SolveResult(PROVED if failing is None else INCONCLUSIVE, inv, statuses, failing)
 
 
 def extract_solution(inv, preds, kvar_sigs):
@@ -613,23 +583,11 @@ def extract_solution(inv, preds, kvar_sigs):
     empty: false."""
     entries = {}
     for name, sig in kvar_sigs.items():
-        cubes = inv.cubes.get(name, set())
+        cubes = inv.cubes.get(name)
         if not cubes:
             entries[name] = FALSE
             continue
-        rename = {
-            field_var(name, i): fld for i, fld in enumerate(sig.field_names)
-        }
-        disjuncts = []
-        for cube in sorted(cubes, key=str):
-            parts = []
-            for fp, bit in zip(preds[name], cube):
-                if bit is None:
-                    continue
-                q = rename_pred(fp.formula, rename)
-                parts.append(q if bit else Not(q))
-            disjuncts.append(mk_and(*parts))
-        entries[name] = mk_or(*disjuncts)
+        entries[name] = cubes_pred(preds[name], cubes, _fields(name, sig.field_names))
     return Solution(INTENSIONAL, entries)
 
 
@@ -641,14 +599,9 @@ def format_invariant(inv, preds):
         if not cubes:
             lines.append(f"{kvar}: false (never written)")
             continue
-        rendered = []
-        for cube in sorted(cubes, key=str):
-            lits = []
-            for fp, bit in zip(preds[kvar], cube):
-                if bit is None:
-                    continue
-                txt = print_pred(fp.formula)
-                lits.append(txt if bit else f"(not {txt})")
-            rendered.append(" & ".join(lits) if lits else "true")
-        lines.append(f"{kvar}: " + " | ".join(sorted(set(rendered))))
+        rendered = {
+            " & ".join(print_pred(q) for q in cube_literals(preds[kvar], cube, {})) or "true"
+            for cube in cubes
+        }
+        lines.append(f"{kvar}: " + " | ".join(sorted(rendered)))
     return "\n".join(lines)

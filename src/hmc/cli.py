@@ -14,6 +14,7 @@ Exit codes: 0 SAFE/SATISFIED, 1 UNSAFE/VIOLATED, 2 INCONCLUSIVE/UNKNOWN,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -142,6 +143,7 @@ def _add_solver_flags(sp):
     sp.add_argument("--emit-smt", metavar="DIR", help="dump every solver query to DIR")
 
 
+@functools.cache
 def build_parser():
     ap = _Parser(prog="hmc", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -24,6 +24,7 @@ from .logic import (
     IntLit,
     TRUE,
     TypeEnv,
+    VALUE_VAR,
     Var,
     check_valid,
     expr_from_sexpr,
@@ -38,8 +39,6 @@ from .logic import (
     typecheck_expr,
     typecheck_pred,
 )
-
-VALUE_VAR = "v"
 
 
 class ConstraintError(Exception):

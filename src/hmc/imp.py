@@ -15,6 +15,7 @@ enumerates a finite value domain and finite function tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import sexpr
 from .logic import (
@@ -300,9 +301,12 @@ class ReachResult:
 
 def reach(p, ctx, semantics="relational", fuel=10_000, stop_on_error=False):
     """All states reachable from the initial state by any block sequence under
-    one fixed interpretation. Tracks a shortest block trace to ERROR. With
-    `stop_on_error` the fixpoint is cut short once ERROR appears (the state
-    set is then partial; only the verdict is meaningful)."""
+    one fixed interpretation. Tracks the least shortest block trace to ERROR,
+    comparing traces block by block in program order: the frontier stays
+    sorted by trace, and its states that share a trace are stepped through
+    each block in turn. With `stop_on_error` the fixpoint is cut short once
+    ERROR appears (the state set is then partial; only the verdict is
+    meaningful)."""
     post = POST[semantics]
     init = INITIAL[semantics](p, ctx.domain)
     states = {init}
@@ -315,22 +319,22 @@ def reach(p, ctx, semantics="relational", fuel=10_000, stop_on_error=False):
         if rounds > fuel or len(states) > fuel:
             return ReachResult(states, error_trace, False)
         nxt = []
-        for s in frontier:
-            if s is ERROR:
-                continue
+        for trace, group in groupby(frontier, key=traces.__getitem__):
+            group = list(group)
             for label, block in p.blocks:
-                for s2 in post(s, block, ctx):
-                    if s2 in states:
-                        continue
-                    states.add(s2)
-                    traces[s2] = traces[s] + [label]
-                    if s2 is ERROR:
-                        if error_trace is None:
-                            error_trace = traces[s2]
-                        if stop_on_error:
-                            return ReachResult(states, error_trace, False)
-                    else:
-                        nxt.append(s2)
+                for s in group:
+                    for s2 in post(s, block, ctx):
+                        if s2 in states:
+                            continue
+                        states.add(s2)
+                        traces[s2] = trace + [label]
+                        if s2 is ERROR:
+                            if error_trace is None:
+                                error_trace = traces[s2]
+                            if stop_on_error:
+                                return ReachResult(states, error_trace, False)
+                        else:
+                            nxt.append(s2)
         frontier = nxt
     return ReachResult(states, error_trace, True)
 

@@ -256,7 +256,8 @@ def nnf(form, positive=True):
 # Omega test
 
 
-def _norm_le(lin):
+def norm_le(lin):
+    """lin <= 0 divided by the gcd of its coefficients."""
     ks = lin_vars(lin)
     if not ks:
         return lin
@@ -308,7 +309,7 @@ def omega(constraints):
     les, eqs = [], []
     for kind, lin in constraints:
         if kind == "le":
-            lin = _norm_le(lin)
+            lin = norm_le(lin)
             if lin_vars(lin):
                 les.append(lin)
             elif lin.get(None, 0) > 0:
@@ -402,7 +403,7 @@ def _assign_between(x, lowers, uppers, model):
 
 
 def _solve_ineqs(les):
-    les = [l for l in (_norm_le(l) for l in les) if lin_vars(l) or l.get(None, 0) > 0]
+    les = [l for l in (norm_le(l) for l in les) if lin_vars(l) or l.get(None, 0) > 0]
     for l in les:
         if not lin_vars(l):
             return None

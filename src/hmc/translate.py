@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from .constraints import Concrete, KApp
 from .imp import Assert, Assign, Assume, Get, Havoc, ImpProgram, SKIP, Set, seq_of
-from .logic import BOOL, Cmp, INT, TRUE, Var, subst_pred
-
-VALUE_VAR = "v"
+from .logic import BOOL, Cmp, INT, TRUE, VALUE_VAR, Var, subst_pred
 
 
 class TranslateError(Exception):

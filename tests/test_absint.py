@@ -1,6 +1,10 @@
+import random
 from pathlib import Path
 
+from gen import gen_constraint_set
+from hmc import absint
 from hmc.absint import (
+    AbstractInvariant,
     Engine,
     PROVED,
     extract_solution,
@@ -34,6 +38,28 @@ def program_for(name):
     cs = load((EXAMPLES / name).read_text())
     cloned, cm = clone(cs)
     return cs, cm, translate_set_of_constraints(cloned, cm)
+
+
+def program_of(cs):
+    cloned, cm = clone(cs)
+    return translate_set_of_constraints(cloned, cm)
+
+
+def chain_text(n):
+    """A chain of n kvars listed last link first: link 0 writes v = 0, link
+    i passes v = x + 1 on from link i - 1, and a last constraint asserts
+    0 <= v of link n - 1. Plain round-robin needs one pass per link."""
+    lines = [f"(kvar k{i} (v int))" for i in range(n)]
+    lines.append(
+        f"(sub c{n} (env (x int (kapp k{n - 1}))) (lhs int (= v x)) (rhs int (<= 0 v)))"
+    )
+    for i in range(n - 1, 0, -1):
+        lines.append(
+            f"(sub c{i} (env (x int (kapp k{i - 1}))) (lhs int (= v (+ x 1)))"
+            f" (rhs int (kapp k{i})))"
+        )
+    lines.append("(sub c0 (lhs int (= v 0)) (rhs int (kapp k0)))")
+    return "\n".join(lines) + "\n"
 
 
 def test_field_var():
@@ -148,3 +174,94 @@ def test_engine_assert_statuses():
     cs, cm, p = program_for("iteri_mask.hmc")
     res = solve(p, harvest_predicates(p), SolverMode())
     assert res.statuses and all(s.status == "holds" for s in res.statuses)
+
+
+def test_chain_listed_last_link_first_runs_each_block_few_times(monkeypatch):
+    p = program_of(load(chain_text(24)))
+    calls = []
+    post = Engine.abstract_post
+
+    def counted(self, label, block, inv):
+        calls.append(label)
+        return post(self, label, block, inv)
+
+    monkeypatch.setattr(Engine, "abstract_post", counted)
+    res = solve(p, harvest_predicates(p), SolverMode())
+    assert res.status == PROVED
+    # each link runs once before and once after its source gains its cube;
+    # re-running every block on every pass takes (24 + 2) * (24 + 1) = 650
+    assert len(calls) <= 50
+
+
+# r first proves its assert, then loses it when w1 adds k.0 = 1
+REGRESSING_READER = (
+    ";; relvar k arity 1 types int\n"
+    ";; basevar x int\n"
+    ";; basevar t0 int\n"
+    "loop {\n"
+    "  /*w0*/\n"
+    "    x := 0;\n"
+    "    set k (x)\n"
+    "[]\n"
+    "  /*r*/\n"
+    "    get k (t0);\n"
+    "    assert (= t0 0)\n"
+    "[]\n"
+    "  /*w1*/\n"
+    "    get k (t0);\n"
+    "    x := (+ t0 1);\n"
+    "    set k (x)\n"
+    "}\n"
+)
+
+
+def round_robin(p, preds, mode):
+    """Reference fixpoint: every block on every pass until a pass adds no
+    cube, then one more pass over every block for the assert statuses.
+    Returns the cubes, the (label, status) list and the failing label."""
+    engine = Engine(p, preds, mode)
+    inv = AbstractInvariant({k: set() for k in p.relvar_sigs})
+    changed = True
+    while changed:
+        changed = False
+        for label, block in p.blocks:
+            _, new = engine.abstract_post(label, block, inv)
+            for kvar, cube in new:
+                if cube not in inv.cubes[kvar]:
+                    inv.cubes[kvar].add(cube)
+                    changed = True
+    statuses = []
+    for label, block in p.blocks:
+        statuses.extend(engine.abstract_post(label, block, inv)[0])
+    failing = next((s.label for s in statuses if s.status != "holds"), None)
+    return inv.cubes, [(s.label, s.status) for s in statuses], failing
+
+
+def test_solve_matches_round_robin(monkeypatch):
+    # both fixpoints ask the same validity queries; answer each once
+    answers = {}
+    check_valid = absint.check_valid
+
+    def cached(tenv, q, mode, sigs):
+        key = (tenv, print_pred(q))
+        if key not in answers:
+            answers[key] = check_valid(tenv, q, mode, sigs)
+        return answers[key]
+
+    monkeypatch.setattr(absint, "check_valid", cached)
+    programs = [program_for(name)[2] for name in ("iteri_mask.hmc", "tworead.hmc")]
+    programs.append(program_of(load(chain_text(24))))
+    programs.append(parse_imp(REGRESSING_READER))
+    programs += [program_of(gen_constraint_set(random.Random(seed))) for seed in range(100)]
+    outcomes = set()
+    for p in programs:
+        preds = harvest_predicates(p)
+        res = solve(p, preds, SolverMode())
+        got = (
+            res.invariant.cubes,
+            [(s.label, s.status) for s in res.statuses],
+            res.failing and res.failing.label,
+        )
+        assert got == round_robin(p, preds, SolverMode())
+        outcomes.add(res.status)
+    assert outcomes == {PROVED, "inconclusive"}

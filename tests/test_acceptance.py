@@ -1,7 +1,7 @@
 """Acceptance gate.
 
 Each test pins one advertised behavior of the toolkit, including its runtime
-budget. Three properties are encoded as strict xfails: they assert textbook
+budget. Four properties are encoded as strict xfails: they assert textbook
 identities that are provably false of the semantics as defined (each has a
 hand-checked counterexample, reproduced deterministically by the seeds here),
 together with companion tests asserting the weaker properties that do hold.
@@ -176,8 +176,9 @@ def test_05_rwo_verdicts_agree():
     reason="Expand(Reach#) = Reach fails for read-write-once programs: a "
     "relational state keeps stale tuples while its base variables evolve, so "
     "expansion pairs a stale tuple with base values the one-tuple run never "
-    "holds alongside it (first counterexample: seed 1001, a single block "
-    "`havoc x1; assume (not (< x1 x2)); set k0 (x2); x2 := x0; havoc x0`). "
+    "holds alongside it (first counterexample: seed 1004, a single block "
+    "`havoc x0; assume (not (< x0 x0)); set k1 (x0); set k0 (x2); havoc x2; "
+    "assume (not (< x1 x1))`). "
     "Only Reach subset-of Expand(Reach#) holds; safety agreement is "
     "unaffected and is asserted in test_05_rwo_verdicts_agree.",
 )
@@ -324,9 +325,10 @@ def test_08_check_proves_iteri_and_revalidates():
     raises=AssertionError,
     reason="the handwritten solution k1 = i <= v < len(xs) is not equivalent "
     "to the extracted one, and cannot be: it does not even satisfy c1 (see "
-    "test_09_handwritten_solution). The inductive step threads the tail xs2 "
-    "with len(xs2) = len(xs) - 1 while i grows, so the sound upper bound is "
-    "v < i + len(xs), which the extracted solution is equivalent to "
+    "test_09_handwritten_solution_actual_failure). The inductive step threads "
+    "the tail xs2 with len(xs2) = len(xs) - 1 while i grows, so the sound "
+    "upper bound is v < i + len(xs), which the extracted solution is "
+    "equivalent to "
     "(test_08_check_proves_iteri_and_revalidates).",
 )
 def test_08_extracted_equals_handwritten():

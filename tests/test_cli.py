@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from hmc.cli import main
+from hmc import cli
+from hmc.cli import build_parser, main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 ITERI = str(EXAMPLES / "iteri_mask.hmc")
@@ -14,6 +18,19 @@ def run(*argv):
     out = io.StringIO()
     code = main(list(argv), out)
     return code, out.getvalue()
+
+
+def run_process(*argv, hash_seed="0", timeout=60):
+    """`hmc` in a child interpreter under a fixed string-hash seed; raises
+    subprocess.TimeoutExpired when it does not return in `timeout` s."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmc.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.returncode, proc.stdout
 
 
 def test_translate_matches_golden():
@@ -129,3 +146,40 @@ def test_emit_smt_dir(tmp_path):
     )
     assert code == 0
     assert any(f.suffix == ".smt2" for f in Path(dest).iterdir())
+
+
+def test_check_zero_coefficient_terminates(tmp_path):
+    # (* 0 x) in a path used to leave a zero coefficient in the miner's
+    # linear forms, which Fourier-Motzkin then tried to eliminate forever
+    f = tmp_path / "zero.hmc"
+    f.write_text(
+        "(kvar k (v int))\n"
+        "(sub c0 (env (x int true)) (lhs int (= v (* 0 x))) (rhs int (kapp k)))\n"
+        "(sub c1 (env (y int (kapp k))) (lhs int (= v y)) (rhs int (<= 0 v)))\n"
+    )
+    code, text = run_process("check", str(f), timeout=30)
+    assert code == 0 and text.startswith("SAFE")
+
+
+def test_unsafe_trace_independent_of_string_hashing(tmp_path):
+    # c0 -> c1 and c0 -> c2 both reach ERROR; the least one in block order
+    # is reported, whatever order the state sets iterate in
+    f = tmp_path / "two_traces.hmc"
+    f.write_text(
+        "(kvar k0 (v int)) (kvar k1 (v int))\n"
+        "(sub c0 (lhs int (not (< v 1))) (rhs int (kapp k0)))\n"
+        "(sub c1 (lhs int (kapp k0)) (rhs int (<= (+ v 0) 1)))\n"
+        "(sub c2 (env (x0 int (kapp k0))) (lhs int (<= (+ v 1) (+ v 1)))"
+        " (rhs int (<= (+ x0 1) (+ x0 0))))\n"
+    )
+    for seed in ("1", "3"):
+        code, text = run_process("check", str(f), "--oracle", hash_seed=seed)
+        assert code == 1 and text.splitlines()[-1] == "trace: c0 -> c1", seed
+
+
+def test_parser_built_once_parses_fresh():
+    ap = build_parser()
+    assert build_parser() is ap
+    a = ap.parse_args(["exec", "p.imp", "--ui-range=obj=0..1"])
+    b = ap.parse_args(["exec", "p.imp", "--ui-range=obj=0..2"])
+    assert a.ui_range == ["obj=0..1"] and b.ui_range == ["obj=0..2"]
