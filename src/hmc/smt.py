@@ -1,9 +1,19 @@
 """Decision procedure for a QF_UFLIA subset of SMT-LIB 2.
 
 Pipeline: parse script -> eliminate uninterpreted functions by
-Ackermannization -> negation normal form -> satisfiability search over the
-disjuncts (pruned lazily) -> omega test on each conjunction of linear
+Ackermannization -> negation normal form -> presolve -> satisfiability
+search over the disjuncts -> omega test on each conjunction of linear
 constraints, with model reconstruction by back-substitution.
+
+The presolve substitutes every top-level equality that has a unit
+coefficient (the SSA bindings `x%3 = ...` of a path formula) into the whole
+tree once, so the omega test never eliminates them again at each leaf; the
+model gets their values back by substitution. The search expands the
+disjunctions depth first and, before it splits one, runs the omega test on
+the atoms gathered so far: a subtree under an inconsistent partial
+conjunction is dropped unexplored. Every leaf below it contains those
+atoms, and the branches are still visited in order, so the pruning changes
+neither the first satisfiable leaf nor its model.
 
 Uninterpreted sorts are modeled as Int; that preserves quantifier-free
 satisfiability because any model over an infinite carrier injects into Int.
@@ -14,6 +24,7 @@ which reads a script on stdin and prints `sat`/`unsat` plus a model.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -60,6 +71,17 @@ def lin_sub(a, b):
 
 def lin_vars(a):
     return [k for k in a if k is not None]
+
+
+def lin_subst(lin, sub):
+    """`lin` with each variable that `sub` maps replaced by its linear form."""
+    if not any(k in sub for k in lin):
+        return lin
+    out = {k: c for k, c in lin.items() if k not in sub}
+    for k, c in lin.items():
+        if k in sub:
+            out = lin_add(out, lin_scale(sub[k], c))
+    return out
 
 
 def eval_lin(lin, model):
@@ -288,14 +310,6 @@ def _norm_eq(lin):
     return out
 
 
-_sigma = [0]
-
-
-def _fresh_sigma():
-    _sigma[0] += 1
-    return f".sig{_sigma[0]}"
-
-
 def _mods(a, m):
     r = a % m
     if 2 * r > m:
@@ -303,9 +317,14 @@ def _mods(a, m):
     return r
 
 
-def omega(constraints):
+def omega(constraints, fresh=None):
     """Decide a conjunction of ("le", lin) / ("eq", lin) constraints over the
-    integers. Returns a satisfying model dict, or None."""
+    integers. Returns a satisfying model dict, or None.
+
+    `fresh` numbers the `.sigN` variables of the mod trick; a call without
+    it starts at 1, so the answer depends on `constraints` alone."""
+    if fresh is None:
+        fresh = itertools.count(1)
     les, eqs = [], []
     for kind, lin in constraints:
         if kind == "le":
@@ -323,19 +342,28 @@ def omega(constraints):
             elif lin.get(None, 0) != 0:
                 return None
     if eqs:
-        return _eliminate_equality(eqs, les)
-    return _solve_ineqs(les)
+        return _eliminate_equality(eqs, les, fresh)
+    return _solve_ineqs(les, fresh)
 
 
-def _eliminate_equality(eqs, les):
+def _unit_pivot(eq):
+    """(x, r) with eq = 0 equivalent to x = r, for the first variable x with
+    a unit coefficient in eq, or None when there is none."""
+    for x in lin_vars(eq):
+        a = eq[x]
+        if abs(a) == 1:
+            # a*x + r = 0  with a = +-1  =>  x = -a*r
+            return x, lin_scale({k: c for k, c in eq.items() if k != x}, -a)
+    return None
+
+
+def _eliminate_equality(eqs, les, fresh):
     # prefer an equation with a unit coefficient
     pick = None
     for i, eq in enumerate(eqs):
-        for k in lin_vars(eq):
-            if abs(eq[k]) == 1:
-                pick = (i, k)
-                break
-        if pick:
+        pivot = _unit_pivot(eq)
+        if pivot:
+            pick = i, pivot
             break
     if pick is None:
         # mod trick: introduce sigma and an equation that does have a unit
@@ -344,21 +372,14 @@ def _eliminate_equality(eqs, les):
         k = min(lin_vars(eq), key=lambda v: abs(eq[v]))
         m = abs(eq[k]) + 1
         new = {v: _mods(c, m) for v, c in eq.items() if _mods(c, m)}
-        new[_fresh_sigma()] = -m
+        new[f".sig{next(fresh)}"] = -m
         rest = [("eq", e) for e in eqs] + [("le", l) for l in les]
-        return omega([("eq", new)] + rest)
-    i, x = pick
-    eq = eqs[i]
-    a = eq[x]
-    # a*x + r = 0  with a = +-1  =>  x = -r/a
-    r = {v: c for v, c in eq.items() if v != x}
-    repl = lin_scale(r, -1 if a == 1 else 1)
-    sub = lambda lin: lin_add(
-        {v: c for v, c in lin.items() if v != x}, lin_scale(repl, lin.get(x, 0))
-    )
-    rest = [("eq", sub(e)) for j, e in enumerate(eqs) if j != i]
-    rest += [("le", sub(l)) for l in les]
-    model = omega(rest)
+        return omega([("eq", new)] + rest, fresh)
+    i, (x, repl) = pick
+    sub = {x: repl}
+    rest = [("eq", lin_subst(e, sub)) for j, e in enumerate(eqs) if j != i]
+    rest += [("le", lin_subst(l, sub)) for l in les]
+    model = omega(rest, fresh)
     if model is None:
         return None
     model[x] = eval_lin(repl, model)
@@ -402,7 +423,7 @@ def _assign_between(x, lowers, uppers, model):
     return model
 
 
-def _solve_ineqs(les):
+def _solve_ineqs(les, fresh):
     les = [l for l in (norm_le(l) for l in les) if lin_vars(l) or l.get(None, 0) > 0]
     for l in les:
         if not lin_vars(l):
@@ -420,7 +441,7 @@ def _solve_ineqs(les):
         else:  # a*x + r <= 0  =>  (-a)*x >= r
             lowers.append((-a, {v: c for v, c in lin.items() if v != x}))
     if not lowers or not uppers:
-        model = _solve_ineqs(others)
+        model = _solve_ineqs(others, fresh)
         if model is None:
             return None
         return _assign_between(x, lowers, uppers, model)
@@ -437,7 +458,7 @@ def _solve_ineqs(les):
                 shadow.append(lin_add(real, lin_const(slack)))
                 if slack:
                     dark_ok = False
-    model = _solve_ineqs(shadow)
+    model = _solve_ineqs(shadow, fresh)
     if model is not None:
         return _assign_between(x, lowers, uppers, model)
     if exact or dark_ok:
@@ -450,25 +471,70 @@ def _solve_ineqs(les):
         top = (amax * b - amax - b) // amax
         for j in range(top + 1):
             eq = lin_add({x: b}, lin_scale(lin_add(r, lin_const(j)), -1))
-            model = omega(base + [("eq", eq)])
+            model = omega(base + [("eq", eq)], fresh)
             if model is not None:
                 return model
     return None
 
 
 # ---------------------------------------------------------------------------
-# Satisfiability search over the NNF tree (lazy DNF with pruning)
+# Presolve and satisfiability search over the NNF tree
 
 
-def sat_search(nodes, conj):
+def _subst_tree(node, sub):
+    tag, body = node
+    if tag in ("and", "or"):
+        return tag, [_subst_tree(kid, sub) for kid in body]
+    return tag, lin_subst(body, sub)
+
+
+def presolve(tree):
+    """Substitute the top-level unit equalities of an NNF tree away.
+
+    Walks the top-level conjuncts in order. Each equality that has a unit
+    coefficient once the earlier ones are substituted into it defines its
+    first such variable. Returns the rewritten tree, which no longer
+    mentions the defined variables, and the definitions: a dict from each
+    defined variable to its linear form over the variables that remain.
+    """
+    sub = {}  # x -> r, where r mentions no variable defined before x
+    rest = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node[0] == "and":
+            stack.extend(reversed(node[1]))
+            continue
+        if node[0] == "eq":
+            lin = node[1]
+            while any(k in sub for k in lin):
+                lin = lin_subst(lin, sub)
+            pivot = _unit_pivot(lin)
+            if pivot:
+                x, repl = pivot
+                sub[x] = repl
+                continue
+        rest.append(node)
+    # back-substitution, last definition first
+    for x in reversed(list(sub)):
+        sub[x] = lin_subst(sub[x], sub)
+    return _subst_tree(("and", rest), sub), sub
+
+
+def sat_search(nodes, conj, checked=0):
+    """First model, in depth-first order, of the conjunction of `conj` and
+    the NNF trees `nodes`, or None. The first `checked` atoms of `conj` are
+    known to be consistent."""
     while nodes:
         node, nodes = nodes[0], nodes[1:]
         tag = node[0]
         if tag == "and":
             nodes = node[1] + nodes
         elif tag == "or":
+            if len(conj) > checked and omega(conj) is None:
+                return None
             for kid in node[1]:
-                model = sat_search([kid] + nodes, list(conj))
+                model = sat_search([kid] + nodes, list(conj), len(conj))
                 if model is not None:
                     return model
             return None
@@ -484,10 +550,12 @@ def sat_search(nodes, conj):
 def solve_script(text):
     script = parse_script(text)
     forms, _ = ackermannize(script)
-    tree = ("and", [nnf(f) for f in forms])
+    tree, sub = presolve(("and", [nnf(f) for f in forms]))
     model = sat_search([tree], [])
     if model is None:
         return "unsat\n"
+    for x, repl in sub.items():
+        model[x] = eval_lin(repl, model)
     lines = ["sat"]
     if script.want_model:
         lines.append("(model")

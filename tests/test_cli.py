@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hmc import cli
 from hmc.cli import build_parser, main
 
@@ -159,6 +161,42 @@ def test_check_zero_coefficient_terminates(tmp_path):
     )
     code, text = run_process("check", str(f), timeout=30)
     assert code == 0 and text.startswith("SAFE")
+
+
+# Sets whose folded clone solutions made re-validation expand every branch
+# of a large DNF. Draws 103 and 184 of the property suites' shape in the
+# random.Random(12345) stream:
+DRAW_103 = """\
+(kvar k0 (v int) (p0 int))
+(sub c0 (env (x0 int (<= v (+ v 0)))) (lhs int (= (+ v 1) (+ v 1))) (rhs int (kapp k0 1)))
+(sub c1 (env (x0 int (<= v v)) (x1 int (<= (+ v 0) x0))) (lhs int (kapp k0 1)) (rhs int (kapp k0 0)))
+(sub c2 (env (x0 int (kapp k0 1)) (x1 int (kapp k0 0))) (lhs int (kapp k0 x0)) (rhs int (kapp k0 x0)))
+"""
+DRAW_184 = """\
+(kvar k0 (v int) (p0 int))
+(sub c0 (env (x0 int (kapp k0 0))) (lhs int (kapp k0 x0)) (rhs int (kapp k0 0)))
+(sub c1 (env (x0 int (< 0 v))) (lhs int (<= (+ x0 0) v)) (rhs int (kapp k0 1)))
+(sub c2 (env (x0 int (not (<= 1 0)))) (lhs int (= (+ v 1) x0)) (rhs int (kapp k0 x0)))
+"""
+# gen_constraint_set(random.Random(8), max_kvars=3, max_params=2,
+# max_constraints=5): c1 reads k0 three times, so cloning makes three copies.
+R8 = """\
+(kvar k0 (v int) (p0 int))
+(sub c0 (lhs int (kapp k0 0)) (rhs int (kapp k0 1)))
+(sub c1 (env (x0 int (kapp k0 1)) (x1 int (kapp k0 1))) (lhs int (kapp k0 1)) (rhs int (kapp k0 1)))
+(sub c2 (env (x0 int (kapp k0 0)) (x1 int (= v x0))) (lhs int (<= (+ v 0) 0)) (rhs int (kapp k0 x0)))
+(sub c3 (lhs int (< 1 v)) (rhs int (kapp k0 0)))
+"""
+
+
+@pytest.mark.parametrize(
+    "text", [DRAW_103, DRAW_184, R8], ids=["draw103", "draw184", "r8"]
+)
+def test_check_revalidates_folded_clone_solution(tmp_path, text):
+    f = tmp_path / "set.hmc"
+    f.write_text(text)
+    code, out = run_process("check", str(f), timeout=30)
+    assert code == 0 and out.startswith("SAFE")
 
 
 def test_unsafe_trace_independent_of_string_hashing(tmp_path):

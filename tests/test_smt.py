@@ -1,9 +1,16 @@
+import io
+import itertools
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hmc.smt import SmtError, eval_lin, parse_script, solve_script, term_to_lin
+from hmc import cli, smt
+from hmc.smt import SmtError, eval_lin, omega, parse_script, solve_script, term_to_lin
+
+ITERI = str(Path(__file__).resolve().parent.parent / "examples" / "iteri_mask.hmc")
 
 
 def solve(text):
@@ -131,6 +138,122 @@ def test_lin_helpers():
     assert eval_lin(lin, {"x": 2}) == 8
     assert eval_lin(lin, {}) == 0
     assert script.asserts
+
+
+def test_long_unit_equality_chain():
+    # x{i+1} = x{i} + 1 for i < n, then x{n} < x0: unsat for every n. The
+    # chain is longer than the default recursion limit of 1,000, so it must
+    # not be eliminated one equality per level of recursion.
+    n = 1200
+    for step in ("(= x{j} (+ x{i} 1))", "(= x{i} (- x{j} 1))"):
+        lines = [f"(declare-const x{i} Int)" for i in range(n + 1)]
+        lines += [f"(assert {step.format(i=i, j=i + 1)})" for i in range(n)]
+        lines.append(f"(assert (< x{n} x0)) (check-sat)")
+        assert solve("\n".join(lines)) == "unsat"
+        lines[-1] = f"(assert (< x0 x{n})) (check-sat) (get-model)"
+        m = _model(solve_script("\n".join(lines)))
+        assert all(m[f"x{i + 1}"] == m[f"x{i}"] + 1 for i in range(n))
+
+
+def test_mod_trick_is_deterministic():
+    # no unit coefficient: the omega test introduces a fresh .sig variable
+    text = (
+        "(declare-const x Int) (declare-const y Int)"
+        " (assert (= (+ (* 3 x) (* 5 y)) 7)) (assert (<= 0 x))"
+        " (check-sat) (get-model)"
+    )
+    first = solve_script(text)
+    assert solve_script(text) == first
+    m = _model(first)
+    assert 3 * m["x"] + 5 * m["y"] == 7 and m["x"] >= 0
+    eq = [("eq", {"x": 3, "y": 5, None: -7})]
+    assert omega(eq) == omega(eq)
+
+
+def test_prunes_inconsistent_branches(monkeypatch):
+    calls = [0]
+    search = smt.sat_search
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(smt, "sat_search", counted)
+    out = io.StringIO()
+    assert cli.main(["check", ITERI], out) == 0
+    assert out.getvalue().startswith("SAFE")
+    # a search that tests feasibility only at the leaves makes 34,784 calls
+    assert calls[0] <= 2000
+
+
+# Random scripts over three variables boxed to -3..3, compared with brute
+# force over the box; every model is checked against every assert.
+BOX = range(-3, 4)
+NAMES = ("x", "y", "z")
+
+
+def _rand_term(rng):
+    coeffs = [(rng.randint(-4, 4), v) for v in NAMES if rng.random() < 0.6]
+    return ["+", rng.randint(-4, 4)] + [["*", c, v] for c, v in coeffs]
+
+
+def _rand_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.35:
+        op = rng.choice(["=", "distinct", "<", "<="])
+        return [op, _rand_term(rng), _rand_term(rng)]
+    op = rng.choice(["and", "or", "=>"])
+    return [op] + [_rand_formula(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+
+
+def _eval(form, env):
+    if isinstance(form, int):
+        return form
+    if isinstance(form, str):
+        return env[form]
+    op, args = form[0], [_eval(f, env) for f in form[1:]]
+    if op == "+":
+        return sum(args)
+    if op == "*":
+        return args[0] * args[1]
+    if op == "=":
+        return args[0] == args[1]
+    if op == "distinct":
+        return args[0] != args[1]
+    if op == "<":
+        return args[0] < args[1]
+    if op == "<=":
+        return args[0] <= args[1]
+    if op == "and":
+        return all(args)
+    if op == "or":
+        return any(args)
+    assert op == "=>"
+    return not all(args[:-1]) or args[-1]
+
+
+def _to_smt(form):
+    if isinstance(form, int):
+        return str(form) if form >= 0 else f"(- {-form})"
+    if isinstance(form, str):
+        return form
+    return "(" + " ".join([form[0]] + [_to_smt(f) for f in form[1:]]) + ")"
+
+
+def test_matches_brute_force():
+    rng = random.Random(2024)
+    points = [dict(zip(NAMES, p)) for p in itertools.product(BOX, repeat=3)]
+    for case in range(300):
+        asserts = [_rand_formula(rng, 2) for _ in range(rng.randint(1, 4))]
+        lines = [f"(declare-const {v} Int)" for v in NAMES]
+        lines += [f"(assert (and (<= {BOX[0]} {v}) (<= {v} {BOX[-1]})))" for v in NAMES]
+        lines += [f"(assert {_to_smt(a)})" for a in asserts]
+        out = solve_script(" ".join(lines) + " (check-sat) (get-model)")
+        brute = any(all(_eval(a, p) for a in asserts) for p in points)
+        assert out.splitlines()[0] == ("sat" if brute else "unsat"), (case, out)
+        if brute:
+            m = _model(out)
+            assert all(m[v] in BOX for v in NAMES), (case, m)
+            assert all(_eval(a, m) for a in asserts), (case, m)
 
 
 def _model(out):
