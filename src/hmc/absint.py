@@ -39,6 +39,7 @@ from .logic import (
     INT,
     IntLit,
     Implies,
+    LogicError,
     Not,
     ScalarMul,
     TRUE,
@@ -90,6 +91,18 @@ class AbstractInvariant:
 class SymItem:
     kind: str  # "conj" | "assert" | "get" | "set"
     payload: object
+
+
+def run_blocks(p):
+    """block -> (symbolic run, type environment of its SSA names), keyed by
+    the block itself, so two blocks with one label cannot share a run. The
+    run does not depend on the invariant, so a check computes it once and
+    hands it to both the miner and the fixpoint."""
+    runs = {}
+    for _, block in p.blocks:
+        trace = SymExec(p).run(block)
+        runs[block] = (trace.items, TypeEnv(tuple(sorted(trace.types.items()))))
+    return runs
 
 
 class SymExec:
@@ -212,7 +225,7 @@ def _well_typed(p, kvar, formula):
     try:
         typecheck_pred(field_env(p, kvar), formula, p.func_sigs)
         return True
-    except Exception:
+    except LogicError:
         return False
 
 
@@ -225,14 +238,14 @@ def _split_eq(p, kvar, q):
         try:
             lt = typecheck_expr(tenv, q.left, p.func_sigs)
             rt = typecheck_expr(tenv, q.right, p.func_sigs)
-        except Exception:
+        except LogicError:
             return [q]
         if lt == INT and rt == INT:
             return [Cmp("<=", q.left, q.right), Cmp("<=", q.right, q.left)]
     return [q]
 
 
-def harvest_predicates(p, extra=None, mine=True):
+def harvest_predicates(p, runs, extra=None, mine=True):
     """Ordered FieldPredicate list per kvar: harvested atoms first (every
     block's atoms through every write's argument map), then mined
     projections, then user extras."""
@@ -263,7 +276,7 @@ def harvest_predicates(p, extra=None, mine=True):
             for q in _split_eq(p, kvar, Cmp(atom.op, mapped_l, mapped_r)):
                 add(kvar, q)
     if mine:
-        for kvar, formula in mined_predicates(p):
+        for kvar, formula in mined_predicates(p, runs):
             add(kvar, formula)
     for kvar, formula in extra or []:
         if kvar in preds:
@@ -377,17 +390,17 @@ def _lin_to_pred(lin, rename):
     return Cmp("<=", side(pos), side(neg))
 
 
-def mined_predicates(p):
+def mined_predicates(p, runs):
     """(kvar, formula) candidates from projecting each write's path formula
     onto the written fields, plus pairwise sums of the projection basis."""
     out = []
     for _, block in p.blocks:
-        trace = SymExec(p).run(block)
-        for idx, item in enumerate(trace.items):
+        items = runs[block][0]
+        for idx, item in enumerate(items):
             if item.kind != "set":
                 continue
             kvar, syms = item.payload
-            les, keys = _path_ineqs(trace.items, idx)
+            les, keys = _path_ineqs(items, idx)
             fieldof = {}
             for i, s in enumerate(syms):
                 fieldof.setdefault(("var", s), Var(field_var(kvar, i)))
@@ -450,23 +463,20 @@ class AssertStatus:
 
 
 class Engine:
-    def __init__(self, p, preds, mode):
+    def __init__(self, p, runs, preds, mode):
         self.p = p
+        self.runs = runs  # run_blocks(p)
         self.preds = preds
         self.mode = mode
         self.memo = {}
-        # block -> (symbolic run, type environment of its SSA names); the
-        # run does not depend on the invariant
-        self.runs = {}
-        for _, block in p.blocks:
-            trace = SymExec(p).run(block)
-            self.runs[block] = (trace.items, TypeEnv(tuple(sorted(trace.types.items()))))
 
     def valid(self, tenv, q):
-        key = (tuple(tenv.bindings), print_pred(q))
-        if key not in self.memo:
-            self.memo[key] = check_valid(tenv, q, self.mode, self.p.func_sigs).status
-        return self.memo[key]
+        """The validity status of `q` under `tenv`, memoised on the pair."""
+        key = (tenv, q)
+        status = self.memo.get(key)
+        if status is None:
+            status = self.memo[key] = check_valid(tenv, q, self.mode, self.p.func_sigs).status
+        return status
 
     def abstract_post(self, label, block, inv):
         """Returns (statuses, new cubes as [(kvar, cube)])."""
@@ -548,16 +558,16 @@ class SolveResult:
     failing: AssertStatus | None = None
 
 
-def solve(p, preds, mode):
+def solve(p, runs, preds, mode):
     """Round-robin over the blocks until no kvar gains a cube, running only
     the blocks that get a kvar grown since their last run. The order stays
     round-robin: a set adds one cube for the whole disjunction its block
     read, so another order could end with other cubes."""
-    engine = Engine(p, preds, mode)
+    engine = Engine(p, runs, preds, mode)
     inv = AbstractInvariant({k: set() for k in p.relvar_sigs})
     readers = {k: set() for k in p.relvar_sigs}  # kvar -> indices of blocks that get it
     for i, (_, block) in enumerate(p.blocks):
-        for item in engine.runs[block][0]:
+        for item in runs[block][0]:
             if item.kind == "get":
                 readers[item.payload[0]].add(i)
     last = [[] for _ in p.blocks]  # each block's statuses from its last run

@@ -8,7 +8,8 @@ Commands:
   validate   check a solution file against a constraint file
 
 Exit codes: 0 SAFE/SATISFIED, 1 UNSAFE/VIOLATED, 2 INCONCLUSIVE/UNKNOWN,
-3 usage or I/O error, 4 solver failure.
+3 usage or I/O error, 4 solver failure or resource exhaustion (recursion
+depth, memory).
 """
 
 from __future__ import annotations
@@ -201,8 +202,9 @@ def cmd_check(args, out):
     extra = absint.parse_preds(_read(args.preds), p) if args.preds else None
     mode = _solver_mode(args)
     t1 = time.monotonic()
-    preds = absint.harvest_predicates(p, extra)
-    result = absint.solve(p, preds, mode)
+    runs = absint.run_blocks(p)
+    preds = absint.harvest_predicates(p, runs, extra)
+    result = absint.solve(p, runs, preds, mode)
     report.timings["solve"] = time.monotonic() - t1
     if result.status == absint.PROVED:
         sol = absint.extract_solution(result.invariant, preds, cloned.kvars)
@@ -378,6 +380,9 @@ def main(argv=None, out=None):
         return EXIT_USAGE
     except (SolverUnavailable, SolverProtocolError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except (RecursionError, MemoryError) as exc:
+        print(f"resource exhausted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .logic import (
     Cmp,
     FuncSig,
     IntLit,
+    LogicError,
     TRUE,
     TypeEnv,
     VALUE_VAR,
@@ -159,7 +160,7 @@ def _norm_ref(cs, label, scope, rt):
     if isinstance(rt.ref, Concrete):
         try:
             typecheck_pred(inner, rt.ref.pred, cs.uninterps)
-        except Exception as exc:
+        except LogicError as exc:
             raise ConstraintError(f"{label}: {exc}") from exc
         return rt.ref
     sig = cs.kvars.get(rt.ref.kvar)
@@ -175,7 +176,7 @@ def _norm_ref(cs, label, scope, rt):
     for arg, (pname, ptype) in zip(args, sig.params):
         try:
             got = typecheck_expr(inner, arg, cs.uninterps)
-        except Exception as exc:
+        except LogicError as exc:
             raise ConstraintError(f"{label}: {exc}") from exc
         if got != ptype:
             raise ConstraintError(

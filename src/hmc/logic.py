@@ -15,7 +15,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass, field
 
-from . import sexpr
+from . import sexpr, smt
 
 VALUE_VAR = "v"
 
@@ -695,7 +695,12 @@ def check_valid(env, p, mode, sigs=None):
     ORACLE mode enumerates the finite domain (function tables may be
     sampled, in which case a would-be VALID result degrades to UNKNOWN).
     SOLVER mode asks the decision procedure for unsatisfiability of the
-    negation.
+    negation, lowered once by `solver_query` to SMT-LIB forms. The bundled
+    solver takes those forms in process (`smt.solve`) and the witness comes
+    straight from its model. The forms are printed as SMT-LIB text only for
+    `emit_dir` and for an external solver `cmd`, whose printed model
+    `_parse_model` reads back. A witness lists the variables of `env` in
+    binding order.
     """
     sigs = sigs or {}
     typecheck_pred(env, p, sigs)
@@ -717,10 +722,12 @@ def _check_valid_oracle(env, p, mode, sigs):
     return Verdict(VALID) if exhaustive else Verdict(UNKNOWN)
 
 
-def emit_solver_query(env, p, sigs=None):
-    """Deterministic SMT-LIB 2 script asserting the negation of `p`."""
+def solver_query(env, p, sigs=None):
+    """The SMT-LIB commands, as sexpr forms, that ask the solver for a model
+    of the negation of `p` under `env`. Sorts are declared in order of first
+    use, then the variables, then the functions `p` applies, by name; each
+    bool variable is asserted to lie in {0, 1}."""
     sigs = sigs or {}
-    lines = ["(set-logic QF_UFLIA)"]
     sorts = []
 
     def sort_name(t):
@@ -730,94 +737,99 @@ def emit_solver_query(env, p, sigs=None):
             return t.ui_name
         return "Int"
 
-    decls = []
-    ranges = []
-    for name, t in env.bindings:
-        decls.append(f"(declare-fun {name} () {sort_name(t)})")
-        if t == BOOL:
-            ranges.append(f"(assert (and (<= 0 {name}) (<= {name} 1)))")
-    fdecls = []
+    decls = [["declare-fun", name, [], sort_name(t)] for name, t in env.bindings]
     for fname in sorted(pred_funcs(p)):
         sig = sigs.get(fname)
         if sig is None:
             raise UnknownFunction(fname)
-        args = " ".join(sort_name(t) for t in sig.arg_types)
-        fdecls.append(f"(declare-fun {sig.name} ({args}) {sort_name(sig.ret_type)})")
-    for s in sorts:
-        lines.append(f"(declare-sort {s} 0)")
-    lines.extend(decls)
-    lines.extend(fdecls)
-    lines.extend(ranges)
-    lines.append(f"(assert (not {_smt_pred(p)}))")
-    lines.append("(check-sat)")
-    lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
+        args = [sort_name(t) for t in sig.arg_types]
+        decls.append(["declare-fun", sig.name, args, sort_name(sig.ret_type)])
+    ranges = [
+        ["assert", ["and", ["<=", 0, name], ["<=", name, 1]]]
+        for name, t in env.bindings
+        if t == BOOL
+    ]
+    return (
+        [["set-logic", "QF_UFLIA"]]
+        + [["declare-sort", s, 0] for s in sorts]
+        + decls
+        + ranges
+        + [["assert", ["not", _smt_form(p)]], ["check-sat"], ["get-model"]]
+    )
 
 
-def _smt_expr(e):
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, IntLit):
-        return str(e.value) if e.value >= 0 else f"(- {-e.value})"
-    if isinstance(e, Add):
-        return f"(+ {_smt_expr(e.left)} {_smt_expr(e.right)})"
-    if isinstance(e, ScalarMul):
-        c = str(e.coeff) if e.coeff >= 0 else f"(- {-e.coeff})"
-        return f"(* {c} {_smt_expr(e.arg)})"
-    if isinstance(e, App):
-        if not e.args:
-            return e.func
-        return f"({e.func} {' '.join(_smt_expr(a) for a in e.args)})"
-    raise TypeMismatch(f"not an expression: {e!r}")
+def emit_solver_query(env, p, sigs=None):
+    """Deterministic SMT-LIB 2 script asserting the negation of `p`."""
+    return _query_text(solver_query(env, p, sigs))
 
 
-def _smt_pred(p):
-    if isinstance(p, TrueLit):
-        return "(= 0 0)"
-    if isinstance(p, FalseLit):
-        return "(= 0 1)"
-    if isinstance(p, BoolVar):
-        return f"(= {p.name} 1)"
-    if isinstance(p, Cmp):
-        l, r = _smt_expr(p.left), _smt_expr(p.right)
-        if p.op == "/=":
-            return f"(not (= {l} {r}))"
-        return f"({p.op} {l} {r})"
-    if isinstance(p, Not):
-        return f"(not {_smt_pred(p.arg)})"
-    if isinstance(p, And):
-        return f"(and {_smt_pred(p.left)} {_smt_pred(p.right)})"
-    if isinstance(p, Implies):
-        return f"(=> {_smt_pred(p.left)} {_smt_pred(p.right)})"
-    raise TypeMismatch(f"not a predicate: {p!r}")
+def _query_text(query):
+    return "".join(sexpr.to_str(c) + "\n" for c in query)
+
+
+def _smt_num(n):
+    return n if n >= 0 else ["-", -n]
+
+
+def _smt_form(x):
+    """A predicate or expression as an SMT-LIB form: negative numbers are
+    negations, true and false are (= 0 0) and (= 0 1), a bool variable b is
+    (= b 1) and (/= l r) is (not (= l r))."""
+    if isinstance(x, Var):
+        return x.name
+    if isinstance(x, IntLit):
+        return _smt_num(x.value)
+    if isinstance(x, Add):
+        return ["+", _smt_form(x.left), _smt_form(x.right)]
+    if isinstance(x, ScalarMul):
+        return ["*", _smt_num(x.coeff), _smt_form(x.arg)]
+    if isinstance(x, App):
+        return [x.func, *map(_smt_form, x.args)] if x.args else x.func
+    if isinstance(x, TrueLit):
+        return ["=", 0, 0]
+    if isinstance(x, FalseLit):
+        return ["=", 0, 1]
+    if isinstance(x, BoolVar):
+        return ["=", x.name, 1]
+    if isinstance(x, Cmp):
+        atom = ["=" if x.op == "/=" else x.op, _smt_form(x.left), _smt_form(x.right)]
+        return ["not", atom] if x.op == "/=" else atom
+    if isinstance(x, Not):
+        return ["not", _smt_form(x.arg)]
+    if isinstance(x, And):
+        return ["and", _smt_form(x.left), _smt_form(x.right)]
+    if isinstance(x, Implies):
+        return ["=>", _smt_form(x.left), _smt_form(x.right)]
+    raise TypeMismatch(f"not a predicate or expression: {x!r}")
 
 
 def _check_valid_solver(env, p, mode, sigs):
-    script = emit_solver_query(env, p, sigs)
+    query = solver_query(env, p, sigs)
     if mode.emit_dir:
         os.makedirs(mode.emit_dir, exist_ok=True)
         path = os.path.join(mode.emit_dir, f"q_{mode._counter}.smt2")
         mode._counter += 1
         with open(path, "w") as fh:
-            fh.write(script)
+            fh.write(_query_text(query))
     if mode.cmd is None:
-        from . import smt
-
-        output = smt.solve_script(script)
-    else:
-        try:
-            proc = subprocess.run(
-                shlex.split(mode.cmd),
-                input=script,
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
-        except FileNotFoundError as exc:
-            raise SolverUnavailable(str(exc)) from exc
-        except subprocess.TimeoutExpired:
-            return Verdict(UNKNOWN)
-        output = proc.stdout
+        model = smt.solve(smt.script_of(query))
+        if model is None:
+            return Verdict(VALID)
+        values = {name: model.get(name, 0) for name, _ in env.bindings}
+        return Verdict(INVALID, Interpretation(values, {}))
+    try:
+        proc = subprocess.run(
+            shlex.split(mode.cmd),
+            input=_query_text(query),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except FileNotFoundError as exc:
+        raise SolverUnavailable(str(exc)) from exc
+    except subprocess.TimeoutExpired:
+        return Verdict(UNKNOWN)
+    output = proc.stdout
     tokens = output.split()
     if not tokens:
         raise SolverProtocolError("empty solver output")
@@ -852,4 +864,4 @@ def _parse_model(output, env):
                 values[f[1]] = val
         else:
             stack.extend(f)
-    return Interpretation(values, {})
+    return Interpretation({n: values[n] for n, _ in env.bindings if n in values}, {})

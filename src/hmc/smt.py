@@ -1,6 +1,6 @@
 """Decision procedure for a QF_UFLIA subset of SMT-LIB 2.
 
-Pipeline: parse script -> eliminate uninterpreted functions by
+Pipeline: script -> eliminate uninterpreted functions by
 Ackermannization -> negation normal form -> presolve -> satisfiability
 search over the disjuncts -> omega test on each conjunction of linear
 constraints, with model reconstruction by back-substitution.
@@ -18,8 +18,11 @@ neither the first satisfiable leaf nor its model.
 Uninterpreted sorts are modeled as Int; that preserves quantifier-free
 satisfiability because any model over an infinite carrier injects into Int.
 
-Exposed both as a library (`solve_script`) and as the `hmc-smt` executable,
-which reads a script on stdin and prints `sat`/`unsat` plus a model.
+Exposed as a library and as a filter. `solve` takes a `Script` of
+already-parsed forms, which `hmc.logic` builds for each validity query, and
+returns a model dict or None. The text form, `solve_script`, is for the
+filter only: `python -m hmc.smt` and the `hmc-smt` executable read a script
+on stdin and print `sat`/`unsat` plus a model.
 """
 
 from __future__ import annotations
@@ -95,30 +98,28 @@ def eval_lin(lin, model):
 
 
 # ---------------------------------------------------------------------------
-# Script parsing
+# Scripts
 
 
 class Script:
     def __init__(self):
         self.consts = {}  # name -> sort (0-ary declarations)
         self.funcs = {}  # name -> (arg sorts, ret sort)
-        self.sorts = []
         self.asserts = []
         self.want_model = False
 
 
-def parse_script(text):
+def script_of(commands):
+    """The Script of a sequence of SMT-LIB commands given as sexpr forms."""
     script = Script()
-    for form in sexpr.parse_many(text):
+    for form in commands:
         if not isinstance(form, list) or not form:
             raise SmtError(f"bad command {sexpr.to_str(form)}")
         head = form[0]
-        if head in ("set-logic", "set-option", "set-info", "check-sat", "exit"):
+        if head in ("set-logic", "set-option", "set-info", "declare-sort", "check-sat", "exit"):
             continue
         if head == "get-model":
             script.want_model = True
-        elif head == "declare-sort":
-            script.sorts.append(form[1])
         elif head == "declare-fun":
             name, args, ret = form[1], form[2], form[3]
             if args:
@@ -132,6 +133,10 @@ def parse_script(text):
         else:
             raise SmtError(f"unsupported command {head}")
     return script
+
+
+def parse_script(text):
+    return script_of(sexpr.parse_many(text))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,7 @@ def ackermannize(script):
                 if len(same_args) == 2:
                     same_args = same_args[1]
                 congruence.append(["=>", same_args, ["=", v1, v2]])
-    return flat + congruence, [fresh for fresh, _, _ in apps.values()]
+    return flat + congruence
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +552,27 @@ def sat_search(nodes, conj, checked=0):
 # Entry points
 
 
-def solve_script(text):
-    script = parse_script(text)
-    forms, _ = ackermannize(script)
+def solve(script):
+    """A model of the script's asserts, as a dict from each variable the
+    search assigned to its value, or None when they are unsatisfiable.
+    Declared constants the asserts leave free are absent: any value does."""
+    forms = ackermannize(script)
     tree, sub = presolve(("and", [nnf(f) for f in forms]))
     model = sat_search([tree], [])
     if model is None:
-        return "unsat\n"
+        return None
     for x, repl in sub.items():
         model[x] = eval_lin(repl, model)
+    return model
+
+
+def solve_script(text):
+    """The filter's answer to an SMT-LIB script: `unsat`, or `sat` and, when
+    the script asks for it, the value of every declared constant."""
+    script = parse_script(text)
+    model = solve(script)
+    if model is None:
+        return "unsat\n"
     lines = ["sat"]
     if script.want_model:
         lines.append("(model")

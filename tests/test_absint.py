@@ -13,6 +13,7 @@ from hmc.absint import (
     harvest_predicates,
     mined_predicates,
     parse_preds,
+    run_blocks,
     solve,
 )
 from hmc.clone import clone
@@ -68,7 +69,7 @@ def test_field_var():
 
 def test_harvest_includes_cross_block_atoms():
     _, _, p = program_for("iteri_mask.hmc")
-    preds = harvest_predicates(p)
+    preds = harvest_predicates(p, run_blocks(p))
     texts = {k: {print_pred(f.formula) for f in fs} for k, fs in preds.items()}
     # an atom written into k2's blocks lands on k1 through k1's write maps too
     assert any("k1.0" in t for t in texts["k1"])
@@ -77,7 +78,7 @@ def test_harvest_includes_cross_block_atoms():
 
 def test_mining_produces_relational_bound():
     _, _, p = program_for("iteri_mask.hmc")
-    mined = mined_predicates(p)
+    mined = mined_predicates(p, run_blocks(p))
     texts = {print_pred(q) for k, q in mined if k == "k1"}
     # the inductive strengthening relating the index to the shrinking tail
     assert any("len" in t and "k1.0" in t and "k1.1" in t for t in texts)
@@ -85,8 +86,9 @@ def test_mining_produces_relational_bound():
 
 def test_solve_proves_iteri():
     cs, cm, p = program_for("iteri_mask.hmc")
-    preds = harvest_predicates(p)
-    res = solve(p, preds, SolverMode())
+    runs = run_blocks(p)
+    preds = harvest_predicates(p, runs)
+    res = solve(p, runs, preds, SolverMode())
     assert res.status == PROVED
     sol = extract_solution(res.invariant, preds, cs.kvars)
     assert sol.kind == INTENSIONAL
@@ -96,8 +98,9 @@ def test_solve_proves_iteri():
 
 def test_solution_matches_oracle_on_small_domain():
     cs, cm, p = program_for("iteri_mask.hmc")
-    preds = harvest_predicates(p)
-    res = solve(p, preds, SolverMode())
+    runs = run_blocks(p)
+    preds = harvest_predicates(p, runs)
+    res = solve(p, runs, preds, SolverMode())
     sol = extract_solution(res.invariant, preds, cs.kvars)
     mode = OracleMode(ValueDomain((-1, 1), (("obj", (0, 1)),)))
     assert check_satisfied(cs, sol, mode).satisfied
@@ -121,7 +124,8 @@ def test_unprovable_stays_inconclusive():
         "}\n"
     )
     p = parse_imp(text)
-    res = solve(p, harvest_predicates(p), SolverMode())
+    runs = run_blocks(p)
+    res = solve(p, runs, harvest_predicates(p, runs), SolverMode())
     assert res.status == "inconclusive"
     assert res.failing is not None and res.failing.label == "r"
 
@@ -144,8 +148,9 @@ def test_empty_invariant_blocks_get():
         "}\n"
     )
     p = parse_imp(text)
-    preds = harvest_predicates(p)
-    res = solve(p, preds, SolverMode())
+    runs = run_blocks(p)
+    preds = harvest_predicates(p, runs)
+    res = solve(p, runs, preds, SolverMode())
     assert res.status == PROVED
     sol = extract_solution(res.invariant, preds, {"k": None})
     assert print_pred(sol.entries["k"]) == "false"
@@ -164,15 +169,17 @@ def test_parse_preds_splits_conjunctions():
 
 def test_format_invariant_mentions_preds():
     cs, cm, p = program_for("iteri_mask.hmc")
-    preds = harvest_predicates(p)
-    res = solve(p, preds, SolverMode())
+    runs = run_blocks(p)
+    preds = harvest_predicates(p, runs)
+    res = solve(p, runs, preds, SolverMode())
     text = format_invariant(res.invariant, preds)
     assert "k1" in text and "k2" in text
 
 
 def test_engine_assert_statuses():
     cs, cm, p = program_for("iteri_mask.hmc")
-    res = solve(p, harvest_predicates(p), SolverMode())
+    runs = run_blocks(p)
+    res = solve(p, runs, harvest_predicates(p, runs), SolverMode())
     assert res.statuses and all(s.status == "holds" for s in res.statuses)
 
 
@@ -186,7 +193,8 @@ def test_chain_listed_last_link_first_runs_each_block_few_times(monkeypatch):
         return post(self, label, block, inv)
 
     monkeypatch.setattr(Engine, "abstract_post", counted)
-    res = solve(p, harvest_predicates(p), SolverMode())
+    runs = run_blocks(p)
+    res = solve(p, runs, harvest_predicates(p, runs), SolverMode())
     assert res.status == PROVED
     # each link runs once before and once after its source gains its cube;
     # re-running every block on every pass takes (24 + 2) * (24 + 1) = 650
@@ -215,11 +223,11 @@ REGRESSING_READER = (
 )
 
 
-def round_robin(p, preds, mode):
+def round_robin(p, runs, preds, mode):
     """Reference fixpoint: every block on every pass until a pass adds no
     cube, then one more pass over every block for the assert statuses.
     Returns the cubes, the (label, status) list and the failing label."""
-    engine = Engine(p, preds, mode)
+    engine = Engine(p, runs, preds, mode)
     inv = AbstractInvariant({k: set() for k in p.relvar_sigs})
     changed = True
     while changed:
@@ -255,13 +263,14 @@ def test_solve_matches_round_robin(monkeypatch):
     programs += [program_of(gen_constraint_set(random.Random(seed))) for seed in range(100)]
     outcomes = set()
     for p in programs:
-        preds = harvest_predicates(p)
-        res = solve(p, preds, SolverMode())
+        runs = run_blocks(p)
+        preds = harvest_predicates(p, runs)
+        res = solve(p, runs, preds, SolverMode())
         got = (
             res.invariant.cubes,
             [(s.label, s.status) for s in res.statuses],
             res.failing and res.failing.label,
         )
-        assert got == round_robin(p, preds, SolverMode())
+        assert got == round_robin(p, runs, preds, SolverMode())
         outcomes.add(res.status)
     assert outcomes == {PROVED, "inconclusive"}

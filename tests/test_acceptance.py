@@ -285,8 +285,9 @@ def _check_iteri():
     from hmc import absint
 
     mode = SolverMode()
-    preds = absint.harvest_predicates(p)
-    result = absint.solve(p, preds, mode)
+    runs = absint.run_blocks(p)
+    preds = absint.harvest_predicates(p, runs)
+    result = absint.solve(p, runs, preds, mode)
     assert result.status == absint.PROVED
     sol = fold_solution(
         absint.extract_solution(result.invariant, preds, cloned.kvars), cm, cs

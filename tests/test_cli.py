@@ -23,8 +23,9 @@ def run(*argv):
 
 
 def run_process(*argv, hash_seed="0", timeout=60):
-    """`hmc` in a child interpreter under a fixed string-hash seed; raises
-    subprocess.TimeoutExpired when it does not return in `timeout` s."""
+    """`hmc` in a child interpreter under a fixed string-hash seed: its exit
+    code, stdout and stderr. Raises subprocess.TimeoutExpired when it does
+    not return in `timeout` s."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -32,7 +33,7 @@ def run_process(*argv, hash_seed="0", timeout=60):
         [sys.executable, "-m", "hmc.cli", *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
     )
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_translate_matches_golden():
@@ -159,7 +160,7 @@ def test_check_zero_coefficient_terminates(tmp_path):
         "(sub c0 (env (x int true)) (lhs int (= v (* 0 x))) (rhs int (kapp k)))\n"
         "(sub c1 (env (y int (kapp k))) (lhs int (= v y)) (rhs int (<= 0 v)))\n"
     )
-    code, text = run_process("check", str(f), timeout=30)
+    code, text, _ = run_process("check", str(f), timeout=30)
     assert code == 0 and text.startswith("SAFE")
 
 
@@ -195,8 +196,23 @@ R8 = """\
 def test_check_revalidates_folded_clone_solution(tmp_path, text):
     f = tmp_path / "set.hmc"
     f.write_text(text)
-    code, out = run_process("check", str(f), timeout=30)
+    code, out, _ = run_process("check", str(f), timeout=30)
     assert code == 0 and out.startswith("SAFE")
+
+
+def test_check_resource_exhaustion_exits_4(tmp_path):
+    # typechecking a 1,200-deep conjunction exceeds the recursion limit:
+    # that is no input error and no verdict, and it prints no traceback
+    f = tmp_path / "deep.hmc"
+    conjuncts = " ".join(["(<= 0 v)"] * 1200)
+    f.write_text(
+        "(kvar k (v int))\n"
+        "(sub c0 (lhs int (= v 0)) (rhs int (kapp k)))\n"
+        f"(sub c1 (lhs int (and {conjuncts})) (rhs int (kapp k)))\n"
+    )
+    code, out, err = run_process("check", str(f), timeout=30)
+    assert code == 4 and out == ""
+    assert err.startswith("resource exhausted: ") and "Traceback" not in err
 
 
 def test_unsafe_trace_independent_of_string_hashing(tmp_path):
@@ -211,7 +227,7 @@ def test_unsafe_trace_independent_of_string_hashing(tmp_path):
         " (rhs int (<= (+ x0 1) (+ x0 0))))\n"
     )
     for seed in ("1", "3"):
-        code, text = run_process("check", str(f), "--oracle", hash_seed=seed)
+        code, text, _ = run_process("check", str(f), "--oracle", hash_seed=seed)
         assert code == 1 and text.splitlines()[-1] == "trace: c0 -> c1", seed
 
 

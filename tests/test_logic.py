@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hmc
+from hmc import cli, logic, sexpr, smt
 from hmc.logic import (
     Add,
     App,
@@ -32,6 +34,7 @@ from hmc.logic import (
     UNKNOWN,
     ValueDomain,
     Var,
+    Verdict,
     check_valid,
     emit_solver_query,
     enumerate_func_tables,
@@ -41,6 +44,7 @@ from hmc.logic import (
     mk_or,
     pred_from_sexpr,
     print_pred,
+    solver_query,
     subst_pred,
     typecheck_pred,
     ui,
@@ -210,3 +214,89 @@ def test_oracle_solver_agreement():
             assert b.status == INVALID, print_pred(p)
         if b.status == VALID:
             assert a.status == VALID, print_pred(p)
+
+
+# a ui sort, a bool binder, a 0-ary, a unary and a binary function, negative
+# constants and coefficients, /=, true and false
+QUERY_ENV = TypeEnv.of(("a", ui("obj")), ("v", INT), ("f", BOOL))
+QUERY_SIGS = {
+    "len": LEN,
+    "c": FuncSig("c", (), INT),
+    "at": FuncSig("at", (ui("obj"), INT), INT),
+}
+QUERY_PRED = (
+    "(=> (and f true) (and (/= (at a (- v 3)) (* -2 (c)))"
+    " (not (<= (+ v -1) (len a))) (=> false f)))"
+)
+
+
+def test_solver_query_bytes():
+    assert emit_solver_query(QUERY_ENV, P(QUERY_PRED), QUERY_SIGS) == (
+        "(set-logic QF_UFLIA)\n"
+        "(declare-sort obj 0)\n"
+        "(declare-fun a () obj)\n"
+        "(declare-fun v () Int)\n"
+        "(declare-fun f () Int)\n"
+        "(declare-fun at (obj Int) Int)\n"
+        "(declare-fun c () Int)\n"
+        "(declare-fun len (obj) Int)\n"
+        "(assert (and (<= 0 f) (<= f 1)))\n"
+        "(assert (not (=> (and (= f 1) (= 0 0)) (and (not (= (at a (+ v (- 3)))"
+        " (* (- 2) c))) (and (not (<= (+ v (- 1)) (len a))) (=> (= 0 1) (= f 1)))))))\n"
+        "(check-sat)\n"
+        "(get-model)\n"
+    )
+
+
+def _text_verdict(env, p, sigs):
+    """The verdict of the SMT-LIB text path: print the query, answer it with
+    the filter, read the answer back."""
+    out = smt.solve_script(emit_solver_query(env, p, sigs))
+    if out.startswith("unsat"):
+        return Verdict(VALID)
+    return Verdict(INVALID, logic._parse_model(out, env))
+
+
+def test_in_process_query_matches_text_path():
+    from gen import gen_pred
+
+    rng = random.Random(0)
+    xyz = TypeEnv.of(("x", INT), ("y", INT), ("z", INT))
+    cases = [(xyz, gen_pred(rng, ["x", "y", "z"]), {}) for _ in range(60)]
+    typed = [
+        QUERY_PRED,
+        "(=> (= a b) (= (len a) (len b)))",
+        "(=> (and (<= 0 v) (< v (len a))) (< 0 (len a)))",
+        "(=> f (>= (len a) (- 3)))",
+        "(not (and f (/= v (* -2 v))))",
+        "(=> (= a b) (= (at a v) (at b v)))",
+        "(= (c) (+ v 1))",
+        "(=> (not f) (not f))",
+    ]
+    env = TypeEnv.of(("a", ui("obj")), ("b", ui("obj")), ("v", INT), ("f", BOOL))
+    cases += [(env, P(text), QUERY_SIGS) for text in typed]
+    statuses = set()
+    for env, p, sigs in cases:
+        query = solver_query(env, p, sigs)
+        script = smt.script_of(query)
+        parsed = smt.parse_script(emit_solver_query(env, p, sigs))
+        assert query == sexpr.parse_many(emit_solver_query(env, p, sigs)), print_pred(p)
+        assert (script.consts, script.funcs, script.asserts) == (
+            parsed.consts, parsed.funcs, parsed.asserts
+        ), print_pred(p)
+        got = check_valid(env, p, SolverMode(), sigs)
+        assert got == _text_verdict(env, p, sigs), print_pred(p)
+        statuses.add(got.status)
+    assert statuses == {VALID, INVALID}
+
+
+def test_check_needs_no_smt_text(monkeypatch):
+    def no_text(*args):
+        raise AssertionError("SMT-LIB text on the in-process query path")
+
+    monkeypatch.setattr(smt, "parse_script", no_text)
+    monkeypatch.setattr(logic, "_parse_model", no_text)
+    out = io.StringIO()
+    iteri = Path(__file__).resolve().parent.parent / "examples" / "iteri_mask.hmc"
+    assert cli.main(["check", str(iteri)], out) == 0
+    assert out.getvalue().startswith("SAFE")
