@@ -5,24 +5,36 @@ Ackermannization -> negation normal form -> presolve -> satisfiability
 search over the disjuncts -> omega test on each conjunction of linear
 constraints, with model reconstruction by back-substitution.
 
-The presolve substitutes every top-level equality that has a unit
-coefficient (the SSA bindings `x%3 = ...` of a path formula) into the whole
-tree once, so the omega test never eliminates them again at each leaf; the
-model gets their values back by substitution. The search expands the
-disjunctions depth first and, before it splits one, runs the omega test on
-the atoms gathered so far: a subtree under an inconsistent partial
-conjunction is dropped unexplored. Every leaf below it contains those
-atoms, and the branches are still visited in order, so the pruning changes
-neither the first satisfiable leaf nor its model.
+The negation normal form folds a variable-free atom such as `(<= 1 0)` to
+true or false, drops true from a conjunction and false from a disjunction,
+and lets false absorb a conjunction and true a disjunction. The presolve
+substitutes every top-level equality that has a unit coefficient (the SSA
+bindings `x%3 = ...` of a path formula) into the whole tree once, so the
+omega test never eliminates them again at each leaf; the model gets their
+values back by substitution.
+
+The search expands the disjunctions depth first, on an explicit stack, and
+carries a model of the atoms gathered so far. Before it splits a
+disjunction, and at a leaf, it evaluates the atoms added since the last
+check on that model, reading an absent variable as 0; only when one of
+them fails does it run the omega test on all the atoms, and it drops the
+subtree unexplored when they are inconsistent. The branches are visited in
+order, so the first satisfiable leaf is the one a plain enumeration finds;
+but its model may be one found earlier on the path, which the leaf's atoms
+also satisfy, rather than the one the omega test gives for the leaf.
+
+The omega test normalizes each constraint once: on entry, after each
+substitution of an equality, and when it builds a shadow.
 
 Uninterpreted sorts are modeled as Int; that preserves quantifier-free
 satisfiability because any model over an infinite carrier injects into Int.
 
 Exposed as a library and as a filter. `solve` takes a `Script` of
 already-parsed forms, which `hmc.logic` builds for each validity query, and
-returns a model dict or None. The text form, `solve_script`, is for the
-filter only: `python -m hmc.smt` and the `hmc-smt` executable read a script
-on stdin and print `sat`/`unsat` plus a model.
+returns a model dict or None; a variable the model leaves out is 0. The
+text form, `solve_script`, is for the filter only: `python -m hmc.smt` and
+the `hmc-smt` executable read a script on stdin and print `sat`/`unsat`
+plus a model.
 """
 
 from __future__ import annotations
@@ -88,13 +100,8 @@ def lin_subst(lin, sub):
 
 
 def eval_lin(lin, model):
-    total = lin.get(None, 0)
-    for k, c in lin.items():
-        if k is None:
-            continue
-        model.setdefault(k, 0)
-        total += c * model[k]
-    return total
+    """The value of `lin` under `model`, where an absent variable is 0."""
+    return sum(c if k is None else c * model.get(k, 0) for k, c in lin.items())
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +228,13 @@ def _le(lin):
     return ("le", lin)
 
 
+def _truth(holds):
+    return ("and", []) if holds else ("or", [])
+
+
 def _atom(op, l, r, positive):
-    ll, rr = term_to_lin(l), term_to_lin(r)
-    d = lin_sub(ll, rr)
+    d = lin_sub(term_to_lin(l), term_to_lin(r))
+    ground = not lin_vars(d)  # a variable-free atom folds to true or false
     if op == "<=":
         pass
     elif op == "<":
@@ -233,6 +244,8 @@ def _atom(op, l, r, positive):
     elif op == ">":
         d = lin_add(lin_scale(d, -1), lin_const(1))
     elif op == "=":
+        if ground:
+            return _truth((d.get(None, 0) == 0) == positive)
         if positive:
             return ("eq", d)
         lt = _le(lin_add(d, lin_const(1)))
@@ -243,13 +256,25 @@ def _atom(op, l, r, positive):
     if not positive:
         # not (d <= 0)  <=>  -d + 1 <= 0
         d = lin_add(lin_scale(d, -1), lin_const(1))
-    return _le(d)
+    return _truth(d.get(None, 0) <= 0) if ground else _le(d)
+
+
+def _join(tag, kids):
+    """The "and" or "or" of NNF trees, without its units (true in a
+    conjunction, false in a disjunction) and absorbed by a zero."""
+    unit, zero = (tag, []), ("or" if tag == "and" else "and", [])
+    out = []
+    for kid in kids:
+        if kid == zero:
+            return zero
+        if kid != unit:
+            out.append(kid)
+    return tag, out
 
 
 def nnf(form, positive=True):
     if form in ("true", "false"):
-        holds = (form == "true") == positive
-        return ("and", []) if holds else ("or", [])
+        return _truth((form == "true") == positive)
     if isinstance(form, str):
         # bare boolean symbol: treat as symbol = 1
         return _atom("=", form, 1, positive)
@@ -260,14 +285,14 @@ def nnf(form, positive=True):
         return nnf(form[1], not positive)
     if head == "and":
         kids = [nnf(f, positive) for f in form[1:]]
-        return ("and" if positive else "or", kids)
+        return _join("and" if positive else "or", kids)
     if head == "or":
         kids = [nnf(f, positive) for f in form[1:]]
-        return ("or" if positive else "and", kids)
+        return _join("or" if positive else "and", kids)
     if head == "=>":
         *hyps, concl = form[1:]
         kids = [nnf(h, not positive) for h in hyps] + [nnf(concl, positive)]
-        return ("or" if positive else "and", kids)
+        return _join("or" if positive else "and", kids)
     if head in ("<=", "<", ">=", ">", "="):
         if len(form) != 3:
             raise SmtError(f"{head} takes two arguments")
@@ -322,6 +347,23 @@ def _mods(a, m):
     return r
 
 
+def _constrain(kind, lin, eqs, les):
+    """Normalize the constraint lin <= 0 ("le") or lin = 0 ("eq") and append
+    it to `les` or `eqs`, unless it has no variables. False when it has no
+    integer solution."""
+    if kind == "le":
+        lin, out = norm_le(lin), les
+    else:
+        lin, out = _norm_eq(lin), eqs
+        if lin is None:
+            return False
+    if len(lin) > (None in lin):
+        out.append(lin)
+        return True
+    c = lin.get(None, 0)
+    return c <= 0 if kind == "le" else c == 0
+
+
 def omega(constraints, fresh=None):
     """Decide a conjunction of ("le", lin) / ("eq", lin) constraints over the
     integers. Returns a satisfying model dict, or None.
@@ -330,25 +372,10 @@ def omega(constraints, fresh=None):
     it starts at 1, so the answer depends on `constraints` alone."""
     if fresh is None:
         fresh = itertools.count(1)
-    les, eqs = [], []
-    for kind, lin in constraints:
-        if kind == "le":
-            lin = norm_le(lin)
-            if lin_vars(lin):
-                les.append(lin)
-            elif lin.get(None, 0) > 0:
-                return None
-        else:
-            lin = _norm_eq(lin)
-            if lin is None:
-                return None
-            if lin_vars(lin):
-                eqs.append(lin)
-            elif lin.get(None, 0) != 0:
-                return None
-    if eqs:
-        return _eliminate_equality(eqs, les, fresh)
-    return _solve_ineqs(les, fresh)
+    eqs, les = [], []
+    if not all(_constrain(kind, lin, eqs, les) for kind, lin in constraints):
+        return None
+    return _solve(eqs, les, fresh)
 
 
 def _unit_pivot(eq):
@@ -362,50 +389,58 @@ def _unit_pivot(eq):
     return None
 
 
-def _eliminate_equality(eqs, les, fresh):
-    # prefer an equation with a unit coefficient
-    pick = None
-    for i, eq in enumerate(eqs):
-        pivot = _unit_pivot(eq)
-        if pivot:
-            pick = i, pivot
-            break
-    if pick is None:
-        # mod trick: introduce sigma and an equation that does have a unit
-        # coefficient on the variable with the smallest one
-        eq = eqs[0]
-        k = min(lin_vars(eq), key=lambda v: abs(eq[v]))
-        m = abs(eq[k]) + 1
-        new = {v: _mods(c, m) for v, c in eq.items() if _mods(c, m)}
-        new[f".sig{next(fresh)}"] = -m
-        rest = [("eq", e) for e in eqs] + [("le", l) for l in les]
-        return omega([("eq", new)] + rest, fresh)
-    i, (x, repl) = pick
-    sub = {x: repl}
-    rest = [("eq", lin_subst(e, sub)) for j, e in enumerate(eqs) if j != i]
-    rest += [("le", lin_subst(l, sub)) for l in les]
-    model = omega(rest, fresh)
-    if model is None:
-        return None
-    model[x] = eval_lin(repl, model)
+def _solve(eqs, les, fresh):
+    """omega on normalized constraints that all have variables: eliminate
+    the equalities one by one, then the inequalities."""
+    defs = []  # (x, r) for each eliminated x = r, in order
+    while eqs:
+        # prefer an equation with a unit coefficient
+        pick = next(((i, p) for i, p in enumerate(map(_unit_pivot, eqs)) if p), None)
+        if pick is None:
+            # mod trick: introduce sigma and an equation that does have a unit
+            # coefficient on the variable with the smallest one
+            eq = eqs[0]
+            k = min(lin_vars(eq), key=lambda v: abs(eq[v]))
+            m = abs(eq[k]) + 1
+            new = {v: _mods(c, m) for v, c in eq.items() if _mods(c, m)}
+            new[f".sig{next(fresh)}"] = -m
+            eqs = [new] + eqs
+            continue
+        i, (x, repl) = pick
+        defs.append((x, repl))
+        rest = [("eq", e) for e in eqs[:i] + eqs[i + 1:]] + [("le", l) for l in les]
+        eqs, les = [], []
+        for kind, lin in rest:
+            if x not in lin:  # unchanged, so still normalized
+                (eqs if kind == "eq" else les).append(lin)
+            elif not _constrain(kind, lin_subst(lin, {x: repl}), eqs, les):
+                return None
+    model = _solve_ineqs(les, fresh)
+    if model is not None:
+        for x, repl in reversed(defs):
+            model[x] = eval_lin(repl, model)
     return model
 
 
 def _pick_variable(les):
-    occurs = {}
+    """The variable to eliminate next, and whether its elimination is exact:
+    one-sided, or with a unit coefficient in every lower or every upper
+    bound. Prefers one-sided, then exact, then the fewest bound pairs."""
+    bounds = {}  # v -> [lower count, largest lower, upper count, largest upper]
     for lin in les:
-        for v in lin_vars(lin):
-            occurs.setdefault(v, []).append(lin[v])
-    best = None
-    for v, coeffs in sorted(occurs.items()):
-        lows = [-c for c in coeffs if c < 0]
-        ups = [c for c in coeffs if c > 0]
-        exact = all(b == 1 or a == 1 for b in lows for a in ups)
-        one_sided = not lows or not ups
-        cost = (0 if one_sided else 1, 0 if exact else 1, len(lows) * len(ups))
-        if best is None or cost < best[0]:
-            best = (cost, v, exact or one_sided)
-    return best[1], best[2]
+        for v, c in lin.items():
+            if v is not None:
+                s = bounds.setdefault(v, [0, 0, 0, 0])
+                i = 0 if c < 0 else 2
+                s[i] += 1
+                s[i + 1] = max(s[i + 1], abs(c))
+
+    def cost(v):
+        n_low, low, n_up, up = bounds[v]
+        return n_low > 0 and n_up > 0, low > 1 and up > 1, n_low * n_up
+
+    x = min(sorted(bounds), key=cost)
+    return x, not cost(x)[1]
 
 
 def _assign_between(x, lowers, uppers, model):
@@ -429,10 +464,7 @@ def _assign_between(x, lowers, uppers, model):
 
 
 def _solve_ineqs(les, fresh):
-    les = [l for l in (norm_le(l) for l in les) if lin_vars(l) or l.get(None, 0) > 0]
-    for l in les:
-        if not lin_vars(l):
-            return None
+    """A model of normalized inequalities that all have variables, or None."""
     if not les:
         return {}
     x, exact = _pick_variable(les)
@@ -450,35 +482,36 @@ def _solve_ineqs(les, fresh):
         if model is None:
             return None
         return _assign_between(x, lowers, uppers, model)
+    # dark shadow of each pair b*x >= r, a*x <= u: a*r + (a-1)(b-1) <= b*u.
+    # The slack (a-1)(b-1) is 0 for every pair when the elimination is exact,
+    # and then this is the real shadow.
     shadow = list(others)
-    dark_ok = True
-    for b, r in lowers:
-        for a, u in uppers:
-            # real shadow: a*r <= a*b*x <= b*u
-            real = lin_sub(lin_scale(r, a), lin_scale(u, b))
-            if exact:
-                shadow.append(real)
-            else:
-                slack = (a - 1) * (b - 1)
-                shadow.append(lin_add(real, lin_const(slack)))
-                if slack:
-                    dark_ok = False
-    model = _solve_ineqs(shadow, fresh)
-    if model is not None:
-        return _assign_between(x, lowers, uppers, model)
-    if exact or dark_ok:
+    feasible = all(
+        _constrain("le", lin_add(lin_sub(lin_scale(r, a), lin_scale(u, b)),
+                                 lin_const((a - 1) * (b - 1))), None, shadow)
+        for b, r in lowers
+        for a, u in uppers
+    )
+    if feasible:
+        model = _solve_ineqs(shadow, fresh)
+        if model is not None:
+            return _assign_between(x, lowers, uppers, model)
+    if exact:
         return None
-    # splinters: any solution missed by the dark shadow sits close above a
-    # lower bound
+    return _splinters(x, lowers, uppers, les, fresh)
+
+
+def _splinters(x, lowers, uppers, les, fresh):
+    """A model of `les` that the dark shadow of `x` missed, or None. Any such
+    model sits close above a lower bound b*x >= r: b*x = r + j for a small j."""
     amax = max(a for a, _ in uppers)
-    base = [("le", l) for l in les]
     for b, r in lowers:
-        top = (amax * b - amax - b) // amax
-        for j in range(top + 1):
-            eq = lin_add({x: b}, lin_scale(lin_add(r, lin_const(j)), -1))
-            model = omega(base + [("eq", eq)], fresh)
-            if model is not None:
-                return model
+        for j in range((amax * b - amax - b) // amax + 1):
+            eq = _norm_eq(lin_add({x: b}, lin_scale(lin_add(r, lin_const(j)), -1)))
+            if eq is not None:
+                model = _solve([eq], les, fresh)
+                if model is not None:
+                    return model
     return None
 
 
@@ -526,26 +559,46 @@ def presolve(tree):
     return _subst_tree(("and", rest), sub), sub
 
 
-def sat_search(nodes, conj, checked=0):
-    """First model, in depth-first order, of the conjunction of `conj` and
-    the NNF trees `nodes`, or None. The first `checked` atoms of `conj` are
-    known to be consistent."""
-    while nodes:
-        node, nodes = nodes[0], nodes[1:]
-        tag = node[0]
-        if tag == "and":
-            nodes = node[1] + nodes
-        elif tag == "or":
-            if len(conj) > checked and omega(conj) is None:
-                return None
-            for kid in node[1]:
-                model = sat_search([kid] + nodes, list(conj), len(conj))
-                if model is not None:
-                    return model
-            return None
+def _holds(atom, model):
+    kind, lin = atom
+    value = eval_lin(lin, model)
+    return value <= 0 if kind == "le" else value == 0
+
+
+def sat_search(tree):
+    """A model of the first satisfiable leaf, in depth-first order, of an
+    NNF tree, or None when it has none."""
+    conj = []  # the atoms on the current path
+    model, checked = {}, 0  # a model of conj[:checked]
+    choices = []  # per open split: (kids left, continuation, len(conj), model)
+    todo = (tree, None)  # the continuation, as a linked list (node, rest)
+    while True:
+        if todo is not None and todo[0][0] != "or":
+            node, todo = todo
+            if node[0] == "and":
+                for kid in reversed(node[1]):
+                    todo = (kid, todo)
+            else:
+                conj.append(node)
+            continue
+        # a split or a leaf: check the atoms added since the last check
+        if not all(_holds(atom, model) for atom in conj[checked:]):
+            model = omega(conj)
+        if model is not None:
+            if todo is None:
+                return model
+            (_, kids), todo = todo
+            choices.append((iter(kids), todo, len(conj), model))
+        while choices:
+            kid = next(choices[-1][0], None)
+            if kid is not None:
+                break
+            choices.pop()
         else:
-            conj.append(node)
-    return omega(conj)
+            return None
+        _, todo, checked, model = choices[-1]
+        del conj[checked:]
+        todo = (kid, todo)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +606,12 @@ def sat_search(nodes, conj, checked=0):
 
 
 def solve(script):
-    """A model of the script's asserts, as a dict from each variable the
-    search assigned to its value, or None when they are unsatisfiable.
-    Declared constants the asserts leave free are absent: any value does."""
+    """A model of the script's asserts, as a dict from variables to values,
+    or None when they are unsatisfiable. A variable the dict leaves out is
+    0; a declared constant the asserts leave free may take any value."""
     forms = ackermannize(script)
     tree, sub = presolve(("and", [nnf(f) for f in forms]))
-    model = sat_search([tree], [])
+    model = sat_search(tree)
     if model is None:
         return None
     for x, repl in sub.items():

@@ -186,6 +186,58 @@ def test_prunes_inconsistent_branches(monkeypatch):
     assert calls[0] <= 2000
 
 
+def test_omega_calls_on_iteri(monkeypatch):
+    # top-level calls only: a call that passes `fresh` is the omega test's own
+    top = [0]
+    omega_ = smt.omega
+
+    def counted(constraints, fresh=None):
+        top[0] += fresh is None
+        return omega_(constraints, fresh)
+
+    monkeypatch.setattr(smt, "omega", counted)
+    out = io.StringIO()
+    assert cli.main(["check", ITERI], out) == 0
+    assert out.getvalue().startswith("SAFE")
+    # a search that runs omega at every split and leaf with new atoms makes
+    # 457; reusing the model of the consistent prefix skips about a fifth
+    assert top[0] <= 400
+
+
+def test_ground_atoms_fold():
+    assert smt.nnf(["<=", 1, 0]) == ("or", [])
+    assert smt.nnf(["not", ["distinct", ["+", 1, 2], 3]]) == ("and", [])
+    assert smt.nnf(["and", ["<=", 0, 1], ["<=", "x", 2]]) == ("and", [("le", {"x": 1, None: -2})])
+    assert smt.nnf(["or", ["<", 1, 0], ["=>", ["<=", 0, "x"], ["=", 2, 2]]]) == ("and", [])
+    assert smt.nnf(["and", ["<=", "x", 2], ["or", ["<", 1, 0]]]) == ("or", [])
+
+
+def test_deep_disjunction_search():
+    # one split per assert, more than the default recursion limit of 1,000
+    n = 1200
+    lines = [f"(declare-const x{i} Int)" for i in range(n)]
+    lines += [f"(assert (or (= x{i} 0) (= x{i} 1)))" for i in range(n)]
+    lines.append("(assert (= x0 1)) (assert (< x1 x0)) (check-sat) (get-model)")
+    out = solve_script(" ".join(lines))
+    assert out.splitlines()[0] == "sat"
+    m = _model(out)
+    assert all(m[f"x{i}"] in (0, 1) for i in range(n))
+    assert m["x0"] == 1 and m["x1"] < m["x0"]
+
+
+def test_long_equality_chain_under_disjunction():
+    # presolve cannot reach these equalities, so omega eliminates all 1,200
+    n = 1200
+    chain = " ".join(f"(= x{i + 1} (+ x{i} 1))" for i in range(n))
+    lines = [f"(declare-const x{i} Int)" for i in range(n + 1)]
+    lines += [
+        "(declare-const y Int)",
+        f"(assert (or (and {chain} (< x{n} x0)) (= y 0)))",
+        "(assert (distinct y 0)) (check-sat)",
+    ]
+    assert solve(" ".join(lines)) == "unsat"
+
+
 # Random scripts over three variables boxed to -3..3, compared with brute
 # force over the box; every model is checked against every assert.
 BOX = range(-3, 4)
@@ -254,6 +306,45 @@ def test_matches_brute_force():
             m = _model(out)
             assert all(m[v] in BOX for v in NAMES), (case, m)
             assert all(_eval(a, m) for a in asserts), (case, m)
+
+
+def test_omega_matches_brute_force(monkeypatch):
+    # conjunctions with coefficients up to 5 over three variables boxed to
+    # -3..3; the inexact eliminations and their splinters must both be hit
+    hits = {"inexact": 0, "splinters": 0}
+    pick, splinters = smt._pick_variable, smt._splinters
+
+    def counted_pick(les):
+        x, exact = pick(les)
+        hits["inexact"] += not exact
+        return x, exact
+
+    def counted_splinters(*args):
+        hits["splinters"] += 1
+        return splinters(*args)
+
+    monkeypatch.setattr(smt, "_pick_variable", counted_pick)
+    monkeypatch.setattr(smt, "_splinters", counted_splinters)
+
+    def holds(kind, lin, point):
+        value = eval_lin(lin, point)
+        return value <= 0 if kind == "le" else value == 0
+
+    rng = random.Random(11)
+    points = [dict(zip(NAMES, p)) for p in itertools.product(BOX, repeat=3)]
+    for case in range(600):
+        cons = [("le", {v: s, None: -BOX[-1]}) for v in NAMES for s in (1, -1)]
+        for _ in range(rng.randint(1, 4)):
+            lin = {v: rng.randint(-5, 5) for v in NAMES if rng.random() < 0.7}
+            lin[None] = rng.randint(-10, 10)
+            lin = {k: c for k, c in lin.items() if c}
+            cons.append(("eq" if rng.random() < 0.25 else "le", lin))
+        brute = any(all(holds(k, l, p) for k, l in cons) for p in points)
+        model = omega(cons)
+        assert (model is not None) == brute, (case, cons)
+        if model is not None:
+            assert all(holds(k, l, model) for k, l in cons), (case, model)
+    assert hits["inexact"] and hits["splinters"], hits
 
 
 def _model(out):
