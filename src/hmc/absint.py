@@ -49,15 +49,18 @@ from .logic import (
     Var,
     check_valid,
     expr_to_sexpr,
+    expr_vars,
     mk_and,
     mk_or,
+    pred_vars,
     print_pred,
     rename_pred,
     subst_expr,
     subst_pred,
+    typecheck_expr,
     typecheck_pred,
 )
-from .constraints import INTENSIONAL, Solution
+from .constraints import INTENSIONAL, Solution, parse_solution
 from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set
 from .smt import lin_add, lin_const, lin_scale, lin_sub, lin_var, lin_vars, norm_le
 
@@ -126,13 +129,9 @@ class SymExec:
         return self.env[var]
 
     def rename_expr(self, e):
-        from .logic import expr_vars
-
         return subst_expr(e, {x: Var(self.sym_of(x)) for x in expr_vars(e)})
 
     def rename_pred(self, q):
-        from .logic import pred_vars
-
         return subst_pred(q, {x: Var(self.sym_of(x)) for x in pred_vars(q)})
 
     def run(self, block):
@@ -233,8 +232,6 @@ def _split_eq(p, kvar, q):
     """Split an int equality predicate into its two inequalities."""
     tenv = field_env(p, kvar)
     if isinstance(q, Cmp) and q.op == "=":
-        from .logic import typecheck_expr
-
         try:
             lt = typecheck_expr(tenv, q.left, p.func_sigs)
             rt = typecheck_expr(tenv, q.right, p.func_sigs)
@@ -431,8 +428,6 @@ def parse_preds(text, p):
     """User predicate file: .sol-style. The value variable `v` names field 0;
     the remaining fields are addressed as k.1, k.2, ... directly. Each
     entry's top-level conjunction is split into individual predicates."""
-    from .constraints import parse_solution
-
     sol = parse_solution(text)
     out = []
     for kvar, pred in sorted(sol.entries.items()):

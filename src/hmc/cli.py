@@ -30,8 +30,6 @@ from .logic import (
     SolverMode,
     SolverProtocolError,
     SolverUnavailable,
-    UNKNOWN,
-    VALID,
     ValueDomain,
 )
 from .sexpr import SexprError
@@ -199,7 +197,12 @@ def cmd_check(args, out):
         with open(args.emit_imp, "w") as fh:
             fh.write(imp.print_imp(p))
         report.artifacts.append(args.emit_imp)
-    extra = absint.parse_preds(_read(args.preds), p) if args.preds else None
+    extra = None
+    if args.preds:
+        try:
+            extra = absint.parse_preds(_read(args.preds), p)
+        except (SexprError, constraints.ConstraintError) as exc:
+            raise UsageError(f"{args.preds}: {exc}") from exc
     mode = _solver_mode(args)
     t1 = time.monotonic()
     runs = absint.run_blocks(p)
@@ -312,6 +315,7 @@ def cmd_validate(args, out):
     cs = _load_constraints(args.file)
     try:
         sol = constraints.parse_solution(_read(args.solution))
+        constraints.typecheck_solution(cs, sol)
     except (SexprError, constraints.ConstraintError) as exc:
         raise UsageError(f"{args.solution}: {exc}") from exc
     if args.mode == "solver":

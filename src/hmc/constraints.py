@@ -21,6 +21,7 @@ from .logic import (
     BaseType,
     Cmp,
     FuncSig,
+    Implies,
     IntLit,
     LogicError,
     TRUE,
@@ -185,24 +186,6 @@ def _norm_ref(cs, label, scope, rt):
     return KApp(rt.ref.kvar, tuple(args))
 
 
-def shape(cs):
-    """The constraint set with every kvar application replaced by true."""
-    out = ConstraintSet(dict(cs.uninterps), dict(cs.kvars), [])
-    for c in cs.constraints:
-        strip = lambda rt: RefType(
-            rt.base, rt.ref if isinstance(rt.ref, Concrete) else Concrete(TRUE)
-        )
-        out.constraints.append(
-            SubConstraint(
-                c.label,
-                tuple((n, strip(rt)) for n, rt in c.env),
-                strip(c.lhs),
-                strip(c.rhs),
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Embedding
 
@@ -230,8 +213,6 @@ def embed_env(cs, env, sol):
 
 def embed_sub(cs, c, sol):
     """(type env, predicate) whose validity is the constraint's truth."""
-    from .logic import Implies
-
     tenv = TypeEnv(
         tuple((n, rt.base) for n, rt in c.env) + ((VALUE_VAR, c.lhs.base),)
     )
@@ -242,23 +223,6 @@ def embed_sub(cs, c, sol):
     if g != TRUE:
         body = Implies(g, body)
     return tenv, body
-
-
-def apply_solution(cs, sol):
-    """Replace kvar applications by the solution's predicates everywhere."""
-    sol = sol.to_intensional(cs)
-    out = ConstraintSet(dict(cs.uninterps), {}, [])
-    for c in cs.constraints:
-        conc = lambda rt: RefType(rt.base, Concrete(ref_pred(cs, rt, sol)))
-        out.constraints.append(
-            SubConstraint(
-                c.label,
-                tuple((n, conc(rt)) for n, rt in c.env),
-                conc(c.lhs),
-                conc(c.rhs),
-            )
-        )
-    return out
 
 
 @dataclass
@@ -390,15 +354,35 @@ def print_constraints(cs):
 
 def parse_solution(text):
     forms = sexpr.parse_many(text)
-    if len(forms) != 1 or not isinstance(forms[0], list) or forms[0][0] != "solution":
+    if len(forms) != 1 or not isinstance(forms[0], list) or forms[0][:1] != ["solution"]:
         raise ConstraintError("expected a single (solution ...) form")
     entries = {}
     for e in forms[0][1:]:
-        name, pred = e[0], pred_from_sexpr(e[1])
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)):
+            raise ConstraintError(f"bad solution entry {sexpr.to_str(e)}")
+        name = e[0]
+        try:
+            pred = pred_from_sexpr(e[1])
+        except LogicError as exc:
+            raise ConstraintError(f"{name}: {exc}") from exc
         if name in entries:
             raise ConstraintError(f"duplicate solution entry {name}")
         entries[name] = pred
     return Solution(INTENSIONAL, entries)
+
+
+def typecheck_solution(cs, sol):
+    """Raise ConstraintError unless each entry names a kvar of `cs` and is a
+    predicate over that kvar's fields: `v` and its parameters."""
+    for name, pred in sol.entries.items():
+        sig = cs.kvars.get(name)
+        if sig is None:
+            raise ConstraintError(f"unknown kvar {name}")
+        try:
+            env = TypeEnv(tuple(zip(sig.field_names, sig.field_types)))
+            typecheck_pred(env, pred, cs.uninterps)
+        except LogicError as exc:
+            raise ConstraintError(f"{name}: {type(exc).__name__}: {exc}") from exc
 
 
 def print_solution(sol, cs=None):

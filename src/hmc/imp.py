@@ -1,12 +1,13 @@
 """IMP: a single nondeterministic loop over straight-line blocks.
 
 Programs are `loop { I1 [] ... [] In }`. Instructions act on base variables
-and relation variables. Two ground-truth semantics are provided:
+and relation variables. A state maps each relation variable to a set of
+tuples; `get` picks any member (halting on an empty relation). Two
+ground-truth semantics share that state and differ only in `set`:
 
-- Relational: each relation variable holds a growing set of tuples; `get`
-  picks any member (halting on an empty relation), `set` inserts.
-- Imperative: each relation variable holds one tuple or bottom; `get` reads
-  it (halting on bottom), `set` overwrites.
+- Relational: a relation grows; `set` inserts.
+- Imperative: a relation holds at most one tuple, and bottom is the empty
+  relation; `set` overwrites.
 
 A failing assert moves to the absorbing ERROR state. The reach computation
 enumerates a finite value domain and finite function tables.
@@ -15,15 +16,13 @@ enumerates a finite value domain and finite function tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, product
 
 from . import sexpr
 from .logic import (
-    BaseType,
     FuncSig,
     Interpretation,
     TRUE,
-    TrueLit,
     ValueDomain,
     enumerate_func_tables,
     eval_expr,
@@ -129,33 +128,17 @@ ERROR = _ErrorState()
 
 
 @dataclass(frozen=True)
-class RelState:
+class State:
     base: tuple  # sorted ((name, value), ...)
-    rels: tuple  # sorted ((relvar, frozenset of tuples), ...)
+    # sorted ((relvar, frozenset of tuples), ...); under the imperative
+    # semantics a relation holds at most one tuple, and bottom is empty
+    rels: tuple
 
     @staticmethod
     def make(base, rels):
-        return RelState(
+        return State(
             tuple(sorted(base.items())),
             tuple(sorted((k, frozenset(v)) for k, v in rels.items())),
-        )
-
-    def base_map(self):
-        return dict(self.base)
-
-    def rel_map(self):
-        return {k: set(v) for k, v in self.rels}
-
-
-@dataclass(frozen=True)
-class ImpState:
-    base: tuple
-    rels: tuple  # sorted ((relvar, tuple | None), ...)
-
-    @staticmethod
-    def make(base, rels):
-        return ImpState(
-            tuple(sorted(base.items())), tuple(sorted(rels.items()))
         )
 
     def base_map(self):
@@ -165,16 +148,9 @@ class ImpState:
         return dict(self.rels)
 
 
-def initial_rel_state(p, domain):
+def initial_state(p, domain):
     base = {x: domain.min_value(t) for x, t in p.base_types.items()}
-    rels = {k: frozenset() for k in p.relvar_sigs}
-    return RelState.make(base, rels)
-
-
-def initial_imp_state(p, domain):
-    base = {x: domain.min_value(t) for x, t in p.base_types.items()}
-    rels = {k: None for k in p.relvar_sigs}
-    return ImpState.make(base, rels)
+    return State.make(base, {k: () for k in p.relvar_sigs})
 
 
 # ---------------------------------------------------------------------------
@@ -191,97 +167,45 @@ class ExecContext:
         return Interpretation(base_map, self.tables)
 
 
-def post_rel(state, instr, ctx):
-    """Relational successors of one instruction. ERROR absorbs."""
+def post(state, instr, ctx, semantics):
+    """Successors of one instruction under `semantics`. ERROR absorbs. Only
+    `set` reads the semantics: it inserts relationally and overwrites
+    imperatively."""
     if state is ERROR:
         return {ERROR}
     if isinstance(instr, Seq):
         states = {state}
         for i in instr.instrs:
-            states = set().union(*(post_rel(s, i, ctx) for s in states))
+            states = set().union(*(post(s, i, ctx, semantics) for s in states))
         return states
-    base = state.base_map()
+    base = dict(state.base)
     if isinstance(instr, Assign):
         base[instr.var] = eval_expr(ctx.interp(base), instr.expr)
-        return {RelState(tuple(sorted(base.items())), state.rels)}
+        return {State(tuple(sorted(base.items())), state.rels)}
     if isinstance(instr, Havoc):
-        t = ctx.program.base_types[instr.var]
         out = set()
-        for val in ctx.domain.values(t):
-            b = dict(base)
-            b[instr.var] = val
-            out.add(RelState(tuple(sorted(b.items())), state.rels))
+        for val in ctx.domain.values(ctx.program.base_types[instr.var]):
+            base[instr.var] = val
+            out.add(State(tuple(sorted(base.items())), state.rels))
         return out
     if isinstance(instr, Assume):
-        if eval_pred(ctx.interp(base), instr.pred):
-            return {state}
-        return set()
+        return {state} if eval_pred(ctx.interp(base), instr.pred) else set()
     if isinstance(instr, Assert):
-        if eval_pred(ctx.interp(base), instr.pred):
-            return {state}
-        return {ERROR}
+        return {state} if eval_pred(ctx.interp(base), instr.pred) else {ERROR}
+    rels = dict(state.rels)
     if isinstance(instr, Get):
-        rels = state.rel_map()
         out = set()
         for tup in rels[instr.relvar]:
-            b = dict(base)
-            for x, val in zip(instr.targets, tup):
-                b[x] = val
-            out.add(RelState(tuple(sorted(b.items())), state.rels))
+            base.update(zip(instr.targets, tup))
+            out.add(State(tuple(sorted(base.items())), state.rels))
         return out
     if isinstance(instr, Set):
-        rels = state.rel_map()
-        tup = tuple(base[x] for x in instr.args)
-        rels[instr.relvar].add(tup)
-        return {RelState.make(base, rels)}
+        rel = frozenset({tuple(base[x] for x in instr.args)})
+        if semantics == "relational":
+            rel |= rels[instr.relvar]
+        rels[instr.relvar] = rel
+        return {State(state.base, tuple(sorted(rels.items())))}
     raise ImpError(f"bad instruction {instr!r}")
-
-
-def post_imp(state, instr, ctx):
-    """Imperative successors of one instruction. ERROR absorbs."""
-    if state is ERROR:
-        return {ERROR}
-    if isinstance(instr, Seq):
-        states = {state}
-        for i in instr.instrs:
-            states = set().union(*(post_imp(s, i, ctx) for s in states))
-        return states
-    base = state.base_map()
-    if isinstance(instr, Assign):
-        base[instr.var] = eval_expr(ctx.interp(base), instr.expr)
-        return {ImpState(tuple(sorted(base.items())), state.rels)}
-    if isinstance(instr, Havoc):
-        t = ctx.program.base_types[instr.var]
-        out = set()
-        for val in ctx.domain.values(t):
-            b = dict(base)
-            b[instr.var] = val
-            out.add(ImpState(tuple(sorted(b.items())), state.rels))
-        return out
-    if isinstance(instr, Assume):
-        if eval_pred(ctx.interp(base), instr.pred):
-            return {state}
-        return set()
-    if isinstance(instr, Assert):
-        if eval_pred(ctx.interp(base), instr.pred):
-            return {state}
-        return {ERROR}
-    if isinstance(instr, Get):
-        tup = state.rel_map()[instr.relvar]
-        if tup is None:
-            return set()
-        for x, val in zip(instr.targets, tup):
-            base[x] = val
-        return {ImpState(tuple(sorted(base.items())), state.rels)}
-    if isinstance(instr, Set):
-        rels = state.rel_map()
-        rels[instr.relvar] = tuple(base[x] for x in instr.args)
-        return {ImpState.make(base, rels)}
-    raise ImpError(f"bad instruction {instr!r}")
-
-
-POST = {"relational": post_rel, "imperative": post_imp}
-INITIAL = {"relational": initial_rel_state, "imperative": initial_imp_state}
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +231,7 @@ def reach(p, ctx, semantics="relational", fuel=10_000, stop_on_error=False):
     each block in turn. With `stop_on_error` the fixpoint is cut short once
     ERROR appears (the state set is then partial; only the verdict is
     meaningful)."""
-    post = POST[semantics]
-    init = INITIAL[semantics](p, ctx.domain)
+    init = initial_state(p, ctx.domain)
     states = {init}
     traces = {init: []}
     frontier = [init]
@@ -323,7 +246,7 @@ def reach(p, ctx, semantics="relational", fuel=10_000, stop_on_error=False):
             group = list(group)
             for label, block in p.blocks:
                 for s in group:
-                    for s2 in post(s, block, ctx):
+                    for s2 in post(s, block, ctx, semantics):
                         if s2 in states:
                             continue
                         states.add(s2)
@@ -409,25 +332,14 @@ def alpha(states):
 
 
 def expand(state):
-    """All Imperative states covered by a Relational state: each relation
-    variable independently holds one of its tuples, or bottom when the
-    relation is empty."""
+    """All imperative states covered by a relational state: each relation
+    independently keeps one of its tuples as a singleton, and an empty
+    relation stays empty (bottom)."""
     if state is ERROR:
         return {ERROR}
     names = [k for k, _ in state.rels]
-    options = [sorted(tuples) if tuples else [None] for _, tuples in state.rels]
-    out = set()
-    stack = [(0, {})]
-    while stack:
-        i, chosen = stack.pop()
-        if i == len(names):
-            out.add(ImpState(state.base, tuple(sorted(chosen.items()))))
-            continue
-        for opt in options[i]:
-            c = dict(chosen)
-            c[names[i]] = opt
-            stack.append((i + 1, c))
-    return out
+    options = [[frozenset({t}) for t in tuples] or [frozenset()] for _, tuples in state.rels]
+    return {State(state.base, tuple(zip(names, pick))) for pick in product(*options)}
 
 
 def expand_all(states):

@@ -13,9 +13,21 @@ u0,u1,... for non-variable set arguments.
 
 from __future__ import annotations
 
-from .constraints import Concrete, KApp
+from .constraints import Concrete
 from .imp import Assert, Assign, Assume, Get, Havoc, ImpProgram, SKIP, Set, seq_of
-from .logic import BOOL, Cmp, INT, TRUE, VALUE_VAR, Var, subst_pred
+from .logic import (
+    BOOL,
+    Cmp,
+    INT,
+    TrueLit,
+    VALUE_VAR,
+    Var,
+    expr_vars,
+    pred_vars,
+    rename_pred,
+    subst_expr,
+    subst_pred,
+)
 
 
 class TranslateError(Exception):
@@ -150,8 +162,6 @@ def simplify(p):
     """Drop trivial substitution assumes `assume (= ti x)` by renaming the
     get temp to the variable, when the variable's only earlier role was an
     unconstrained havoc binding. Purely cosmetic; semantics-preserving."""
-    from .logic import rename_pred, TrueLit
-
     out = ImpProgram(
         dict(p.relvar_sigs), dict(p.base_types), dict(p.func_sigs), [], dict(p.clones)
     )
@@ -189,8 +199,6 @@ def _is_get_temp(instrs, idx, t):
 
 
 def _unconstrained_before(instrs, idx, x):
-    from .logic import TrueLit
-
     definition = None
     for i in instrs[:idx]:
         if isinstance(i, Assign) and i.var == x:
@@ -222,8 +230,6 @@ def _unconstrained_before(instrs, idx, x):
 
 
 def _reads(i):
-    from .logic import expr_vars, pred_vars
-
     if isinstance(i, Assign):
         return expr_vars(i.expr)
     if isinstance(i, (Assume, Assert)):
@@ -234,8 +240,6 @@ def _reads(i):
 
 
 def _rename_instr(i, old, new):
-    from .logic import rename_pred, subst_expr
-
     m = {old: Var(new)}
     if isinstance(i, Assign):
         var = new if i.var == old else i.var

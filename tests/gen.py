@@ -23,8 +23,8 @@ from hmc.imp import (
     Get,
     Havoc,
     ImpProgram,
-    RelState,
     Set,
+    State,
     seq_of,
 )
 from hmc.logic import (
@@ -126,7 +126,7 @@ def gen_rel_state(rng, p, domain=DOMAIN01):
         rels[k] = frozenset(
             t for t in universe if rng.random() < 0.4
         )
-    return RelState.make(base, rels)
+    return State.make(base, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,14 @@ from hmc.constraints import (
 )
 from hmc.imp import (
     ExecContext,
-    RelState,
+    State,
     alpha,
     exec_program,
     expand,
     expand_all,
     is_rwo,
     parse_imp,
-    post_imp,
-    post_rel,
+    post,
     reach,
 )
 from hmc.logic import (
@@ -206,10 +205,10 @@ def _step_pair(seed):
 
 def _both_posts(p, block, s):
     ctx = ExecContext(p, DOMAIN01, {})
-    via_rel = expand_all(post_rel(s, block, ctx))
+    via_rel = expand_all(post(s, block, ctx, "relational"))
     via_imp = set()
     for t in expand(s):
-        via_imp |= post_imp(t, block, ctx)
+        via_imp |= post(t, block, ctx, "imperative")
     return via_rel, via_imp
 
 
@@ -238,7 +237,7 @@ def test_06_step_lemma_companions():
             via_rel, via_imp = _both_posts(p, block, s)
             assert via_imp <= via_rel, seed
             # on empty relations the two semantics cannot diverge yet
-            s0 = RelState.make(
+            s0 = State.make(
                 s.base_map(), {k: frozenset() for k in p.relvar_sigs}
             )
             via_rel0, via_imp0 = _both_posts(p, block, s0)

@@ -126,6 +126,31 @@ def test_validate_reports_witness(tmp_path):
     assert data["verdict"] == "VIOLATED" and "witness" in data["detail"]
 
 
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ("(k1 (< v zz)) (k2 true)", "k1: UnboundVariable: zz"),
+        ("(k1 (< v (len v))) (k2 true)", "k1: TypeMismatch"),
+        ("(k1 (foo 1))", "k1: bad predicate (foo 1)"),
+        ("(k1)", "bad solution entry (k1)"),
+        ("(k1 true) (k3 true)", "unknown kvar k3"),
+    ],
+)
+def test_validate_bad_solution_is_usage_error(tmp_path, entries, error):
+    sol = tmp_path / "bad.sol"
+    sol.write_text(f"(solution {entries})")
+    code, stdout, stderr = run_process("validate", ITERI, "--solution", str(sol))
+    assert code == 3 and stdout == ""
+    assert stderr.startswith(f"error: {sol}: {error}")
+    assert "Traceback" not in stderr
+
+
+def test_check_bad_preds_is_usage_error(tmp_path):
+    preds = tmp_path / "bad.preds"
+    preds.write_text("(solution (k1))")
+    assert run("check", ITERI, "--preds", str(preds)) == (3, "")
+
+
 def test_usage_errors():
     code, _ = run("exec", "/nonexistent/file.imp")
     assert code == 3

@@ -8,21 +8,18 @@ from hmc.imp import (
     ExecContext,
     Get,
     Havoc,
-    ImpProgram,
-    RelState,
     SAFE,
     Set,
+    State,
     UNSAFE,
     alpha,
     exec_program,
     expand,
     expand_all,
-    initial_imp_state,
-    initial_rel_state,
+    initial_state,
     is_rwo,
     parse_imp,
-    post_imp,
-    post_rel,
+    post,
     print_imp,
     reach,
     seq_of,
@@ -62,46 +59,47 @@ def test_parse_print_roundtrip():
 
 def test_initial_states():
     p = parse_imp(SMALL)
-    s = initial_rel_state(p, D11)
+    s = initial_state(p, D11)
     assert s.base_map()["x"] == -1 and s.rel_map()["k"] == frozenset()
-    t = initial_imp_state(p, D11)
-    assert t.rel_map()["k"] is None
 
 
 def test_post_rel_grow_and_pick():
     p = parse_imp(SMALL)
     c = ctx(p)
-    s = initial_rel_state(p, D11)
+    s = initial_state(p, D11)
     # set inserts without erasing
-    s1 = post_rel(s, Set("k", ("x",)), c)
+    s1 = post(s, Set("k", ("x",)), c, "relational")
     assert list(s1)[0].rel_map()["k"] == frozenset({(-1,)})
     # havoc yields one successor per domain value
-    assert len(post_rel(s, Havoc("x"), c)) == 3
+    assert len(post(s, Havoc("x"), c, "relational")) == 3
     # get on an empty relation halts (no successors)
-    assert post_rel(s, Get("k", ("x",)), c) == frozenset()
+    assert post(s, Get("k", ("x",)), c, "relational") == frozenset()
 
 
 def test_post_imp_overwrite_and_bottom():
     p = parse_imp(SMALL)
     c = ctx(p)
-    t = initial_imp_state(p, D11)
-    # get on bottom halts
-    assert post_imp(t, Get("k", ("x",)), c) == frozenset()
-    t1 = next(iter(post_imp(t, Set("k", ("x",)), c)))
-    t2 = next(iter(post_imp(t1, seq_of([Havoc("x")]), c)))
-    t3s = post_imp(t2, Set("k", ("x",)), c)
-    for t3 in t3s:
-        assert len([t3.rel_map()["k"]]) == 1  # exactly one tuple, overwritten
+    t = initial_state(p, D11)
+    # get on bottom (the empty relation) halts
+    assert post(t, Get("k", ("x",)), c, "imperative") == frozenset()
+    (t1,) = post(t, Set("k", ("x",)), c, "imperative")
+    assert t1.rel_map()["k"] == frozenset({(-1,)})
+    t2s = post(t1, seq_of([Havoc("x")]), c, "imperative")
+    assert len(t2s) == 3
+    for t2 in t2s:
+        # set overwrites: only the tuple of this successor's x is left
+        (t3,) = post(t2, Set("k", ("x",)), c, "imperative")
+        assert t3.rel_map()["k"] == frozenset({(t2.base_map()["x"],)})
 
 
 def test_assume_assert_error():
     p = parse_imp(SMALL)
     c = ctx(p)
-    s = initial_rel_state(p, D11)
+    s = initial_state(p, D11)
     bad = Assert(Cmp("=", Var("x"), IntLit(0)))
-    assert post_rel(s, bad, c) == frozenset({ERROR})
-    assert post_rel(ERROR, Assume(TRUE), c) == frozenset({ERROR})
-    assert post_rel(s, Assume(Cmp("=", Var("x"), IntLit(0))), c) == frozenset()
+    assert post(s, bad, c, "relational") == frozenset({ERROR})
+    assert post(ERROR, Assume(TRUE), c, "relational") == frozenset({ERROR})
+    assert post(s, Assume(Cmp("=", Var("x"), IntLit(0))), c, "relational") == frozenset()
 
 
 def test_reach_dichotomy_on_tworead():
@@ -135,11 +133,11 @@ def test_alpha_and_expand():
     a = alpha(r.states)
     assert a["k"] == frozenset({(-1,), (0,), (1,)})
     # expand of an empty-relation state is the single bottom state
-    s0 = initial_rel_state(p, D11)
+    s0 = initial_state(p, D11)
     exp = expand(s0)
-    assert len(exp) == 1 and next(iter(exp)).rel_map()["k"] is None
+    assert len(exp) == 1 and next(iter(exp)).rel_map()["k"] == frozenset()
     # expand of a two-tuple relation yields two imperative states
-    s2 = RelState.make(s0.base_map(), {"k": {(0,), (1,)}})
+    s2 = State.make(s0.base_map(), {"k": {(0,), (1,)}})
     assert len(expand(s2)) == 2
     assert expand_all({s0, s2, ERROR}) >= {ERROR}
 

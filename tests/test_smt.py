@@ -172,18 +172,24 @@ def test_mod_trick_is_deterministic():
 
 def test_prunes_inconsistent_branches(monkeypatch):
     calls = [0]
-    search = smt.sat_search
+    omega_ = smt.omega
 
     def counted(*args):
         calls[0] += 1
-        return search(*args)
+        return omega_(*args)
 
-    monkeypatch.setattr(smt, "sat_search", counted)
-    out = io.StringIO()
-    assert cli.main(["check", ITERI], out) == 0
-    assert out.getvalue().startswith("SAFE")
-    # a search that tests feasibility only at the leaves makes 34,784 calls
-    assert calls[0] <= 2000
+    monkeypatch.setattr(smt, "omega", counted)
+    n = 12
+    decls = " ".join(f"(declare-const y{i} Int)" for i in range(n))
+    splits = " ".join(f"(assert (or (= y{i} 0) (= y{i} 1)))" for i in range(n))
+    text = (
+        f"(declare-const x Int) {decls} (assert (< x 0)) (assert (> x 0)) "
+        f"{splits} (check-sat)"
+    )
+    assert solve(text) == "unsat"
+    # the contradiction is found at the first split; a search that checks
+    # only at the leaves runs omega once per leaf, 2**12 times
+    assert calls[0] <= 3
 
 
 def test_omega_calls_on_iteri(monkeypatch):
