@@ -1,9 +1,10 @@
 """Cartesian predicate abstraction over translated IMP programs.
 
-Each relation variable k gets a fixed list of field predicates over its
-fields k.0 ... k.n (k.0 is the written value, k.i the i-th parameter). The
-abstract invariant tracks, per relation variable, the set of reachable
-"cubes": truth assignments to its predicate list (None = unconstrained).
+Each relation variable k gets a fixed list of predicates, plain formulas
+over its fields k.0 ... k.n (k.0 is the written value, k.i the i-th
+parameter). The abstract invariant tracks, per relation variable, the set
+of reachable "cubes": truth assignments to its predicate list (None =
+unconstrained).
 
 Blocks are executed symbolically: havoc/assume/assign build an SSA path
 formula; a get conjoins the source invariant with fields renamed to the
@@ -19,9 +20,11 @@ Each block's assert statuses are those of its last run. The result either
 proves every assert or reports the first one that may fail.
 
 Predicates come from two deterministic sources: harvesting (atomic
-comparisons from any block rewritten through each write's argument map) and
-mining (per write, the block's linear path constraints projected onto the
-written fields by Fourier-Motzkin elimination, plus pairwise sums).
+comparisons from any block whose variables a write passes, substituted by
+the written fields) and mining (per write, the block's linear path
+constraints projected onto the written fields by Fourier-Motzkin
+elimination, plus pairwise sums). Each candidate is typechecked in its
+kvar's field environment, built once per harvest, and kept if new.
 """
 
 from __future__ import annotations
@@ -73,12 +76,6 @@ MAY_FAIL = "may-fail"
 
 def field_var(kvar, i):
     return f"{kvar}.{i}"
-
-
-@dataclass(frozen=True)
-class FieldPredicate:
-    kvar: str
-    formula: object  # Pred over the kvar's field variables
 
 
 @dataclass
@@ -173,68 +170,17 @@ def _atoms(q, out):
     return out
 
 
-def _block_atoms(block):
-    out = []
-    for i in block.instrs:
-        if isinstance(i, (Assume, Assert)):
-            _atoms(i.pred, out)
-    return out
-
-
-def _write_maps(p):
-    """[(kvar, {block var -> field index})] in block order."""
-    maps = []
-    for _, block in p.blocks:
-        for i in block.instrs:
-            if isinstance(i, Set):
-                m = {}
-                for idx, x in enumerate(i.args):
-                    m.setdefault(x, idx)
-                maps.append((i.relvar, m))
-    return maps
-
-
-def _map_expr(e, kvar, m):
-    if isinstance(e, Var):
-        if e.name not in m:
-            return None
-        return Var(field_var(kvar, m[e.name]))
-    if isinstance(e, IntLit):
-        return e
-    if isinstance(e, Add):
-        l, r = _map_expr(e.left, kvar, m), _map_expr(e.right, kvar, m)
-        return None if l is None or r is None else Add(l, r)
-    if isinstance(e, ScalarMul):
-        a = _map_expr(e.arg, kvar, m)
-        return None if a is None else ScalarMul(e.coeff, a)
-    if isinstance(e, App):
-        args = [_map_expr(a, kvar, m) for a in e.args]
-        if any(a is None for a in args):
-            return None
-        return App(e.func, tuple(args))
-    return None
-
-
 def field_env(p, kvar):
     types = p.relvar_sigs[kvar]
     return TypeEnv(tuple((field_var(kvar, i), t) for i, t in enumerate(types)))
 
 
-def _well_typed(p, kvar, formula):
-    try:
-        typecheck_pred(field_env(p, kvar), formula, p.func_sigs)
-        return True
-    except LogicError:
-        return False
-
-
-def _split_eq(p, kvar, q):
+def _split_eq(tenv, q, sigs):
     """Split an int equality predicate into its two inequalities."""
-    tenv = field_env(p, kvar)
     if isinstance(q, Cmp) and q.op == "=":
         try:
-            lt = typecheck_expr(tenv, q.left, p.func_sigs)
-            rt = typecheck_expr(tenv, q.right, p.func_sigs)
+            lt = typecheck_expr(tenv, q.left, sigs)
+            rt = typecheck_expr(tenv, q.right, sigs)
         except LogicError:
             return [q]
         if lt == INT and rt == INT:
@@ -242,42 +188,47 @@ def _split_eq(p, kvar, q):
     return [q]
 
 
-def harvest_predicates(p, runs, extra=None, mine=True):
-    """Ordered FieldPredicate list per kvar: harvested atoms first (every
-    block's atoms through every write's argument map), then mined
-    projections, then user extras."""
+def harvest_predicates(p, runs, extra=None):
+    """kvar -> ordered list of predicates, each a formula over the kvar's
+    field variables: harvested atoms first (for each write, in block order,
+    every block's atoms whose variables are all written arguments, mapped to
+    the fields), then mined projections, then user extras. A candidate is
+    kept if it typechecks in its kvar's field environment, built once here,
+    and is not already in the list."""
+    envs = {k: field_env(p, k) for k in p.relvar_sigs}
     preds = {k: [] for k in p.relvar_sigs}
-    seen = {k: set() for k in p.relvar_sigs}
 
-    def add(kvar, formula):
-        if len(preds[kvar]) >= MAX_PREDS_PER_KVAR:
+    def add(kvar, q):
+        qs = preds[kvar]
+        if len(qs) >= MAX_PREDS_PER_KVAR or q in qs:
             return
-        if not _well_typed(p, kvar, formula):
+        try:
+            typecheck_pred(envs[kvar], q, p.func_sigs)
+        except LogicError:
             return
-        key = print_pred(formula)
-        if key in seen[kvar]:
-            return
-        seen[kvar].add(key)
-        preds[kvar].append(FieldPredicate(kvar, formula))
+        qs.append(q)
 
-    maps = _write_maps(p)
-    all_atoms = []
+    atoms = []
     for _, block in p.blocks:
-        all_atoms.extend(_block_atoms(block))
-    for kvar, m in maps:
-        for atom in all_atoms:
-            mapped_l = _map_expr(atom.left, kvar, m)
-            mapped_r = _map_expr(atom.right, kvar, m)
-            if mapped_l is None or mapped_r is None:
+        for i in block.instrs:
+            if isinstance(i, (Assume, Assert)):
+                _atoms(i.pred, atoms)
+    for _, block in p.blocks:
+        for i in block.instrs:
+            if not isinstance(i, Set):
                 continue
-            for q in _split_eq(p, kvar, Cmp(atom.op, mapped_l, mapped_r)):
-                add(kvar, q)
-    if mine:
-        for kvar, formula in mined_predicates(p, runs):
-            add(kvar, formula)
-    for kvar, formula in extra or []:
+            fields = {}
+            for idx, x in enumerate(i.args):
+                fields.setdefault(x, Var(field_var(i.relvar, idx)))
+            for atom in atoms:
+                if fields.keys() >= pred_vars(atom):
+                    for q in _split_eq(envs[i.relvar], subst_pred(atom, fields), p.func_sigs):
+                        add(i.relvar, q)
+    for kvar, q in mined_predicates(p, runs):
+        add(kvar, q)
+    for kvar, q in extra or []:
         if kvar in preds:
-            add(kvar, formula)
+            add(kvar, q)
     return preds
 
 
@@ -301,8 +252,15 @@ def _expr_lin(e, keys):
     raise ValueError(e)
 
 
-def _lin_le(l, r, keys, extra_const=0):
-    return lin_add(lin_sub(_expr_lin(l, keys), _expr_lin(r, keys)), lin_const(extra_const))
+# comparison -> the (lhs, rhs, constant) of each `lhs - rhs + constant <= 0`
+# it gives, with 0 and 1 naming the comparison's left and right sides
+_LE = {
+    "<=": [(0, 1, 0)],
+    "<": [(0, 1, 1)],
+    ">=": [(1, 0, 0)],
+    ">": [(1, 0, 1)],
+    "=": [(0, 1, 0), (1, 0, 0)],
+}
 
 
 def _path_ineqs(items, upto):
@@ -313,23 +271,14 @@ def _path_ineqs(items, upto):
     for item in items[:upto]:
         if item.kind != "conj":
             continue
-        flat = []
-        _flatten_and(item.payload, flat)
-        for atom in flat:
+        for atom in _flatten_and(item.payload, []):
             if not isinstance(atom, Cmp):
                 continue
+            sides = (atom.left, atom.right)
             try:
-                if atom.op == "<=":
-                    les.append(_lin_le(atom.left, atom.right, keys))
-                elif atom.op == "<":
-                    les.append(_lin_le(atom.left, atom.right, keys, 1))
-                elif atom.op == ">=":
-                    les.append(_lin_le(atom.right, atom.left, keys))
-                elif atom.op == ">":
-                    les.append(_lin_le(atom.right, atom.left, keys, 1))
-                elif atom.op == "=":
-                    les.append(_lin_le(atom.left, atom.right, keys))
-                    les.append(_lin_le(atom.right, atom.left, keys))
+                for l, r, c in _LE.get(atom.op, ()):
+                    lin = lin_sub(_expr_lin(sides[l], keys), _expr_lin(sides[r], keys))
+                    les.append(lin_add(lin, lin_const(c)))
             except ValueError:
                 continue
     return les, keys
@@ -398,24 +347,17 @@ def mined_predicates(p, runs):
                 continue
             kvar, syms = item.payload
             les, keys = _path_ineqs(items, idx)
-            fieldof = {}
+            fields = {}
             for i, s in enumerate(syms):
-                fieldof.setdefault(("var", s), Var(field_var(kvar, i)))
-            rename = dict(fieldof)
-            keep = set(fieldof)
+                fields.setdefault(s, Var(field_var(kvar, i)))
+            rename = {("var", s): f for s, f in fields.items()}
             for key, app in keys.items():
-                if all(("var", a.name) in fieldof for a in app.args if isinstance(a, Var)) and all(
-                    isinstance(a, (Var, IntLit)) for a in app.args
+                if all(
+                    isinstance(a, IntLit) or (isinstance(a, Var) and a.name in fields)
+                    for a in app.args
                 ):
-                    keep.add(key)
-                    rename[key] = App(
-                        app.func,
-                        tuple(
-                            fieldof[("var", a.name)] if isinstance(a, Var) else a
-                            for a in app.args
-                        ),
-                    )
-            basis = _project(les, keep)
+                    rename[key] = subst_expr(app, fields)
+            basis = _project(les, rename)
             sums = [lin_add(a, b) for a, b in combinations(basis, 2)]
             for lin in basis + sums:
                 q = _lin_to_pred(lin, rename)
@@ -428,14 +370,11 @@ def parse_preds(text, p):
     """User predicate file: .sol-style. The value variable `v` names field 0;
     the remaining fields are addressed as k.1, k.2, ... directly. Each
     entry's top-level conjunction is split into individual predicates."""
-    sol = parse_solution(text)
-    out = []
-    for kvar, pred in sorted(sol.entries.items()):
-        flat = []
-        _flatten_and(rename_pred(pred, {VALUE_VAR: field_var(kvar, 0)}), flat)
-        for q in flat:
-            out.append((kvar, q))
-    return out
+    return [
+        (kvar, q)
+        for kvar, pred in sorted(parse_solution(text).entries.items())
+        for q in _flatten_and(rename_pred(pred, {VALUE_VAR: field_var(kvar, 0)}), [])
+    ]
 
 
 def _flatten_and(q, out):
@@ -444,6 +383,7 @@ def _flatten_and(q, out):
         _flatten_and(q.right, out)
     else:
         out.append(q)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +444,8 @@ class Engine:
                     continue  # the write is unreachable on this path
                 rename = _fields(kvar, syms)
                 cube = []
-                for fp in self.preds[kvar]:
-                    q = rename_pred(fp.formula, rename)
+                for fq in self.preds[kvar]:
+                    q = rename_pred(fq, rename)
                     if self.valid(tenv, _implies(path, q)) == VALID:
                         cube.append(True)
                     elif self.valid(tenv, _implies(path, Not(q))) == VALID:
@@ -530,9 +470,9 @@ def cube_literals(preds, cube, rename):
     """The predicates a cube fixes, renamed by `rename`: each one as is where
     the cube holds it true, negated where false."""
     out = []
-    for fp, bit in zip(preds, cube):
+    for fq, bit in zip(preds, cube):
         if bit is not None:
-            q = rename_pred(fp.formula, rename)
+            q = rename_pred(fq, rename)
             out.append(q if bit else Not(q))
     return out
 

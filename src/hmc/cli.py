@@ -287,7 +287,7 @@ def cmd_exec(args, out):
     if args.file.endswith(".imp"):
         try:
             p = imp.parse_imp(_read(args.file))
-        except imp.ParseError as exc:
+        except (imp.ParseError, SexprError, LogicError) as exc:
             raise UsageError(f"{args.file}: {exc}") from exc
     else:
         cs = _load_constraints(args.file)

@@ -242,11 +242,9 @@ class SatReport:
 
 
 def check_satisfied(cs, sol, mode):
-    """Check every constraint's embedding under `sol`; missing kvar entries
-    default to true."""
-    sol = sol.to_intensional(cs)
-    for k in cs.kvars:
-        sol.entries.setdefault(k, TRUE)
+    """Check every constraint's embedding under `sol`, which is left as it
+    is; missing kvar entries default to true."""
+    sol = Solution(INTENSIONAL, dict.fromkeys(cs.kvars, TRUE) | sol.to_intensional(cs).entries)
     verdicts = []
     for c in cs.constraints:
         tenv, p = embed_sub(cs, c, sol)
@@ -272,15 +270,38 @@ def ref_from_sexpr(form):
     return Concrete(pred_from_sexpr(form))
 
 
+def _shape(form, n, what, more=False, names=1):
+    """`form`, checked to be a list of `n` items (at least `n` if `more`)
+    whose first `names` items are names."""
+    if (
+        not isinstance(form, list)
+        or len(form) < n
+        or (len(form) > n and not more)
+        or not all(isinstance(x, str) for x in form[:names])
+    ):
+        raise ConstraintError(f"bad {what} {sexpr.to_str(form)}")
+    return form
+
+
+def _field(form):
+    name, ty = _shape(form, 2, "field")
+    return name, type_from_sexpr(ty)
+
+
+def _ref_type(form, what):
+    _, ty, ref = _shape(form, 3, what)
+    return RefType(type_from_sexpr(ty), ref_from_sexpr(ref))
+
+
 def parse_constraints(text):
     cs = ConstraintSet()
     for form in sexpr.parse_many(text):
-        if not isinstance(form, list) or not form:
-            raise ConstraintError(f"bad form {sexpr.to_str(form)}")
-        head = form[0]
+        head = _shape(form, 1, "form", more=True)[0]
         if head == "uninterp":
             for decl in form[1:]:
-                name, argtys, retty = decl
+                name, argtys, retty = _shape(decl, 3, "function declaration")
+                if not isinstance(argtys, list):
+                    raise ConstraintError(f"function {name}: bad argument types")
                 sig = FuncSig(
                     name,
                     tuple(type_from_sexpr(t) for t in argtys),
@@ -290,29 +311,30 @@ def parse_constraints(text):
                     raise ConstraintError(f"duplicate function {name}")
                 cs.uninterps[name] = sig
         elif head == "kvar":
-            name = form[1]
-            vpart = form[2]
-            if vpart[0] != VALUE_VAR:
+            _, name, *fields = _shape(form, 3, "kvar", more=True, names=2)
+            (vname, vtype), *params = [_field(f) for f in fields]
+            if vname != VALUE_VAR:
                 raise ConstraintError(f"kvar {name}: first field must be v")
-            params = tuple((p[0], type_from_sexpr(p[1])) for p in form[3:])
             if name in cs.kvars:
                 raise ConstraintError(f"duplicate kvar {name}")
-            cs.kvars[name] = KVarSig(name, type_from_sexpr(vpart[1]), params)
+            cs.kvars[name] = KVarSig(name, vtype, tuple(params))
         elif head == "sub":
-            label = form[1]
-            parts = {f[0]: f for f in form[2:]}
-            env = []
-            for b in parts.get("env", ["env"])[1:]:
-                name, ty, ref = b[0], type_from_sexpr(b[1]), ref_from_sexpr(b[2])
-                env.append((name, RefType(ty, ref)))
-            lhs = parts["lhs"]
-            rhs = parts["rhs"]
+            _, label, *rest = _shape(form, 2, "sub", more=True, names=2)
+            parts = {}
+            for part in rest:
+                kind = _shape(part, 1, "part", more=True)[0]
+                if kind not in ("env", "lhs", "rhs") or kind in parts:
+                    raise ConstraintError(f"sub {label}: bad part {sexpr.to_str(part)}")
+                parts[kind] = part
+            if "lhs" not in parts or "rhs" not in parts:
+                raise ConstraintError(f"sub {label}: needs an lhs and an rhs")
+            env = tuple(
+                (_shape(b, 3, "binder")[0], _ref_type(b, "binder"))
+                for b in parts.get("env", ["env"])[1:]
+            )
             cs.constraints.append(
                 SubConstraint(
-                    label,
-                    tuple(env),
-                    RefType(type_from_sexpr(lhs[1]), ref_from_sexpr(lhs[2])),
-                    RefType(type_from_sexpr(rhs[1]), ref_from_sexpr(rhs[2])),
+                    label, env, _ref_type(parts["lhs"], "lhs"), _ref_type(parts["rhs"], "rhs")
                 )
             )
         else:

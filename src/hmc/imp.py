@@ -27,10 +27,14 @@ from .logic import (
     enumerate_func_tables,
     eval_expr,
     eval_pred,
+    expr_apps,
     expr_from_sexpr,
     expr_to_sexpr,
+    expr_vars,
+    pred_apps,
     pred_from_sexpr,
     pred_to_sexpr,
+    pred_vars,
     type_from_sexpr,
     type_to_sexpr,
 )
@@ -548,18 +552,22 @@ def _parse_header(p, line):
     if head == "relvar":
         forms = sexpr.parse_many(rest)
         # NAME arity N types T0 ... Tn
-        name, kw1, arity, kw2, *types = forms
-        if kw1 != "arity" or kw2 != "types" or arity != len(types):
+        if (
+            len(forms) < 4
+            or not isinstance(forms[0], str)
+            or forms[1:4:2] != ["arity", "types"]
+            or forms[2] != len(forms) - 4
+        ):
             raise ParseError(f"bad relvar header {line!r}")
-        p.relvar_sigs[name] = tuple(type_from_sexpr(t) for t in types)
+        p.relvar_sigs[forms[0]] = tuple(type_from_sexpr(t) for t in forms[4:])
     elif head == "basevar":
         forms = sexpr.parse_many(rest)
-        if len(forms) != 2:
+        if len(forms) != 2 or not isinstance(forms[0], str):
             raise ParseError(f"bad basevar header {line!r}")
         p.base_types[forms[0]] = type_from_sexpr(forms[1])
     elif head == "uninterp":
         forms = sexpr.parse_many(rest)
-        if len(forms) != 3:
+        if len(forms) != 3 or not isinstance(forms[0], str) or not isinstance(forms[1], list):
             raise ParseError(f"bad uninterp header {line!r}")
         name, argtys, retty = forms
         p.func_sigs[name] = FuncSig(
@@ -576,8 +584,11 @@ def _parse_header(p, line):
 
 
 def _check_program(p):
+    """Every relvar, variable and function a block names is declared, each
+    relvar and function used at its declared arity."""
     for label, block in p.blocks:
         for i in block.instrs:
+            apps = set()
             if isinstance(i, (Get, Set)):
                 sig = p.relvar_sigs.get(i.relvar)
                 if sig is None:
@@ -587,12 +598,21 @@ def _check_program(p):
                     raise ParseError(
                         f"{label}: {i.relvar} has arity {len(sig)}, got {len(names)}"
                     )
-                for x in names:
-                    if x not in p.base_types:
-                        raise ParseError(f"{label}: undeclared variable {x}")
-            elif isinstance(i, (Havoc, Assign)):
-                if i.var not in p.base_types:
-                    raise ParseError(f"{label}: undeclared variable {i.var}")
+            elif isinstance(i, Havoc):
+                names = [i.var]
+            elif isinstance(i, Assign):
+                names = [i.var] + sorted(expr_vars(i.expr))
+                apps = expr_apps(i.expr)
+            else:
+                names = sorted(pred_vars(i.pred))
+                apps = pred_apps(i.pred)
+            for x in names:
+                if x not in p.base_types:
+                    raise ParseError(f"{label}: undeclared variable {x}")
+            for f, n in sorted(apps):
+                sig = p.func_sigs.get(f)
+                if sig is None or len(sig.arg_types) != n:
+                    raise ParseError(f"{label}: undeclared function {f} of arity {n}")
 
 
 def _print_pred_group(pred):

@@ -293,6 +293,8 @@ def pred_from_sexpr(form):
                 raise TypeMismatch(f"{head} takes two arguments")
             return Cmp(head, expr_from_sexpr(form[1]), expr_from_sexpr(form[2]))
         if head == "not":
+            if len(form) != 2:
+                raise TypeMismatch("not takes one argument")
             return Not(pred_from_sexpr(form[1]))
         if head in ("and", "=>"):
             args = [pred_from_sexpr(f) for f in form[1:]]
@@ -350,30 +352,38 @@ def pred_vars(p, out=None):
     return out
 
 
-def pred_funcs(p, out=None):
+def pred_funcs(p):
+    """The names of the functions `p` applies."""
+    return {f for f, _ in pred_apps(p)}
+
+
+def pred_apps(p, out=None):
+    """The (function name, argument count) of every application in `p`."""
     if out is None:
         out = set()
     if isinstance(p, Cmp):
-        _expr_funcs(p.left, out)
-        _expr_funcs(p.right, out)
+        expr_apps(p.left, out)
+        expr_apps(p.right, out)
     elif isinstance(p, Not):
-        pred_funcs(p.arg, out)
+        pred_apps(p.arg, out)
     elif isinstance(p, (And, Implies)):
-        pred_funcs(p.left, out)
-        pred_funcs(p.right, out)
+        pred_apps(p.left, out)
+        pred_apps(p.right, out)
     return out
 
 
-def _expr_funcs(e, out):
+def expr_apps(e, out=None):
+    if out is None:
+        out = set()
     if isinstance(e, Add):
-        _expr_funcs(e.left, out)
-        _expr_funcs(e.right, out)
+        expr_apps(e.left, out)
+        expr_apps(e.right, out)
     elif isinstance(e, ScalarMul):
-        _expr_funcs(e.arg, out)
+        expr_apps(e.arg, out)
     elif isinstance(e, App):
-        out.add(e.func)
+        out.add((e.func, len(e.args)))
         for a in e.args:
-            _expr_funcs(a, out)
+            expr_apps(a, out)
     return out
 
 

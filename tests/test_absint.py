@@ -70,7 +70,7 @@ def test_field_var():
 def test_harvest_includes_cross_block_atoms():
     _, _, p = program_for("iteri_mask.hmc")
     preds = harvest_predicates(p, run_blocks(p))
-    texts = {k: {print_pred(f.formula) for f in fs} for k, fs in preds.items()}
+    texts = {k: {print_pred(f) for f in fs} for k, fs in preds.items()}
     # an atom written into k2's blocks lands on k1 through k1's write maps too
     assert any("k1.0" in t for t in texts["k1"])
     assert any("(len k2.1)" in t for t in texts["k2"])

@@ -151,6 +151,55 @@ def test_check_bad_preds_is_usage_error(tmp_path):
     assert run("check", ITERI, "--preds", str(preds)) == (3, "")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("(kvar k1)", "bad kvar (kvar k1)"),
+        ("(kvar k1 (v))", "bad field (v)"),
+        ("(kvar k1 v)", "bad field v"),
+        ("(uninterp (f))", "bad function declaration (f)"),
+        ("(sub c1)", "sub c1: needs an lhs and an rhs"),
+        ("(sub c1 (lhs int true))", "sub c1: needs an lhs and an rhs"),
+        ("(sub c1 (env (x)) (lhs int true) (rhs int true))", "bad binder (x)"),
+        ("(sub c1 (lhs int (not)) (rhs int true))", "not takes one argument"),
+    ],
+)
+def test_check_malformed_form_is_usage_error(tmp_path, text, error):
+    f = tmp_path / "bad.hmc"
+    f.write_text(text + "\n")
+    code, stdout, stderr = run_process("check", str(f))
+    assert code == 3 and stdout == ""
+    assert stderr.startswith(f"error: {f}: {error}")
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "header, pred, error",
+    [
+        (";; relvar k arity", "(= x 0)", "bad relvar header 'relvar k arity'"),
+        ("", "(< x y)", "b1: undeclared variable y"),
+        ("", "(< (f x) 0)", "b1: undeclared function f"),
+    ],
+)
+def test_exec_malformed_imp_is_usage_error(tmp_path, header, pred, error):
+    f = tmp_path / "bad.imp"
+    f.write_text(
+        f"{header}\n;; basevar x int\nloop {{\n  /*b1*/\n    havoc x;\n    assume {pred}\n}}\n"
+    )
+    code, stdout, stderr = run_process("exec", str(f))
+    assert code == 3 and stdout == ""
+    assert stderr.startswith(f"error: {f}: {error}")
+    assert "Traceback" not in stderr
+
+
+def test_check_output_matches_golden():
+    # the invariant and solution text follow the order of each kvar's
+    # predicates, so this pins predicate discovery as well as the printer
+    code, text = run("check", ITERI)
+    assert code == 0
+    assert text == (EXAMPLES / "iteri_mask.check.txt").read_text()
+
+
 def test_usage_errors():
     code, _ = run("exec", "/nonexistent/file.imp")
     assert code == 3

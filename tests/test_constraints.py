@@ -117,6 +117,13 @@ def test_missing_entry_defaults_true():
     assert not rep.satisfied and rep.first_failure[0] == "c2"
 
 
+def test_check_satisfied_leaves_solution_unchanged():
+    cs = load((EXAMPLES / "iteri_mask.hmc").read_text())
+    sol = parse_solution("(solution (k2 (<= 0 v)))")
+    check_satisfied(cs, sol, OracleMode(ValueDomain((-1, 1))))
+    assert list(sol.entries) == ["k2"]
+
+
 def test_uninterp_signature_used():
     cs = load(
         "(uninterp (len ((ui obj)) int))\n"
