@@ -63,7 +63,7 @@ from .logic import (
     typecheck_expr,
     typecheck_pred,
 )
-from .constraints import INTENSIONAL, Solution, parse_solution
+from .constraints import INTENSIONAL, ConstraintError, Solution, parse_solution
 from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set
 from .smt import lin_add, lin_const, lin_scale, lin_sub, lin_var, lin_vars, norm_le
 
@@ -213,6 +213,7 @@ def harvest_predicates(p, runs, extra=None):
         for i in block.instrs:
             if isinstance(i, (Assume, Assert)):
                 _atoms(i.pred, atoms)
+    atom_vars = [(atom, pred_vars(atom)) for atom in atoms]
     for _, block in p.blocks:
         for i in block.instrs:
             if not isinstance(i, Set):
@@ -220,15 +221,14 @@ def harvest_predicates(p, runs, extra=None):
             fields = {}
             for idx, x in enumerate(i.args):
                 fields.setdefault(x, Var(field_var(i.relvar, idx)))
-            for atom in atoms:
-                if fields.keys() >= pred_vars(atom):
+            for atom, xs in atom_vars:
+                if fields.keys() >= xs:
                     for q in _split_eq(envs[i.relvar], subst_pred(atom, fields), p.func_sigs):
                         add(i.relvar, q)
     for kvar, q in mined_predicates(p, runs):
         add(kvar, q)
     for kvar, q in extra or []:
-        if kvar in preds:
-            add(kvar, q)
+        add(kvar, q)
     return preds
 
 
@@ -369,12 +369,20 @@ def mined_predicates(p, runs):
 def parse_preds(text, p):
     """User predicate file: .sol-style. The value variable `v` names field 0;
     the remaining fields are addressed as k.1, k.2, ... directly. Each
-    entry's top-level conjunction is split into individual predicates."""
-    return [
-        (kvar, q)
-        for kvar, pred in sorted(parse_solution(text).entries.items())
-        for q in _flatten_and(rename_pred(pred, {VALUE_VAR: field_var(kvar, 0)}), [])
-    ]
+    entry's top-level conjunction is split into individual predicates.
+    Raises ConstraintError for an entry whose kvar is not in `p`, or which
+    does not typecheck over its kvar's fields."""
+    out = []
+    for kvar, pred in sorted(parse_solution(text).entries.items()):
+        if kvar not in p.relvar_sigs:
+            raise ConstraintError(f"unknown kvar {kvar}")
+        q = rename_pred(pred, {VALUE_VAR: field_var(kvar, 0)})
+        try:
+            typecheck_pred(field_env(p, kvar), q, p.func_sigs)
+        except LogicError as exc:
+            raise ConstraintError(f"{kvar}: {type(exc).__name__}: {exc}") from exc
+        out += [(kvar, c) for c in _flatten_and(q, [])]
+    return out
 
 
 def _flatten_and(q, out):

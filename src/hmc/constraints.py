@@ -243,12 +243,18 @@ class SatReport:
 
 def check_satisfied(cs, sol, mode):
     """Check every constraint's embedding under `sol`, which is left as it
-    is; missing kvar entries default to true."""
+    is; missing kvar entries default to true. Constraints that embed to the
+    same (tenv, q) pair share one decision: the embeddings are looked up in
+    a cache local to this call, so the result is that of deciding each."""
     sol = Solution(INTENSIONAL, dict.fromkeys(cs.kvars, TRUE) | sol.to_intensional(cs).entries)
+    decided = {}
     verdicts = []
     for c in cs.constraints:
-        tenv, p = embed_sub(cs, c, sol)
-        verdicts.append((c.label, check_valid(tenv, p, mode, cs.uninterps)))
+        key = embed_sub(cs, c, sol)
+        verdict = decided.get(key)
+        if verdict is None:
+            verdict = decided[key] = check_valid(*key, mode, cs.uninterps)
+        verdicts.append((c.label, verdict))
     return SatReport(verdicts)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hmc import cli
+from hmc import cli, constraints
 from hmc.cli import build_parser, main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -145,10 +145,20 @@ def test_validate_bad_solution_is_usage_error(tmp_path, entries, error):
     assert "Traceback" not in stderr
 
 
-def test_check_bad_preds_is_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ("(k1)", "bad solution entry (k1)"),
+        ("(k9 (<= 0 v))", "unknown kvar k9"),
+        ("(k2 (<= 0 (nosuch v)))", "k2: UnknownFunction: nosuch"),
+    ],
+    ids=["no-predicate", "unknown-kvar", "ill-typed"],
+)
+def test_check_bad_preds_is_usage_error(tmp_path, capsys, entries, error):
     preds = tmp_path / "bad.preds"
-    preds.write_text("(solution (k1))")
+    preds.write_text(f"(solution {entries})")
     assert run("check", ITERI, "--preds", str(preds)) == (3, "")
+    assert capsys.readouterr().err.startswith(f"error: {preds}: {error}")
 
 
 @pytest.mark.parametrize(
@@ -223,6 +233,56 @@ def test_emit_smt_dir(tmp_path):
     )
     assert code == 0
     assert any(f.suffix == ".smt2" for f in Path(dest).iterdir())
+
+
+def kchain_text(n):
+    """A chain of n kvars: link 0 writes `v = 0`, link i passes `v = x + 1`
+    from k(i-1) to k(i), and a last constraint asserts `0 <= v` of k(n-1).
+    Constraints are listed last link first. From k01 on every kvar gets the
+    same solution, so links 2 to n-1 embed to one and the same query."""
+    k = [f"k{i:02d}" for i in range(n)]
+    lines = [f"(kvar {name} (v int))" for name in k]
+    lines.append(f"(sub c{n} (env (x int (kapp {k[-1]}))) (lhs int (= v x)) (rhs int (<= 0 v)))")
+    for i in range(n - 1, 0, -1):
+        lines.append(
+            f"(sub c{i} (env (x int (kapp {k[i - 1]}))) "
+            f"(lhs int (= v (+ x 1))) (rhs int (kapp {k[i]})))"
+        )
+    lines.append(f"(sub c0 (lhs int (= v 0)) (rhs int (kapp {k[0]})))")
+    return "\n".join(lines) + "\n"
+
+
+def test_revalidation_decides_each_distinct_embedding_once(tmp_path, monkeypatch):
+    f = tmp_path / "kchain16.hmc"
+    f.write_text(kchain_text(16))
+    asked = []
+    embedded = []
+
+    def check_valid(tenv, q, *rest, _check=constraints.check_valid):
+        asked.append((tenv, q))
+        return _check(tenv, q, *rest)
+
+    def embed_sub(*args, _embed=constraints.embed_sub):
+        embedded.append(_embed(*args))
+        return embedded[-1]
+
+    monkeypatch.setattr(constraints, "check_valid", check_valid)
+    monkeypatch.setattr(constraints, "embed_sub", embed_sub)
+    code, text = run("check", str(f))
+    assert code == 0 and text.startswith("SAFE")
+    assert len(embedded) == 17
+    assert asked == list(dict.fromkeys(embedded))
+    assert len(asked) < len(embedded)
+
+
+def test_emit_smt_writes_each_query_once(tmp_path):
+    f = tmp_path / "kchain16.hmc"
+    f.write_text(kchain_text(16))
+    dest = tmp_path / "queries"
+    code, text = run("check", str(f), "--emit-smt", str(dest))
+    assert code == 0 and text.startswith("SAFE")
+    queries = [q.read_text() for q in dest.iterdir()]
+    assert len(queries) == len(set(queries)) == 16
 
 
 def test_check_zero_coefficient_terminates(tmp_path):

@@ -1,7 +1,10 @@
+import random
 from pathlib import Path
 
 import pytest
+from gen import gen_constraint_set, gen_pred
 
+from hmc import constraints
 from hmc.constraints import (
     ConstraintError,
     EXTENSIONAL,
@@ -17,7 +20,7 @@ from hmc.constraints import (
     print_solution,
     trivial_solution,
 )
-from hmc.logic import OracleMode, ValueDomain, VALID, print_pred
+from hmc.logic import OracleMode, SolverMode, ValueDomain, VALID, check_valid, print_pred
 from hmc.sexpr import parse_one
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -122,6 +125,36 @@ def test_check_satisfied_leaves_solution_unchanged():
     sol = parse_solution("(solution (k2 (<= 0 v)))")
     check_satisfied(cs, sol, OracleMode(ValueDomain((-1, 1))))
     assert list(sol.entries) == ["k2"]
+
+
+@pytest.mark.parametrize(
+    "mode", [SolverMode(), OracleMode(ValueDomain((-1, 1)))], ids=["solver", "oracle"]
+)
+def test_check_satisfied_decides_each_embedding_once(mode, monkeypatch):
+    # constraints that embed to the same pair share one decision, and each
+    # verdict's status is that of deciding its own embedding directly
+    rng = random.Random(2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_valid(*args)
+
+    monkeypatch.setattr(constraints, "check_valid", counted)
+    repeats = 0
+    for _ in range(40):
+        cs = gen_constraint_set(rng)
+        sol = Solution(INTENSIONAL, {
+            k: gen_pred(rng, list(sig.field_names)) for k, sig in cs.kvars.items()
+        })
+        calls.clear()
+        rep = check_satisfied(cs, sol, mode)
+        keys = [embed_sub(cs, c, sol) for c in cs.constraints]
+        assert [args[:2] for args in calls] == list(dict.fromkeys(keys))
+        for c, key, (label, verdict) in zip(cs.constraints, keys, rep.verdicts, strict=True):
+            assert (label, verdict.status) == (c.label, check_valid(*key, mode, cs.uninterps).status)
+        repeats += len(keys) - len(calls)
+    assert repeats > 0
 
 
 def test_uninterp_signature_used():
