@@ -13,6 +13,14 @@ each target predicate as forced true, forced false or unknown and records
 the resulting cube. The symbolic run does not depend on the invariant, so
 each block is executed symbolically once.
 
+All the queries at one set or assert share its path as their hypothesis:
+`path => false`, then `path => q` and `path => not q` for each predicate q.
+The engine looks up one `logic.Hypothesis` per path, keyed on the type
+environment and the path's conjunction, and asks it every query on that
+path. The hypothesis is lowered to the solver once, each answer is cached
+on it, and a model that one INVALID answer returned decides every later
+query that it falsifies, with no search.
+
 The fixpoint runs the blocks round-robin, but runs a block again only when
 a kvar it gets has gained a cube since the block last ran: the invariant
 reaches a block only through its gets, so that run would change nothing.
@@ -39,6 +47,7 @@ from .logic import (
     App,
     Cmp,
     FALSE,
+    Hypothesis,
     INT,
     IntLit,
     Implies,
@@ -50,9 +59,10 @@ from .logic import (
     VALID,
     VALUE_VAR,
     Var,
-    check_valid,
+    check_valid,  # unused here; hmcbench/layers.py wraps absint.check_valid
     expr_to_sexpr,
     expr_vars,
+    implies,
     mk_and,
     mk_or,
     pred_vars,
@@ -411,15 +421,22 @@ class Engine:
         self.runs = runs  # run_blocks(p)
         self.preds = preds
         self.mode = mode
-        self.memo = {}
+        self.memo = {}  # (tenv, hypothesis) -> Hypothesis
 
-    def valid(self, tenv, q):
-        """The validity status of `q` under `tenv`, memoised on the pair."""
-        key = (tenv, q)
-        status = self.memo.get(key)
-        if status is None:
-            status = self.memo[key] = check_valid(tenv, q, self.mode, self.p.func_sigs).status
-        return status
+    def hypothesis(self, tenv, path):
+        """The one `Hypothesis` of the conjunction of `path` under `tenv`,
+        which decides and caches every query on that path."""
+        hyp = mk_and(*path)
+        key = (tenv, hyp)
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = Hypothesis(tenv, hyp, self.mode, self.p.func_sigs)
+        return found
+
+    def valid(self, hyp, q):
+        """The validity status of `hyp.hyp => q`, as the `Hypothesis` `hyp`
+        decides it."""
+        return hyp.check(q).status
 
     def abstract_post(self, label, block, inv):
         """Returns (statuses, new cubes as [(kvar, cube)])."""
@@ -434,11 +451,11 @@ class Engine:
                 if item.payload == TRUE:
                     statuses.append(AssertStatus(label, HOLDS))
                     continue
-                q = _implies(path, item.payload)
-                if self.valid(tenv, q) == VALID:
+                hyp = self.hypothesis(tenv, path)
+                if self.valid(hyp, item.payload) == VALID:
                     statuses.append(AssertStatus(label, HOLDS))
                 else:
-                    statuses.append(AssertStatus(label, MAY_FAIL, q))
+                    statuses.append(AssertStatus(label, MAY_FAIL, implies(hyp.hyp, item.payload)))
             elif item.kind == "get":
                 kvar, syms = item.payload
                 if not inv.cubes.get(kvar):
@@ -448,25 +465,21 @@ class Engine:
                 path.append(cubes_pred(self.preds[kvar], inv.cubes[kvar], _fields(kvar, syms)))
             elif item.kind == "set":
                 kvar, syms = item.payload
-                if path and self.valid(tenv, _implies(path, FALSE)) == VALID:
+                hyp = self.hypothesis(tenv, path)
+                if path and self.valid(hyp, FALSE) == VALID:
                     continue  # the write is unreachable on this path
                 rename = _fields(kvar, syms)
                 cube = []
                 for fq in self.preds[kvar]:
                     q = rename_pred(fq, rename)
-                    if self.valid(tenv, _implies(path, q)) == VALID:
+                    if self.valid(hyp, q) == VALID:
                         cube.append(True)
-                    elif self.valid(tenv, _implies(path, Not(q))) == VALID:
+                    elif self.valid(hyp, Not(q)) == VALID:
                         cube.append(False)
                     else:
                         cube.append(None)
                 new.append((kvar, tuple(cube)))
         return statuses, new
-
-
-def _implies(path, q):
-    hyp = mk_and(*path)
-    return q if hyp == TRUE else Implies(hyp, q)
 
 
 def _fields(kvar, names):

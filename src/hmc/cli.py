@@ -27,6 +27,7 @@ from .logic import (
     INVALID,
     LogicError,
     OracleMode,
+    QueryLog,
     SolverMode,
     SolverProtocolError,
     SolverUnavailable,
@@ -99,7 +100,8 @@ def _domain(args):
 
 def _solver_mode(args):
     cmd = getattr(args, "smt_cmd", None) or os.environ.get("HMC_SMT_CMD") or None
-    return SolverMode(cmd, getattr(args, "emit_smt", None))
+    emit = getattr(args, "emit_smt", None)
+    return SolverMode(cmd, QueryLog(emit) if emit else None)
 
 
 def _read(path):

@@ -678,11 +678,26 @@ class OracleMode:
     seed: int = 0
 
 
-@dataclass
+class QueryLog:
+    """The directory in which one run writes each query it sends to the
+    search, as an SMT-LIB script: q_0.smt2, q_1.smt2, ... in the order the
+    run asks them. The run that creates the log owns its query index."""
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.count = 0
+
+    def write(self, text):
+        os.makedirs(self.directory, exist_ok=True)
+        with open(os.path.join(self.directory, f"q_{self.count}.smt2"), "w") as fh:
+            fh.write(text)
+        self.count += 1
+
+
+@dataclass(frozen=True)
 class SolverMode:
     cmd: str | None = None  # None: built-in decision procedure, in process
-    emit_dir: str | None = None
-    _counter: int = 0
+    emit: QueryLog | None = None
 
 
 VALID = "valid"
@@ -699,24 +714,94 @@ class Verdict:
         return self.status == VALID
 
 
+def implies(hyp, q):
+    """`hyp => q`, or `q` alone when `hyp` is true."""
+    return q if hyp == TRUE else Implies(hyp, q)
+
+
 def check_valid(env, p, mode, sigs=None):
-    """Decide validity of `p` under `env`.
+    """Decide validity of `p` under `env`: a hypothesis of true decides `p`
+    as its one goal (see `Hypothesis`).
 
     ORACLE mode enumerates the finite domain (function tables may be
     sampled, in which case a would-be VALID result degrades to UNKNOWN).
-    SOLVER mode asks the decision procedure for unsatisfiability of the
-    negation, lowered once by `solver_query` to SMT-LIB forms. The bundled
-    solver takes those forms in process (`smt.solve`) and the witness comes
-    straight from its model. The forms are printed as SMT-LIB text only for
-    `emit_dir` and for an external solver `cmd`, whose printed model
-    `_parse_model` reads back. A witness lists the variables of `env` in
-    binding order.
+    SOLVER mode asks the decision procedure for a model of the negation.
+    The bundled solver runs in process on an `smt.Context`, and the witness
+    comes straight from its model, function tables included. The query is
+    printed as SMT-LIB text by `solver_query` only for `mode.emit` and for
+    an external solver `mode.cmd`, whose printed model `_parse_model` reads
+    back without tables. A witness lists the variables of `env` in binding
+    order.
     """
-    sigs = sigs or {}
-    typecheck_pred(env, p, sigs)
-    if isinstance(mode, OracleMode):
-        return _check_valid_oracle(env, p, mode, sigs)
-    return _check_valid_solver(env, p, mode, sigs)
+    return Hypothesis(env, TRUE, mode, sigs).check(p)
+
+
+class Hypothesis:
+    """The validity of `hyp => goal` under `env`, for one hypothesis and
+    many goals.
+
+    The hypothesis is typechecked once and, for the bundled solver, lowered
+    once to an `smt.Context`. Each goal's verdict is cached. The witnesses
+    of the INVALID verdicts are pooled: each one satisfies the hypothesis,
+    so a goal that one of them falsifies is INVALID with no search. A
+    witness that cannot evaluate a goal (`MissingBinding`: an application
+    outside its tables, or a variable an external solver left out) decides
+    nothing, and the goal goes to the search.
+    """
+
+    def __init__(self, env, hyp, mode, sigs=None):
+        self.env = env
+        self.hyp = hyp
+        self.mode = mode
+        self.sigs = sigs or {}
+        typecheck_pred(env, hyp, self.sigs)
+        self.verdicts = {}  # goal -> Verdict
+        self.models = []  # the witnesses of the INVALID verdicts searched
+        self._context = None
+
+    def check(self, goal):
+        verdict = self.verdicts.get(goal)
+        if verdict is None:
+            verdict = self.verdicts[goal] = self._decide(goal)
+        return verdict
+
+    def _decide(self, goal):
+        typecheck_pred(self.env, goal, self.sigs)
+        for model in self.models:
+            try:
+                if not eval_pred(model, goal):
+                    return Verdict(INVALID, model)
+            except MissingBinding:
+                continue
+        if isinstance(self.mode, OracleMode):
+            verdict = _check_valid_oracle(self.env, implies(self.hyp, goal), self.mode, self.sigs)
+        else:
+            verdict = self._solve(goal)
+        if verdict.status == INVALID:
+            self.models.append(verdict.witness)
+        return verdict
+
+    def _solve(self, goal):
+        mode = self.mode
+        if mode.emit or mode.cmd:
+            text = _query_text(solver_query(self.env, implies(self.hyp, goal), self.sigs))
+            if mode.emit:
+                mode.emit.write(text)
+            if mode.cmd:
+                return _check_valid_external(mode.cmd, text, self.env)
+        if self._context is None:
+            funcs = {name for name, sig in self.sigs.items() if sig.arg_types}
+            self._context = smt.Context(funcs, _bool_ranges(self.env) + [_smt_form(self.hyp)])
+        model = self._context.decide(["not", _smt_form(goal)])
+        if model is None:
+            return Verdict(VALID)
+        values, tables = model
+        # a function without arguments is a constant of the context
+        for name, sig in self.sigs.items():
+            if not sig.arg_types:
+                tables[name] = {(): values.get(name, 0)}
+        values = {name: values.get(name, 0) for name, _ in self.env.bindings}
+        return Verdict(INVALID, Interpretation(values, tables))
 
 
 def _check_valid_oracle(env, p, mode, sigs):
@@ -754,18 +839,18 @@ def solver_query(env, p, sigs=None):
             raise UnknownFunction(fname)
         args = [sort_name(t) for t in sig.arg_types]
         decls.append(["declare-fun", sig.name, args, sort_name(sig.ret_type)])
-    ranges = [
-        ["assert", ["and", ["<=", 0, name], ["<=", name, 1]]]
-        for name, t in env.bindings
-        if t == BOOL
-    ]
     return (
         [["set-logic", "QF_UFLIA"]]
         + [["declare-sort", s, 0] for s in sorts]
         + decls
-        + ranges
+        + [["assert", r] for r in _bool_ranges(env)]
         + [["assert", ["not", _smt_form(p)]], ["check-sat"], ["get-model"]]
     )
+
+
+def _bool_ranges(env):
+    """The SMT-LIB forms that keep each bool variable of `env` in {0, 1}."""
+    return [["and", ["<=", 0, name], ["<=", name, 1]] for name, t in env.bindings if t == BOOL]
 
 
 def emit_solver_query(env, p, sigs=None):
@@ -813,24 +898,12 @@ def _smt_form(x):
     raise TypeMismatch(f"not a predicate or expression: {x!r}")
 
 
-def _check_valid_solver(env, p, mode, sigs):
-    query = solver_query(env, p, sigs)
-    if mode.emit_dir:
-        os.makedirs(mode.emit_dir, exist_ok=True)
-        path = os.path.join(mode.emit_dir, f"q_{mode._counter}.smt2")
-        mode._counter += 1
-        with open(path, "w") as fh:
-            fh.write(_query_text(query))
-    if mode.cmd is None:
-        model = smt.solve(smt.script_of(query))
-        if model is None:
-            return Verdict(VALID)
-        values = {name: model.get(name, 0) for name, _ in env.bindings}
-        return Verdict(INVALID, Interpretation(values, {}))
+def _check_valid_external(cmd, text, env):
+    """The verdict of the external SMT-LIB solver `cmd` on the query `text`."""
     try:
         proc = subprocess.run(
-            shlex.split(mode.cmd),
-            input=_query_text(query),
+            shlex.split(cmd),
+            input=text,
             capture_output=True,
             text=True,
             timeout=60,

@@ -1,17 +1,25 @@
 """Decision procedure for a QF_UFLIA subset of SMT-LIB 2.
 
-Pipeline: script -> eliminate uninterpreted functions by
-Ackermannization -> negation normal form -> presolve -> satisfiability
-search over the disjuncts -> omega test on each conjunction of linear
-constraints, with model reconstruction by back-substitution.
+Pipeline: formulas -> negation normal form, with every application of an
+uninterpreted function replaced by its Ackermann constant as the terms are
+lowered -> presolve -> satisfiability search over the disjuncts -> omega
+test on each conjunction of linear constraints, with model reconstruction
+by back-substitution.
+
+A `Context` lowers a hypothesis once and then decides it together with one
+goal at a time. Its Ackermann table is keyed on each application's function
+and the linear forms of its arguments, not on printed text; a goal adds
+only its own applications and their congruence axioms. `solve` is a context
+with no hypothesis, so every query goes through this one lowering.
 
 The negation normal form folds a variable-free atom such as `(<= 1 0)` to
 true or false, drops true from a conjunction and false from a disjunction,
 and lets false absorb a conjunction and true a disjunction. The presolve
 substitutes every top-level equality that has a unit coefficient (the SSA
 bindings `x%3 = ...` of a path formula) into the whole tree once, so the
-omega test never eliminates them again at each leaf; the model gets their
-values back by substitution.
+omega test never eliminates them again at each leaf; an atom that the
+substitution leaves without variables folds in the same way. The model gets
+the substituted variables' values back by substitution.
 
 The search expands the disjunctions depth first, on an explicit stack, and
 carries a model of the atoms gathered so far. Before it splits a
@@ -29,12 +37,12 @@ substitution of an equality, and when it builds a shadow.
 Uninterpreted sorts are modeled as Int; that preserves quantifier-free
 satisfiability because any model over an infinite carrier injects into Int.
 
-Exposed as a library and as a filter. `solve` takes a `Script` of
-already-parsed forms, which `hmc.logic` builds for each validity query, and
-returns a model dict or None; a variable the model leaves out is 0. The
-text form, `solve_script`, is for the filter only: `python -m hmc.smt` and
-the `hmc-smt` executable read a script on stdin and print `sat`/`unsat`
-plus a model.
+Exposed as a library and as a filter. `Context.decide` returns a model with
+a table for each function, which `hmc.logic` turns into a witness; `solve`
+takes a `Script` of already-parsed forms and returns a model dict or None;
+a variable the model leaves out is 0. The text form, `solve_script`, is
+for the filter only: `python -m hmc.smt` and the `hmc-smt` executable read
+a script on stdin and print `sat`/`unsat` plus a model.
 """
 
 from __future__ import annotations
@@ -147,50 +155,58 @@ def parse_script(text):
 
 
 # ---------------------------------------------------------------------------
-# Ackermannization: replace every distinct application of an uninterpreted
-# function by a fresh constant, and assert functional consistency for each
-# pair of applications of the same function.
-
-
-def ackermannize(script):
-    apps = {}  # canonical text -> (fresh name, func name, arg forms)
-    counter = [0]
-
-    def walk(form):
-        if not isinstance(form, list) or not form:
-            return form
-        walked = [form[0]] + [walk(f) for f in form[1:]]
-        if isinstance(form[0], str) and form[0] in script.funcs:
-            key = sexpr.to_str(walked)
-            if key not in apps:
-                fresh = f".ack{counter[0]}"
-                counter[0] += 1
-                apps[key] = (fresh, form[0], walked[1:])
-            return apps[key][0]
-        return walked
-
-    flat = [walk(a) for a in script.asserts]
-    by_func = {}
-    for fresh, fname, args in apps.values():
-        by_func.setdefault(fname, []).append((fresh, args))
-    congruence = []
-    for fname, insts in by_func.items():
-        for i in range(len(insts)):
-            for j in range(i + 1, len(insts)):
-                (v1, a1), (v2, a2) = insts[i], insts[j]
-                same_args = ["and"] + [["=", x, y] for x, y in zip(a1, a2)]
-                if len(same_args) == 2:
-                    same_args = same_args[1]
-                congruence.append(["=>", same_args, ["=", v1, v2]])
-    return flat + congruence
-
-
-# ---------------------------------------------------------------------------
 # Terms and NNF. Atoms are ("le", lin) for lin <= 0 and ("eq", lin) for
 # lin = 0; disequalities are split into a disjunction of strict orderings.
+#
+# Uninterpreted functions are eliminated by Ackermannization as the terms
+# are lowered: every distinct application becomes a fresh constant, and
+# functional consistency is asserted for each pair of applications of the
+# same function.
 
 
-def term_to_lin(form):
+class Apps:
+    """The Ackermann table of a query: each distinct application, keyed on
+    its function and the linear forms of its arguments, with the constant
+    `.ackN` that stands for it. A copy extends an earlier table."""
+
+    def __init__(self, funcs, table=None):
+        self.funcs = funcs  # the names of the functions that take arguments
+        self.table = dict(table or {})  # key -> (constant, function, arg lins)
+
+    def const(self, func, args):
+        key = (func, tuple(frozenset(a.items()) for a in args))
+        entry = self.table.get(key)
+        if entry is None:
+            entry = self.table[key] = (f".ack{len(self.table)}", func, args)
+        return entry[0]
+
+
+def congruence(entries, start=0):
+    """NNF trees asserting, for each pair of entries (constant, function,
+    arg lins) of one function whose later member is at `start` or beyond,
+    that equal arguments give equal values: per function in order of first
+    use, pairs in order of their members."""
+    if start >= len(entries):
+        return []
+    by_func = {}
+    for i, (_, func, _) in enumerate(entries):
+        by_func.setdefault(func, []).append(i)
+    out = []
+    for idxs in by_func.values():
+        for n, i in enumerate(idxs):
+            c1, _, a1 = entries[i]
+            for j in idxs[n + 1:]:
+                if j < start:
+                    continue
+                c2, _, a2 = entries[j]
+                differ = [_rel("=", lin_sub(x, y), False) for x, y in zip(a1, a2)]
+                if len(differ) > 1:
+                    differ = [_join("or", differ)]
+                out.append(_join("or", differ + [_rel("=", lin_sub(lin_var(c1), lin_var(c2)), True)]))
+    return out
+
+
+def term_to_lin(form, apps=None):
     if isinstance(form, int):
         return lin_const(form)
     if isinstance(form, str):
@@ -200,17 +216,17 @@ def term_to_lin(form):
         if head == "+":
             out = {}
             for f in form[1:]:
-                out = lin_add(out, term_to_lin(f))
+                out = lin_add(out, term_to_lin(f, apps))
             return out
         if head == "-":
             if len(form) == 2:
-                return lin_scale(term_to_lin(form[1]), -1)
-            out = term_to_lin(form[1])
+                return lin_scale(term_to_lin(form[1], apps), -1)
+            out = term_to_lin(form[1], apps)
             for f in form[2:]:
-                out = lin_sub(out, term_to_lin(f))
+                out = lin_sub(out, term_to_lin(f, apps))
             return out
         if head == "*":
-            args = [term_to_lin(f) for f in form[1:]]
+            args = [term_to_lin(f, apps) for f in form[1:]]
             out = lin_const(1)
             for a in args:
                 ka, ko = lin_vars(a), lin_vars(out)
@@ -221,6 +237,8 @@ def term_to_lin(form):
                 else:
                     out = lin_scale(out, a.get(None, 0))
             return out
+        if apps is not None and head in apps.funcs:
+            return lin_var(apps.const(head, [term_to_lin(f, apps) for f in form[1:]]))
     raise SmtError(f"bad term {sexpr.to_str(form)}")
 
 
@@ -232,9 +250,10 @@ def _truth(holds):
     return ("and", []) if holds else ("or", [])
 
 
-def _atom(op, l, r, positive):
-    d = lin_sub(term_to_lin(l), term_to_lin(r))
-    ground = not lin_vars(d)  # a variable-free atom folds to true or false
+def _rel(op, d, positive):
+    """The NNF of `d op 0`, or of its negation; a variable-free atom folds to
+    true or false."""
+    ground = not lin_vars(d)
     if op == "<=":
         pass
     elif op == "<":
@@ -272,35 +291,36 @@ def _join(tag, kids):
     return tag, out
 
 
-def nnf(form, positive=True):
+def nnf(form, positive=True, apps=None):
+    """The NNF tree of a formula, or of its negation. With `apps`, the
+    applications of its functions become their Ackermann constants."""
     if form in ("true", "false"):
         return _truth((form == "true") == positive)
     if isinstance(form, str):
         # bare boolean symbol: treat as symbol = 1
-        return _atom("=", form, 1, positive)
+        return _rel("=", lin_add(lin_var(form), lin_const(-1)), positive)
     if not isinstance(form, list) or not form:
         raise SmtError(f"bad formula {sexpr.to_str(form)}")
     head = form[0]
     if head == "not":
-        return nnf(form[1], not positive)
+        return nnf(form[1], not positive, apps)
     if head == "and":
-        kids = [nnf(f, positive) for f in form[1:]]
+        kids = [nnf(f, positive, apps) for f in form[1:]]
         return _join("and" if positive else "or", kids)
     if head == "or":
-        kids = [nnf(f, positive) for f in form[1:]]
+        kids = [nnf(f, positive, apps) for f in form[1:]]
         return _join("or" if positive else "and", kids)
     if head == "=>":
         *hyps, concl = form[1:]
-        kids = [nnf(h, not positive) for h in hyps] + [nnf(concl, positive)]
+        kids = [nnf(h, not positive, apps) for h in hyps] + [nnf(concl, positive, apps)]
         return _join("or" if positive else "and", kids)
-    if head in ("<=", "<", ">=", ">", "="):
+    if head in ("<=", "<", ">=", ">", "=", "distinct"):
         if len(form) != 3:
             raise SmtError(f"{head} takes two arguments")
-        return _atom(head, form[1], form[2], positive)
-    if head == "distinct":
-        if len(form) != 3:
-            raise SmtError("distinct takes two arguments")
-        return _atom("=", form[1], form[2], not positive)
+        d = lin_sub(term_to_lin(form[1], apps), term_to_lin(form[2], apps))
+        if head == "distinct":
+            return _rel("=", d, not positive)
+        return _rel(head, d, positive)
     raise SmtError(f"bad formula head {head}")
 
 
@@ -520,10 +540,16 @@ def _splinters(x, lowers, uppers, les, fresh):
 
 
 def _subst_tree(node, sub):
+    """`node` with `sub` substituted into its atoms. An atom left without
+    variables folds to true or false, and the folded values are joined away."""
     tag, body = node
     if tag in ("and", "or"):
-        return tag, [_subst_tree(kid, sub) for kid in body]
-    return tag, lin_subst(body, sub)
+        return _join(tag, [_subst_tree(kid, sub) for kid in body])
+    lin = lin_subst(body, sub)
+    if lin is body or lin_vars(lin):
+        return tag, lin
+    c = lin.get(None, 0)
+    return _truth(c <= 0 if tag == "le" else c == 0)
 
 
 def presolve(tree):
@@ -605,18 +631,62 @@ def sat_search(tree):
 # Entry points
 
 
+class Context:
+    """A hypothesis lowered once, then decided together with one goal at a
+    time.
+
+    Building the context Ackermannizes the hypothesis's asserts, puts them
+    into NNF and presolves them. `decide` lowers only the goal, with the
+    congruence axioms of the applications it adds; it substitutes the
+    hypothesis's definitions into both, folding the atoms that become
+    variable-free, and presolves the goal's own top-level unit equalities.
+    The search runs over the hypothesis, then the goal, then the congruence
+    axioms: the hypothesis's first and the goal's after them."""
+
+    def __init__(self, funcs, asserts):
+        self.apps = Apps(funcs)
+        self.tree, self.sub = presolve(_join("and", [nnf(f, apps=self.apps) for f in asserts]))
+        self.axioms = [_subst_tree(a, self.sub) for a in congruence(list(self.apps.table.values()))]
+
+    def decide(self, goal):
+        """A model of the hypothesis and the formula `goal`, or None when
+        they are unsatisfiable. The model is (values, tables): a dict from
+        the variables to their values, where one left out is 0, and a dict
+        from each function the hypothesis or the goal applies to its table,
+        which maps argument values to the result."""
+        apps = Apps(self.apps.funcs, self.apps.table)
+        tree = _subst_tree(nnf(goal, apps=apps), self.sub)
+        entries = list(apps.table.values())
+        axioms = self.axioms + [
+            _subst_tree(a, self.sub) for a in congruence(entries, len(self.apps.table))
+        ]
+        tree, sub = presolve(tree)
+        hyp = self.tree
+        if sub:
+            hyp = _subst_tree(hyp, sub)
+            axioms = [_subst_tree(a, sub) for a in axioms]
+        values = sat_search(_join("and", [hyp, tree] + axioms))
+        if values is None:
+            return None
+        # the goal's definitions are over the variables left; the
+        # hypothesis's may use the goal's
+        for defs in (sub, self.sub):
+            for x, repl in defs.items():
+                values[x] = eval_lin(repl, values)
+        tables = {}
+        for const, func, args in entries:
+            key = tuple(eval_lin(a, values) for a in args)
+            tables.setdefault(func, {})[key] = values.get(const, 0)
+        return values, tables
+
+
 def solve(script):
     """A model of the script's asserts, as a dict from variables to values,
-    or None when they are unsatisfiable. A variable the dict leaves out is
-    0; a declared constant the asserts leave free may take any value."""
-    forms = ackermannize(script)
-    tree, sub = presolve(("and", [nnf(f) for f in forms]))
-    model = sat_search(tree)
-    if model is None:
-        return None
-    for x, repl in sub.items():
-        model[x] = eval_lin(repl, model)
-    return model
+    or None when they are unsatisfiable: a context with no hypothesis
+    decides their conjunction. A variable the dict leaves out is 0; a
+    declared constant the asserts leave free may take any value."""
+    model = Context(script.funcs, []).decide(["and", *script.asserts])
+    return model and model[0]
 
 
 def solve_script(text):

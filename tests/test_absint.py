@@ -2,7 +2,6 @@ import random
 from pathlib import Path
 
 from gen import gen_constraint_set
-from hmc import absint
 from hmc.absint import (
     AbstractInvariant,
     Engine,
@@ -24,7 +23,7 @@ from hmc.constraints import (
     parse_constraints,
 )
 from hmc.imp import parse_imp
-from hmc.logic import OracleMode, SolverMode, ValueDomain, print_pred
+from hmc.logic import OracleMode, SolverMode, ValueDomain, check_valid, eval_pred, implies, print_pred
 from hmc.translate import translate_set_of_constraints
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -245,18 +244,7 @@ def round_robin(p, runs, preds, mode):
     return inv.cubes, [(s.label, s.status) for s in statuses], failing
 
 
-def test_solve_matches_round_robin(monkeypatch):
-    # both fixpoints ask the same validity queries; answer each once
-    answers = {}
-    check_valid = absint.check_valid
-
-    def cached(tenv, q, mode, sigs):
-        key = (tenv, print_pred(q))
-        if key not in answers:
-            answers[key] = check_valid(tenv, q, mode, sigs)
-        return answers[key]
-
-    monkeypatch.setattr(absint, "check_valid", cached)
+def test_solve_matches_round_robin():
     programs = [program_for(name)[2] for name in ("iteri_mask.hmc", "tworead.hmc")]
     programs.append(program_of(load(chain_text(24))))
     programs.append(parse_imp(REGRESSING_READER))
@@ -274,3 +262,35 @@ def test_solve_matches_round_robin(monkeypatch):
         assert got == round_robin(p, runs, preds, SolverMode())
         outcomes.add(res.status)
     assert outcomes == {PROVED, "inconclusive"}
+
+
+def test_hypothesis_matches_check_valid(monkeypatch):
+    # every fixpoint query, whether answered from a path's cache, by a
+    # model pooled on that path or by a search, has the status of deciding
+    # the whole implication alone
+    asked = []
+    valid = Engine.valid
+
+    def recorded(self, hyp, q):
+        status = valid(self, hyp, q)
+        asked.append((hyp, q, status))
+        return status
+
+    monkeypatch.setattr(Engine, "valid", recorded)
+    programs = [program_for(name)[2] for name in ("iteri_mask.hmc", "tworead.hmc")]
+    programs.append(program_of(load(chain_text(16))))
+    programs += [program_of(gen_constraint_set(random.Random(seed))) for seed in range(50)]
+    for p in programs:
+        runs = run_blocks(p)
+        solve(p, runs, harvest_predicates(p, runs), SolverMode())
+    for hyp, q, status in asked:
+        whole = check_valid(hyp.env, implies(hyp.hyp, q), SolverMode(), hyp.sigs)
+        assert status == whole.status, print_pred(implies(hyp.hyp, q))
+    hyps = list({id(hyp): hyp for hyp, _, _ in asked}.values())
+    for hyp in hyps:
+        for model in hyp.models:
+            assert eval_pred(model, hyp.hyp), print_pred(hyp.hyp)
+    # each searched INVALID verdict pools one model; the rest were decided
+    # by a pooled model
+    invalid = sum(v.status == "invalid" for hyp in hyps for v in hyp.verdicts.values())
+    assert invalid > sum(len(hyp.models) for hyp in hyps) > 0

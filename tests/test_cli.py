@@ -282,7 +282,9 @@ def test_emit_smt_writes_each_query_once(tmp_path):
     code, text = run("check", str(f), "--emit-smt", str(dest))
     assert code == 0 and text.startswith("SAFE")
     queries = [q.read_text() for q in dest.iterdir()]
-    assert len(queries) == len(set(queries)) == 16
+    # one file per query searched: two of the fixpoint's queries are
+    # decided by a model that an earlier query on the same path returned
+    assert len(queries) == len(set(queries)) == 14
 
 
 def test_check_zero_coefficient_terminates(tmp_path):

@@ -24,6 +24,7 @@ from hmc.logic import (
     Interpretation,
     Not,
     OracleMode,
+    QueryLog,
     SolverMode,
     TRUE,
     TypeEnv,
@@ -190,7 +191,7 @@ def test_solver_mode_subprocess_installed_script():
 
 def test_solver_emit_dir(tmp_path):
     env = TypeEnv.of(("x", INT))
-    mode = SolverMode(emit_dir=str(tmp_path))
+    mode = SolverMode(emit=QueryLog(str(tmp_path)))
     check_valid(env, P("(= x x)"), mode)
     check_valid(env, P("(= x 0)"), mode)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["q_0.smt2", "q_1.smt2"]
@@ -270,12 +271,14 @@ def test_in_process_query_matches_text_path():
         "(=> f (>= (len a) (- 3)))",
         "(not (and f (/= v (* -2 v))))",
         "(=> (= a b) (= (at a v) (at b v)))",
+        "(=> (= (at a v) 0) (= (at b (+ v 1)) (len a)))",
         "(= (c) (+ v 1))",
         "(=> (not f) (not f))",
     ]
     env = TypeEnv.of(("a", ui("obj")), ("b", ui("obj")), ("v", INT), ("f", BOOL))
     cases += [(env, P(text), QUERY_SIGS) for text in typed]
     statuses = set()
+    tabled = 0
     for env, p, sigs in cases:
         query = solver_query(env, p, sigs)
         script = smt.script_of(query)
@@ -285,9 +288,17 @@ def test_in_process_query_matches_text_path():
             parsed.consts, parsed.funcs, parsed.asserts
         ), print_pred(p)
         got = check_valid(env, p, SolverMode(), sigs)
-        assert got == _text_verdict(env, p, sigs), print_pred(p)
+        # the printed model has no function tables
+        text = _text_verdict(env, p, sigs)
+        assert got.status == text.status, print_pred(p)
+        if got.status == INVALID:
+            assert got.witness.var_values == text.witness.var_values, print_pred(p)
+            # the witness, function tables included, is a countermodel
+            assert not eval_pred(got.witness, p), print_pred(p)
+            tabled += "len" in got.witness.func_tables or "at" in got.witness.func_tables
         statuses.add(got.status)
     assert statuses == {VALID, INVALID}
+    assert tabled >= 3
 
 
 def test_check_needs_no_smt_text(monkeypatch):
