@@ -22,7 +22,10 @@ from . import sexpr
 from .logic import (
     FuncSig,
     Interpretation,
+    LogicError,
     TRUE,
+    TypeEnv,
+    TypeMismatch,
     ValueDomain,
     enumerate_func_tables,
     eval_expr,
@@ -37,6 +40,8 @@ from .logic import (
     pred_vars,
     type_from_sexpr,
     type_to_sexpr,
+    typecheck_expr,
+    typecheck_pred,
 )
 
 
@@ -585,10 +590,22 @@ def _parse_header(p, line):
 
 def _check_program(p):
     """Every relvar, variable and function a block names is declared, each
-    relvar and function used at its declared arity."""
+    relvar and function used at its declared arity, and every block is well
+    typed.
+
+    Types flow through a block: a variable starts at its declared type,
+    `havoc` gives it that type again, and `get` and `:=` the type of the
+    value they write. So a translation temp, declared once for all blocks,
+    may hold a value of another type in one block. A variable that a block
+    leaves at another type than its declared one must be written before it
+    is read in every block, so that no such value reaches a block that
+    reads it at its declared type."""
+    retyped = {}  # variable -> (the first block that leaves it retyped, its type)
+    read_first = {}  # variable -> the first block that reads it before writing it
     for label, block in p.blocks:
+        types, written = dict(p.base_types), set()
         for i in block.instrs:
-            apps = set()
+            apps, reads, writes = set(), (), ()
             if isinstance(i, (Get, Set)):
                 sig = p.relvar_sigs.get(i.relvar)
                 if sig is None:
@@ -598,13 +615,15 @@ def _check_program(p):
                     raise ParseError(
                         f"{label}: {i.relvar} has arity {len(sig)}, got {len(names)}"
                     )
+                reads, writes = ((), names) if isinstance(i, Get) else (names, ())
             elif isinstance(i, Havoc):
-                names = [i.var]
+                writes = names = [i.var]
             elif isinstance(i, Assign):
-                names = [i.var] + sorted(expr_vars(i.expr))
+                reads = sorted(expr_vars(i.expr))
+                writes, names = [i.var], [i.var] + reads
                 apps = expr_apps(i.expr)
             else:
-                names = sorted(pred_vars(i.pred))
+                reads = names = sorted(pred_vars(i.pred))
                 apps = pred_apps(i.pred)
             for x in names:
                 if x not in p.base_types:
@@ -613,6 +632,47 @@ def _check_program(p):
                 sig = p.func_sigs.get(f)
                 if sig is None or len(sig.arg_types) != n:
                     raise ParseError(f"{label}: undeclared function {f} of arity {n}")
+            for x in reads:
+                if x not in written:
+                    read_first.setdefault(x, label)
+            written.update(writes)
+            _type_instr(p, label, i, types)
+        for x, t in types.items():
+            if t != p.base_types[x]:
+                retyped.setdefault(x, (label, t))
+    for x, (label, t) in sorted(retyped.items()):
+        if x in read_first:
+            raise ParseError(
+                f"{label}: variable {x} of type {_type_text(p.base_types[x])} is left "
+                f"holding a {_type_text(t)}, and {read_first[x]} reads it before writing it"
+            )
+
+
+def _type_text(t):
+    return sexpr.to_str(type_to_sexpr(t))
+
+
+def _type_instr(p, label, i, types):
+    """Check one instruction against `types`, the types its block's
+    variables hold before it, and update them to those after it."""
+    env = TypeEnv(tuple(types.items()))
+    try:
+        if isinstance(i, Get):
+            types.update(zip(i.targets, p.relvar_sigs[i.relvar]))
+        elif isinstance(i, Set):
+            for x, t in zip(i.args, p.relvar_sigs[i.relvar]):
+                if types[x] != t:
+                    raise TypeMismatch(
+                        f"{i.relvar} takes {_type_text(t)} where {x} holds {_type_text(types[x])}"
+                    )
+        elif isinstance(i, Havoc):
+            types[i.var] = p.base_types[i.var]
+        elif isinstance(i, Assign):
+            types[i.var] = typecheck_expr(env, i.expr, p.func_sigs)
+        else:
+            typecheck_pred(env, i.pred, p.func_sigs)
+    except LogicError as exc:
+        raise ParseError(f"{label}: {type(exc).__name__}: {exc}") from exc
 
 
 def _print_pred_group(pred):

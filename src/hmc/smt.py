@@ -8,9 +8,12 @@ by back-substitution.
 
 A `Context` lowers a hypothesis once and then decides it together with one
 goal at a time. Its Ackermann table is keyed on each application's function
-and the linear forms of its arguments, not on printed text; a goal adds
-only its own applications and their congruence axioms. `solve` is a context
-with no hypothesis, so every query goes through this one lowering.
+and the linear forms of its arguments, not on printed text. After the
+presolve, applications whose arguments are equal once the definitions are
+substituted share one constant, and congruence axioms are built only
+between the applications left, whose arguments differ; a goal merges and
+adds only what its own definitions and applications bring. `solve` is a
+context with no hypothesis, so every query goes through this one lowering.
 
 The negation normal form folds a variable-free atom such as `(<= 1 0)` to
 true or false, drops true from a conjunction and false from a disjunction,
@@ -159,15 +162,18 @@ def parse_script(text):
 # lin = 0; disequalities are split into a disjunction of strict orderings.
 #
 # Uninterpreted functions are eliminated by Ackermannization as the terms
-# are lowered: every distinct application becomes a fresh constant, and
-# functional consistency is asserted for each pair of applications of the
-# same function.
+# are lowered: every distinct application becomes a fresh constant.
+# Functional consistency is asserted after the presolve (`Context`), for
+# each pair of applications of the same function whose arguments still
+# differ once the definitions are substituted.
 
 
 class Apps:
     """The Ackermann table of a query: each distinct application, keyed on
-    its function and the linear forms of its arguments, with the constant
-    `.ackN` that stands for it. A copy extends an earlier table."""
+    its function and the linear forms of its arguments as written, with the
+    constant `.ackN` that stands for it. A copy extends an earlier table.
+    Applications whose arguments become equal only under the presolve's
+    definitions get two constants here; `Context` merges them."""
 
     def __init__(self, funcs, table=None):
         self.funcs = funcs  # the names of the functions that take arguments
@@ -185,7 +191,9 @@ def congruence(entries, start=0):
     """NNF trees asserting, for each pair of entries (constant, function,
     arg lins) of one function whose later member is at `start` or beyond,
     that equal arguments give equal values: per function in order of first
-    use, pairs in order of their members."""
+    use, pairs in order of their members. `Context` passes the applications
+    left after merging, with their arguments presolved, so no two entries
+    of one function have equal arguments."""
     if start >= len(entries):
         return []
     by_func = {}
@@ -631,22 +639,65 @@ def sat_search(tree):
 # Entry points
 
 
+def _merge(tree, sub, reps, outer=None):
+    """Merge the applications that have equal arguments up to definitions.
+
+    `tree` and `sub` are a presolved NNF tree and its definitions, and
+    `reps` the applications (constant, function, arg lins) left distinct so
+    far, in order. Each application whose arguments, with `sub`
+    substituted, equal an earlier one's is dropped, and the equality of the
+    two constants, with `outer` and then `sub` substituted, is conjoined to
+    the tree, which is presolved again; until no two applications left
+    share arguments. Returns the tree, the definitions (`sub` extended) and
+    the applications left, each the first of its class, with `sub`
+    substituted into their arguments."""
+    while True:
+        seen, left, eqs = {}, [], []
+        for const, func, args in reps:
+            args = [lin_subst(a, sub) for a in args]
+            first = seen.setdefault((func, tuple(frozenset(a.items()) for a in args)), const)
+            if first == const:
+                left.append((const, func, args))
+            else:
+                eq = lin_subst(lin_sub(lin_var(const), lin_var(first)), outer or {})
+                eqs.append(_rel("=", lin_subst(eq, sub), True))
+        if not eqs:
+            return tree, sub, left
+        reps = left
+        tree, more = presolve(_join("and", [tree] + eqs))
+        sub = {x: lin_subst(r, more) for x, r in sub.items()}
+        sub.update(more)
+
+
 class Context:
     """A hypothesis lowered once, then decided together with one goal at a
     time.
 
     Building the context Ackermannizes the hypothesis's asserts, puts them
-    into NNF and presolves them. `decide` lowers only the goal, with the
-    congruence axioms of the applications it adds; it substitutes the
-    hypothesis's definitions into both, folding the atoms that become
-    variable-free, and presolves the goal's own top-level unit equalities.
-    The search runs over the hypothesis, then the goal, then the congruence
-    axioms: the hypothesis's first and the goal's after them."""
+    into NNF and presolves them. Then it merges every application whose
+    arguments, after the presolve's definitions are substituted, equal an
+    earlier one's: their constants are equated and the tree presolved
+    again, until the applications left all differ in their arguments (see
+    `_merge`). Congruence axioms are built only between those: an axiom
+    between two applications with equal arguments is a plain equality, and
+    the merge has already substituted it away.
+
+    `decide` lowers only the goal and substitutes the hypothesis's
+    definitions into it, folding the atoms that become variable-free, and
+    presolves the goal's own top-level unit equalities. It merges the
+    goal's applications and the hypothesis's that are left under both sets
+    of definitions, so a goal equality can merge two of the hypothesis's,
+    and adds the congruence axioms of every pair left that has a goal
+    application in it, whatever was merged. The search runs over the
+    hypothesis, then the goal, then the congruence axioms: the
+    hypothesis's first and the goal's after them."""
 
     def __init__(self, funcs, asserts):
         self.apps = Apps(funcs)
-        self.tree, self.sub = presolve(_join("and", [nnf(f, apps=self.apps) for f in asserts]))
-        self.axioms = [_subst_tree(a, self.sub) for a in congruence(list(self.apps.table.values()))]
+        tree, sub = presolve(_join("and", [nnf(f, apps=self.apps) for f in asserts]))
+        self.tree, self.sub, self.reps = _merge(tree, sub, list(self.apps.table.values()))
+        self.consts = {const for const, _, _ in self.reps}
+        self.axioms = [_subst_tree(a, self.sub) for a in congruence(self.reps)]
 
     def decide(self, goal):
         """A model of the hypothesis and the formula `goal`, or None when
@@ -655,12 +706,20 @@ class Context:
         from each function the hypothesis or the goal applies to its table,
         which maps argument values to the result."""
         apps = Apps(self.apps.funcs, self.apps.table)
-        tree = _subst_tree(nnf(goal, apps=apps), self.sub)
+        tree, sub = presolve(_subst_tree(nnf(goal, apps=apps), self.sub))
         entries = list(apps.table.values())
-        axioms = self.axioms + [
-            _subst_tree(a, self.sub) for a in congruence(entries, len(self.apps.table))
-        ]
-        tree, sub = presolve(tree)
+        reps = self.reps + [(const, func, [lin_subst(a, self.sub) for a in args])
+                            for const, func, args in entries[len(self.apps.table):]]
+        axioms = self.axioms
+        # with one application or none there is nothing to merge or relate,
+        # and without new applications or definitions nothing new to merge
+        if len(reps) > 1 and (len(reps) > len(self.reps) or sub):
+            tree, sub, reps = _merge(tree, sub, reps, self.sub)
+            # the hypothesis's applications left come first, so the pairs
+            # with a goal application are those whose later member is past
+            # them
+            start = sum(const in self.consts for const, _, _ in reps)
+            axioms = axioms + [_subst_tree(a, self.sub) for a in congruence(reps, start)]
         hyp = self.tree
         if sub:
             hyp = _subst_tree(hyp, sub)

@@ -189,6 +189,8 @@ def test_check_malformed_form_is_usage_error(tmp_path, text, error):
         (";; relvar k arity", "(= x 0)", "bad relvar header 'relvar k arity'"),
         ("", "(< x y)", "b1: undeclared variable y"),
         ("", "(< (f x) 0)", "b1: undeclared function f"),
+        ("", "(x)", "b1: NonBoolAtom: x"),
+        (";; basevar b bool", "(< b 1)", "b1: TypeMismatch: ordered comparison over non-int"),
     ],
 )
 def test_exec_malformed_imp_is_usage_error(tmp_path, header, pred, error):

@@ -1,6 +1,8 @@
 import random
 from pathlib import Path
 
+import pytest
+
 from hmc.imp import (
     ERROR,
     Assert,
@@ -8,6 +10,7 @@ from hmc.imp import (
     ExecContext,
     Get,
     Havoc,
+    ParseError,
     SAFE,
     Set,
     State,
@@ -172,3 +175,36 @@ def test_random_programs_run(capsys):
         assert is_rwo(p) is None
         assert print_imp(parse_imp(print_imp(p))) == print_imp(p)
         exec_program(p, DOMAIN01, "relational", fuel=2000)
+
+
+RETYPED = """\
+;; relvar k arity 1 types bool
+;; basevar t int
+;; basevar b bool
+loop {
+  /*b1*/
+    get k (t);
+    assert (t)
+[]
+  /*b2*/
+    havoc b;
+    set k (b)
+}
+"""
+
+
+def test_typecheck_follows_values_through_a_block():
+    # `t` is declared int and holds a bool in b1, which writes it first
+    assert print_imp(parse_imp(RETYPED)) == RETYPED
+    bad = [
+        (RETYPED.replace("assert (t)", "assert (<= t 1)"),
+         "b1: TypeMismatch: ordered comparison over non-int operands"),
+        (RETYPED.replace("havoc b;", "b := 1;"), "b2: TypeMismatch: k takes bool where b holds int"),
+        # a block that reads `t` before it writes it would read b1's bool
+        (RETYPED.replace("    havoc b;", "    assume (<= 0 t);\n    havoc b;"),
+         "b1: variable t of type int is left holding a bool, and b2 reads it before writing it"),
+    ]
+    for text, error in bad:
+        with pytest.raises(ParseError) as exc:
+            parse_imp(text)
+        assert str(exc.value) == error

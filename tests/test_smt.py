@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hmc import cli, smt
+from hmc import cli, sexpr, smt
 from hmc.smt import SmtError, eval_lin, omega, parse_script, solve_script, term_to_lin
 
 ITERI = str(Path(__file__).resolve().parent.parent / "examples" / "iteri_mask.hmc")
@@ -205,9 +205,11 @@ def test_omega_calls_on_iteri(monkeypatch):
     out = io.StringIO()
     assert cli.main(["check", ITERI], out) == 0
     assert out.getvalue().startswith("SAFE")
-    # a search that runs omega at every split and leaf with new atoms makes
-    # 457; reusing the model of the consistent prefix skips about a fifth
-    assert top[0] <= 400
+    # one context per path and congruence axioms only between applications
+    # whose arguments differ after the presolve make 75 calls; an Ackermann
+    # table keyed on the raw arguments makes 167, and a search that runs
+    # omega at every split and leaf with new atoms 457
+    assert top[0] <= 100
 
 
 def test_ground_atoms_fold():
@@ -351,6 +353,207 @@ def test_omega_matches_brute_force(monkeypatch):
         if model is not None:
             assert all(holds(k, l, model) for k, l in cons), (case, model)
     assert hits["inexact"] and hits["splinters"], hits
+
+
+# Random scripts with one uninterpreted `f : Int -> Int`: a hypothesis and
+# a goal over three variables, some with top-level equalities between the
+# arguments of `f`, decided by a context and compared with brute force. The
+# variables and every application of `f` are boxed to -1..1, so the brute
+# force only has to choose the value of `f` at each argument it evaluates.
+FBOX = range(-1, 2)
+
+
+class _Unset(Exception):
+    def __init__(self, arg):
+        self.arg = arg
+
+
+def _rand_arg(rng, depth=1):
+    if depth and rng.random() < 0.15:
+        return ["f", _rand_arg(rng, depth - 1)]
+    v = rng.choice(NAMES)
+    c = rng.randint(-1, 1)
+    return ["+", v, c] if c else v
+
+
+def _rand_fterm(rng):
+    r = rng.random()
+    if r < 0.5:
+        return ["f", _rand_arg(rng)]
+    if r < 0.8:
+        return _rand_arg(rng)
+    return ["+", ["f", _rand_arg(rng)], rng.randint(-1, 1)]
+
+
+def _rand_fformula(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        op = rng.choice(["=", "distinct", "<", "<="])
+        return [op, _rand_fterm(rng), _rand_fterm(rng)]
+    op = rng.choice(["and", "or", "=>"])
+    return [op] + [_rand_fformula(rng, depth - 1) for _ in range(2)]
+
+
+def _rand_fasserts(rng):
+    """One to three asserts; about half are an equality between two
+    arguments, which the presolve turns into a definition."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            out.append(["=", _rand_arg(rng, 0), _rand_arg(rng, 0)])
+        else:
+            out.append(_rand_fformula(rng, 1))
+    return out
+
+
+def _rand_fgoal(rng, args):
+    """One or two formulas, mostly after an equality between two of `args`
+    (the arguments of the hypothesis's applications), which can merge
+    them."""
+    out = [_rand_fformula(rng, 1) for _ in range(rng.randint(1, 2))]
+    if len(args) > 1 and rng.random() < 0.7:
+        out.insert(0, ["=", *rng.sample(args, 2)])
+    return out
+
+
+def _feval(form, env, table):
+    """`_eval` with `f` read from `table`; raises `_Unset` at an argument
+    the table does not map."""
+    if isinstance(form, list) and form[0] == "f":
+        arg = _feval(form[1], env, table)
+        if arg not in table:
+            raise _Unset(arg)
+        return table[arg]
+    if isinstance(form, list):
+        return _eval([form[0]] + [_feval(f, env, table) for f in form[1:]], env)
+    return _eval(form, env)
+
+
+def _fapps(form):
+    if isinstance(form, list):
+        if form[0] == "f":
+            yield form
+        for f in form[1:]:
+            yield from _fapps(f)
+
+
+def _fbrute(asserts):
+    for point in itertools.product(FBOX, repeat=len(NAMES)):
+        env = dict(zip(NAMES, point))
+        tables = [{}]
+        while tables:
+            table = tables.pop()
+            try:
+                if all(_feval(a, env, table) for a in asserts):
+                    return True
+            except _Unset as unset:
+                tables += [{**table, unset.arg: v} for v in FBOX]
+    return False
+
+
+def _rand_fcase(rng, most=5):
+    """A hypothesis and a goal, drawn again until they make at most `most`
+    distinct applications, and the applications of each, keyed on their
+    text. The search splits three ways on each congruence axiom: one case
+    with seven applications can take ten seconds."""
+    while True:
+        hyp = _rand_fasserts(rng)
+        hyp_apps = {sexpr.to_str(a): a for a in _fapps(["and", *hyp])}
+        args = {sexpr.to_str(a[1]): a[1] for a in hyp_apps.values()}
+        goal = _rand_fgoal(rng, [args[k] for k in sorted(args)])
+        goal_apps = {sexpr.to_str(a): a for a in _fapps(["and", *goal])}
+        if len(hyp_apps.keys() | goal_apps.keys()) <= most:
+            return hyp, goal, hyp_apps, goal_apps
+
+
+def _fbox(terms):
+    return [["and", ["<=", FBOX[0], t], ["<=", t, FBOX[-1]]] for t in terms]
+
+
+def test_uninterpreted_function_matches_brute_force(seed=5, cases=240):
+    # two cases in three decide the goal in a context of the hypothesis,
+    # the third the whole script as one goal, as `solve` does. The
+    # hypothesis boxes the variables and its own applications, the goal the
+    # applications only it makes, so that a goal adds applications to a
+    # context; a goal equality between two arguments of the hypothesis's
+    # applications merges them
+    rng = random.Random(seed)
+    seen = {"sat": 0, "unsat": 0}
+    for case in range(cases):
+        hyp, goal, hyp_apps, goal_apps = _rand_fcase(rng)
+        hyp_box = _fbox([*NAMES, *hyp_apps.values()])
+        goal_box = _fbox([a for k, a in goal_apps.items() if k not in hyp_apps])
+        if case % 3 == 2:
+            context = smt.Context({"f"}, [])
+            query = ["and", *hyp_box, *hyp, *goal_box, *goal]
+        else:
+            context, query = smt.Context({"f"}, hyp_box + hyp), ["and", *goal_box, *goal]
+        model = context.decide(query)
+        brute = _fbrute(hyp + goal)
+        assert (model is not None) == brute, (case, hyp, goal)
+        seen["sat" if brute else "unsat"] += 1
+        if model is not None:
+            values, tables = model
+            env = {v: values.get(v, 0) for v in NAMES}
+            table = {arg: value for (arg,), value in tables.get("f", {}).items()}
+            _assert_one_value_per_argument(context, query, model)
+            assert all(_feval(a, env, table) for a in hyp + goal), (case, values, tables)
+    assert min(seen.values()) >= cases // 5, seen
+
+
+def _assert_one_value_per_argument(context, goal, model):
+    """Every application the hypothesis or the goal makes, evaluated in the
+    model, takes the value its function's table gives its arguments."""
+    values, tables = model
+    apps = smt.Apps(context.apps.funcs, context.apps.table)
+    smt.nnf(goal, apps=apps)
+    for const, func, args in apps.table.values():
+        key = tuple(eval_lin(a, values) for a in args)
+        assert tables[func][key] == values.get(const, 0), (const, key, values, tables)
+
+
+def _form(text):
+    (form,) = sexpr.parse_many(text)
+    return form
+
+
+def _context(hyp):
+    return smt.Context({"f"}, [_form(f) for f in hyp])
+
+
+def test_goal_equality_merges_hypothesis_applications():
+    # `(= x y)` in the goal merges the hypothesis's `(f x)` and `(f y)`; the
+    # goal's `(f z)` must still be tied to that class through `z = x`
+    context = _context(["(<= (f x) (f y))", "(<= 0 z)"])
+    goal = _form("(and (= x y) (<= z x) (<= x z) (distinct (f z) (f x)))")
+    assert context.decide(goal) is None
+    assert context.decide(_form("(and (= x y) (<= z x) (<= x z))")) is not None
+
+
+def test_applications_equal_after_presolve_share_one_constant():
+    hyp = ["(= y (+ x 1))", "(= z (- y 1))"]
+    goal = _form("(distinct (f z) (f x))")
+    assert _context(hyp).decide(goal) is None
+    # with the goal in the hypothesis, `(f z)` and `(f x)` are two raw
+    # applications, one pair, and `z = x` after the presolve: no axiom
+    whole = _context(hyp + ["(distinct (f z) (f x))"])
+    assert len(whole.apps.table) == 2 and len(whole.reps) == 1
+    assert whole.axioms == []
+    assert whole.decide("true") is None
+    nested = _context(["(= x y)"])
+    assert nested.decide(_form("(distinct (f (f x)) (f (f y)))")) is None
+    assert nested.decide(_form("(distinct (f (f x)) (f (+ (f y) 1)))")) is not None
+
+
+def test_sat_model_tables_are_functions():
+    context = _context(["(<= (f x) (f y))", "(= z (+ x 1))"])
+    goal = _form("(and (distinct (f x) (f z)) (distinct x y) (= (f (f y)) y))")
+    model = context.decide(goal)
+    assert model is not None
+    _assert_one_value_per_argument(context, goal, model)
+    values, tables = model
+    f = {arg: value for (arg,), value in tables["f"].items()}
+    x, y, z = (values.get(v, 0) for v in NAMES)
+    assert f[x] <= f[y] and z == x + 1 and f[x] != f[z] and x != y and f[f[y]] == y
 
 
 def _model(out):

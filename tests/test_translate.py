@@ -1,3 +1,5 @@
+import random
+import sys
 from pathlib import Path
 
 from hmc.clone import clone
@@ -7,6 +9,8 @@ from hmc.logic import print_pred
 from hmc.translate import simplify, translate_set_of_constraints, value_var
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from gen import gen_constraint_set  # noqa: E402
 
 
 def load(text):
@@ -77,10 +81,17 @@ def test_clone_headers_emitted():
 
 
 def test_translation_parses_back():
-    for name in ["iteri_mask.hmc", "tworead.hmc"]:
-        cs = load((EXAMPLES / name).read_text())
-        p = translate_set_of_constraints(cs)
-        assert print_imp(parse_imp(print_imp(p))) == print_imp(p)
+    # `parse_imp` typechecks, so every translated program must be well typed
+    # as printed, where a temp such as iteri's `t1` is declared at one type
+    # (int) and holds another ((ui obj), from `get k2 (t0, t1)`) in a block
+    sets = [load((EXAMPLES / name).read_text()) for name in ["iteri_mask.hmc", "tworead.hmc"]]
+    rng = random.Random(3)
+    sets += [gen_constraint_set(rng) for _ in range(150)]
+    for cs in sets:
+        for cloned, cm in [(cs, None), clone(cs)]:
+            p = translate_set_of_constraints(cloned, cm)
+            for q in (p, simplify(p)):
+                assert print_imp(parse_imp(print_imp(q))) == print_imp(q)
 
 
 def test_simplify_preserves_text_validity():
