@@ -11,7 +11,8 @@ formula; a get conjoins the source invariant with fields renamed to the
 tuple temps; an assert is checked as path => assertion; a set classifies
 each target predicate as forced true, forced false or unknown and records
 the resulting cube. The symbolic run does not depend on the invariant, so
-each block is executed symbolically once.
+each block is executed symbolically once. It types each SSA name by
+`imp.type_instr`, which it checks, so no query needs a typecheck of its own.
 
 All the queries at one set or assert share its path as their hypothesis:
 `path => false`, then `path => q` and `path => not q` for each predicate q.
@@ -31,8 +32,8 @@ Predicates come from two deterministic sources: harvesting (atomic
 comparisons from any block whose variables a write passes, substituted by
 the written fields) and mining (per write, the block's linear path
 constraints projected onto the written fields by Fourier-Motzkin
-elimination, plus pairwise sums). Each candidate is typechecked in its
-kvar's field environment, built once per harvest, and kept if new.
+elimination, plus pairwise sums). Each candidate is typechecked once, in
+its kvar's field environment, and kept if new.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ from .logic import (
     rename_pred,
     subst_expr,
     subst_pred,
-    typecheck_expr,
+    typecheck_cmp,
     typecheck_pred,
 )
 from .constraints import INTENSIONAL, ConstraintError, Solution, parse_solution
-from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set
+from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set, type_instr
 from .smt import lin_add, lin_const, lin_scale, lin_sub, lin_var, lin_vars, norm_le
 
 MAX_PREDS_PER_KVAR = 14
@@ -107,32 +108,39 @@ def run_blocks(p):
     """block -> (symbolic run, type environment of its SSA names), keyed by
     the block itself, so two blocks with one label cannot share a run. The
     run does not depend on the invariant, so a check computes it once and
-    hands it to both the miner and the fixpoint."""
+    hands it to both the miner and the fixpoint. Raises `imp.ParseError`
+    for an ill-typed block."""
     runs = {}
-    for _, block in p.blocks:
-        trace = SymExec(p).run(block)
+    for label, block in p.blocks:
+        trace = SymExec(p).run(label, block)
         runs[block] = (trace.items, TypeEnv(tuple(sorted(trace.types.items()))))
     return runs
 
 
 class SymExec:
+    """The symbolic run of one block: its path over SSA names, and their
+    types. Each instruction is checked by `imp.type_instr` as the run
+    reaches it, and an SSA name takes the type its variable holds there, so
+    an ill-typed block raises `imp.ParseError` before any query is built."""
+
     def __init__(self, p):
         self.p = p
-        self.env = {}
-        self.types = {}
+        self.held = dict(p.base_types)  # variable -> the type it holds now
+        self.env = {}  # variable -> its current SSA name
+        self.types = {}  # SSA name -> type
         self.counter = 0
         self.items = []
 
-    def fresh(self, var, t):
+    def fresh(self, var):
         s = f"{var}%{self.counter}"
         self.counter += 1
         self.env[var] = s
-        self.types[s] = t
+        self.types[s] = self.held[var]
         return s
 
     def sym_of(self, var):
         if var not in self.env:
-            self.fresh(var, self.p.base_types.get(var, INT))
+            self.fresh(var)
         return self.env[var]
 
     def rename_expr(self, e):
@@ -141,23 +149,21 @@ class SymExec:
     def rename_pred(self, q):
         return subst_pred(q, {x: Var(self.sym_of(x)) for x in pred_vars(q)})
 
-    def run(self, block):
+    def run(self, label, block):
         for i in block.instrs:
+            if isinstance(i, Assign):
+                e = self.rename_expr(i.expr)  # read at the types held before `i`
+            type_instr(self.p, label, i, self.held)
             if isinstance(i, Havoc):
-                self.fresh(i.var, self.p.base_types.get(i.var, INT))
+                self.fresh(i.var)
             elif isinstance(i, Assign):
-                e = self.rename_expr(i.expr)
-                s = self.fresh(i.var, self.p.base_types.get(i.var, INT))
-                self.items.append(SymItem("conj", Cmp("=", Var(s), e)))
+                self.items.append(SymItem("conj", Cmp("=", Var(self.fresh(i.var)), e)))
             elif isinstance(i, Assume):
                 self.items.append(SymItem("conj", self.rename_pred(i.pred)))
             elif isinstance(i, Assert):
                 self.items.append(SymItem("assert", self.rename_pred(i.pred)))
             elif isinstance(i, Get):
-                sig = self.p.relvar_sigs[i.relvar]
-                syms = tuple(
-                    self.fresh(x, t) for x, t in zip(i.targets, sig)
-                )
+                syms = tuple(self.fresh(x) for x in i.targets)
                 self.items.append(SymItem("get", (i.relvar, syms)))
             elif isinstance(i, Set):
                 syms = tuple(self.sym_of(x) for x in i.args)
@@ -185,38 +191,36 @@ def field_env(p, kvar):
     return TypeEnv(tuple((field_var(kvar, i), t) for i, t in enumerate(types)))
 
 
-def _split_eq(tenv, q, sigs):
-    """Split an int equality predicate into its two inequalities."""
-    if isinstance(q, Cmp) and q.op == "=":
-        try:
-            lt = typecheck_expr(tenv, q.left, sigs)
-            rt = typecheck_expr(tenv, q.right, sigs)
-        except LogicError:
-            return [q]
-        if lt == INT and rt == INT:
-            return [Cmp("<=", q.left, q.right), Cmp("<=", q.right, q.left)]
-    return [q]
-
-
 def harvest_predicates(p, runs, extra=None):
     """kvar -> ordered list of predicates, each a formula over the kvar's
     field variables: harvested atoms first (for each write, in block order,
     every block's atoms whose variables are all written arguments, mapped to
     the fields), then mined projections, then user extras. A candidate is
-    kept if it typechecks in its kvar's field environment, built once here,
-    and is not already in the list."""
+    kept if it is not already in the list and typechecks in its kvar's field
+    environment, built once here; `parse_preds` typechecked the extras."""
     envs = {k: field_env(p, k) for k in p.relvar_sigs}
     preds = {k: [] for k in p.relvar_sigs}
 
+    def keep(kvar, q):
+        qs = preds[kvar]
+        if len(qs) < MAX_PREDS_PER_KVAR and q not in qs:
+            qs.append(q)
+
     def add(kvar, q):
+        """Keep the comparison `q` if it typechecks in its kvar's field
+        environment, an int equality as its two halves."""
         qs = preds[kvar]
         if len(qs) >= MAX_PREDS_PER_KVAR or q in qs:
             return
         try:
-            typecheck_pred(envs[kvar], q, p.func_sigs)
+            sides = typecheck_cmp(envs[kvar], q, p.func_sigs)
         except LogicError:
             return
-        qs.append(q)
+        if q.op == "=" and sides == (INT, INT):
+            keep(kvar, Cmp("<=", q.left, q.right))
+            keep(kvar, Cmp("<=", q.right, q.left))
+        else:
+            keep(kvar, q)
 
     atoms = []
     for _, block in p.blocks:
@@ -233,12 +237,11 @@ def harvest_predicates(p, runs, extra=None):
                 fields.setdefault(x, Var(field_var(i.relvar, idx)))
             for atom, xs in atom_vars:
                 if fields.keys() >= xs:
-                    for q in _split_eq(envs[i.relvar], subst_pred(atom, fields), p.func_sigs):
-                        add(i.relvar, q)
+                    add(i.relvar, subst_pred(atom, fields))
     for kvar, q in mined_predicates(p, runs):
         add(kvar, q)
     for kvar, q in extra or []:
-        add(kvar, q)
+        keep(kvar, q)  # `parse_preds` typechecked it
     return preds
 
 
@@ -378,20 +381,25 @@ def mined_predicates(p, runs):
 
 def parse_preds(text, p):
     """User predicate file: .sol-style. The value variable `v` names field 0;
-    the remaining fields are addressed as k.1, k.2, ... directly. Each
+    the remaining fields are addressed as k.1, k.2, ... directly. An entry
+    for a kvar that cloning split applies to each of its clones. Each
     entry's top-level conjunction is split into individual predicates.
-    Raises ConstraintError for an entry whose kvar is not in `p`, or which
-    does not typecheck over its kvar's fields."""
+    Raises ConstraintError for an entry whose kvar is neither in `p` nor
+    cloned in it, or which does not typecheck over its kvar's fields."""
     out = []
     for kvar, pred in sorted(parse_solution(text).entries.items()):
-        if kvar not in p.relvar_sigs:
+        names = [kvar] if kvar in p.relvar_sigs else [c for c, o in p.clones.items() if o == kvar]
+        if not names:
             raise ConstraintError(f"unknown kvar {kvar}")
-        q = rename_pred(pred, {VALUE_VAR: field_var(kvar, 0)})
-        try:
-            typecheck_pred(field_env(p, kvar), q, p.func_sigs)
-        except LogicError as exc:
-            raise ConstraintError(f"{kvar}: {type(exc).__name__}: {exc}") from exc
-        out += [(kvar, c) for c in _flatten_and(q, [])]
+        for name in names:
+            n = len(p.relvar_sigs[name])
+            rename = _fields(kvar, [field_var(name, i) for i in range(n)])
+            q = rename_pred(pred, rename | {VALUE_VAR: field_var(name, 0)})
+            try:
+                typecheck_pred(field_env(p, name), q, p.func_sigs)
+            except LogicError as exc:
+                raise ConstraintError(f"{kvar}: {type(exc).__name__}: {exc}") from exc
+            out += [(name, c) for c in _flatten_and(q, [])]
     return out
 
 

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from . import absint, clone as clone_mod, constraints, imp, translate as trans
 from .logic import (
@@ -62,18 +62,7 @@ class RunReport:
     detail: str = ""
 
     def to_json(self):
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "solution": self.solution,
-                "invariant": self.invariant,
-                "trace": self.trace,
-                "timings": self.timings,
-                "artifacts": self.artifacts,
-                "detail": self.detail,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _parse_range(text):

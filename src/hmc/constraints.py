@@ -321,6 +321,10 @@ def parse_constraints(text):
             (vname, vtype), *params = [_field(f) for f in fields]
             if vname != VALUE_VAR:
                 raise ConstraintError(f"kvar {name}: first field must be v")
+            names = [n for n, _ in params]
+            for i, pname in enumerate(names):
+                if pname in [VALUE_VAR] + names[:i]:
+                    raise ConstraintError(f"kvar {name}: duplicate field {pname}")
             if name in cs.kvars:
                 raise ConstraintError(f"duplicate kvar {name}")
             cs.kvars[name] = KVarSig(name, vtype, tuple(params))

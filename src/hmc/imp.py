@@ -16,6 +16,7 @@ enumerates a finite value domain and finite function tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, product
 
 from . import sexpr
@@ -24,21 +25,21 @@ from .logic import (
     Interpretation,
     LogicError,
     TRUE,
-    TypeEnv,
     TypeMismatch,
+    UnboundVariable,
+    UnknownFunction,
     ValueDomain,
     enumerate_func_tables,
     eval_expr,
     eval_pred,
-    expr_apps,
     expr_from_sexpr,
     expr_to_sexpr,
     expr_vars,
-    pred_apps,
     pred_from_sexpr,
     pred_to_sexpr,
     pred_vars,
     type_from_sexpr,
+    type_of,
     type_to_sexpr,
     typecheck_expr,
     typecheck_pred,
@@ -93,6 +94,13 @@ class Assert:
 @dataclass(frozen=True)
 class Seq:
     instrs: tuple
+
+    def __hash__(self):  # a block keys its symbolic run: hash it once
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash(self.instrs)
 
 
 SKIP = Assume(TRUE)
@@ -589,9 +597,8 @@ def _parse_header(p, line):
 
 
 def _check_program(p):
-    """Every relvar, variable and function a block names is declared, each
-    relvar and function used at its declared arity, and every block is well
-    typed.
+    """Every block passes `type_instr`, and no block reads a value of
+    another type than its variable's declared one.
 
     Types flow through a block: a variable starts at its declared type,
     `havoc` gives it that type again, and `get` and `:=` the type of the
@@ -605,38 +612,21 @@ def _check_program(p):
     for label, block in p.blocks:
         types, written = dict(p.base_types), set()
         for i in block.instrs:
-            apps, reads, writes = set(), (), ()
-            if isinstance(i, (Get, Set)):
-                sig = p.relvar_sigs.get(i.relvar)
-                if sig is None:
-                    raise ParseError(f"{label}: undeclared relvar {i.relvar}")
-                names = i.targets if isinstance(i, Get) else i.args
-                if len(names) != len(sig):
-                    raise ParseError(
-                        f"{label}: {i.relvar} has arity {len(sig)}, got {len(names)}"
-                    )
-                reads, writes = ((), names) if isinstance(i, Get) else (names, ())
+            type_instr(p, label, i, types)
+            if isinstance(i, Get):
+                reads, writes = (), i.targets
             elif isinstance(i, Havoc):
-                writes = names = [i.var]
+                reads, writes = (), (i.var,)
+            elif isinstance(i, Set):
+                reads, writes = i.args, ()
             elif isinstance(i, Assign):
-                reads = sorted(expr_vars(i.expr))
-                writes, names = [i.var], [i.var] + reads
-                apps = expr_apps(i.expr)
+                reads, writes = expr_vars(i.expr), (i.var,)
             else:
-                reads = names = sorted(pred_vars(i.pred))
-                apps = pred_apps(i.pred)
-            for x in names:
-                if x not in p.base_types:
-                    raise ParseError(f"{label}: undeclared variable {x}")
-            for f, n in sorted(apps):
-                sig = p.func_sigs.get(f)
-                if sig is None or len(sig.arg_types) != n:
-                    raise ParseError(f"{label}: undeclared function {f} of arity {n}")
+                reads, writes = pred_vars(i.pred), ()
             for x in reads:
                 if x not in written:
                     read_first.setdefault(x, label)
             written.update(writes)
-            _type_instr(p, label, i, types)
         for x, t in types.items():
             if t != p.base_types[x]:
                 retyped.setdefault(x, (label, t))
@@ -652,25 +642,42 @@ def _type_text(t):
     return sexpr.to_str(type_to_sexpr(t))
 
 
-def _type_instr(p, label, i, types):
-    """Check one instruction against `types`, the types its block's
-    variables hold before it, and update them to those after it."""
-    env = TypeEnv(tuple(types.items()))
+def type_instr(p, label, i, types):
+    """Check one instruction of block `label` against `types`, the types
+    its block's variables hold before it, and update them to those after
+    it; raise ParseError for an undeclared name, a relvar or function used at
+    another arity, or an ill-typed instruction. `parse_imp` and the symbolic
+    run (`absint.SymExec`) both follow this one rule for variable types."""
     try:
-        if isinstance(i, Get):
-            types.update(zip(i.targets, p.relvar_sigs[i.relvar]))
-        elif isinstance(i, Set):
-            for x, t in zip(i.args, p.relvar_sigs[i.relvar]):
-                if types[x] != t:
+        if isinstance(i, (Get, Set)):
+            sig = p.relvar_sigs.get(i.relvar)
+            if sig is None:
+                raise ParseError(f"{label}: undeclared relvar {i.relvar}")
+            names = i.targets if isinstance(i, Get) else i.args
+            if len(names) != len(sig):
+                raise ParseError(f"{label}: {i.relvar} has arity {len(sig)}, got {len(names)}")
+            for x, t in zip(names, sig):
+                held = type_of(types, x)
+                if isinstance(i, Set) and held != t:
                     raise TypeMismatch(
-                        f"{i.relvar} takes {_type_text(t)} where {x} holds {_type_text(types[x])}"
+                        f"{i.relvar} takes {_type_text(t)} where {x} holds {_type_text(held)}"
                     )
+            if isinstance(i, Get):
+                written = set(zip(names, sig))
+                if len(written) != len(set(names)):
+                    raise TypeMismatch(f"get {i.relvar} writes one variable at two types")
+                types.update(written)
         elif isinstance(i, Havoc):
-            types[i.var] = p.base_types[i.var]
+            types[i.var] = type_of(p.base_types, i.var)
         elif isinstance(i, Assign):
-            types[i.var] = typecheck_expr(env, i.expr, p.func_sigs)
+            type_of(types, i.var)  # declared
+            types[i.var] = typecheck_expr(types, i.expr, p.func_sigs)
         else:
-            typecheck_pred(env, i.pred, p.func_sigs)
+            typecheck_pred(types, i.pred, p.func_sigs)
+    except UnboundVariable as exc:
+        raise ParseError(f"{label}: undeclared variable {exc}") from exc
+    except UnknownFunction as exc:
+        raise ParseError(f"{label}: undeclared function {exc}") from exc
     except LogicError as exc:
         raise ParseError(f"{label}: {type(exc).__name__}: {exc}") from exc
 

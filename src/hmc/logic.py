@@ -354,36 +354,16 @@ def pred_vars(p, out=None):
 
 def pred_funcs(p):
     """The names of the functions `p` applies."""
-    return {f for f, _ in pred_apps(p)}
-
-
-def pred_apps(p, out=None):
-    """The (function name, argument count) of every application in `p`."""
-    if out is None:
-        out = set()
-    if isinstance(p, Cmp):
-        expr_apps(p.left, out)
-        expr_apps(p.right, out)
-    elif isinstance(p, Not):
-        pred_apps(p.arg, out)
-    elif isinstance(p, (And, Implies)):
-        pred_apps(p.left, out)
-        pred_apps(p.right, out)
-    return out
-
-
-def expr_apps(e, out=None):
-    if out is None:
-        out = set()
-    if isinstance(e, Add):
-        expr_apps(e.left, out)
-        expr_apps(e.right, out)
-    elif isinstance(e, ScalarMul):
-        expr_apps(e.arg, out)
-    elif isinstance(e, App):
-        out.add((e.func, len(e.args)))
-        for a in e.args:
-            expr_apps(a, out)
+    out, stack = set(), [p]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, App):
+            out.add(x.func)
+            stack.extend(x.args)
+        elif isinstance(x, (Cmp, Add, And, Implies)):
+            stack += (x.left, x.right)
+        elif isinstance(x, (Not, ScalarMul)):
+            stack.append(x.arg)
     return out
 
 
@@ -430,21 +410,16 @@ def rename_pred(p, mapping):
 
 @dataclass(frozen=True)
 class TypeEnv:
-    bindings: tuple = ()
+    bindings: tuple = ()  # ((name, BaseType), ...): hashable, it keys query caches
 
     def __post_init__(self):
-        names = [n for n, _ in self.bindings]
-        if len(names) != len(set(names)):
+        types = dict(self.bindings)
+        if len(types) != len(self.bindings):
             raise TypeMismatch("duplicate binding in type environment")
+        object.__setattr__(self, "_types", types)
 
-    def lookup(self, name):
-        for n, t in self.bindings:
-            if n == name:
-                return t
-        raise UnboundVariable(name)
-
-    def has(self, name):
-        return any(n == name for n, _ in self.bindings)
+    def get(self, name):
+        return self._types.get(name)
 
     def extend(self, name, typ):
         return TypeEnv(self.bindings + ((name, typ),))
@@ -454,12 +429,20 @@ class TypeEnv:
         return TypeEnv(tuple(pairs))
 
 
+def type_of(env, name):
+    """The type of `name` under `env`, a `TypeEnv` or a dict."""
+    t = env.get(name)
+    if t is None:
+        raise UnboundVariable(name)
+    return t
+
+
 def typecheck_expr(env, e, sigs=None):
-    """Return the base type of `e` under `env`; sigs maps function names to
-    FuncSig."""
+    """Return the base type of `e` under `env` (see `type_of`); sigs maps
+    function names to FuncSig."""
     sigs = sigs or {}
     if isinstance(e, Var):
-        return env.lookup(e.name)
+        return type_of(env, e.name)
     if isinstance(e, IntLit):
         return INT
     if isinstance(e, (Add, ScalarMul)):
@@ -485,27 +468,30 @@ def typecheck_expr(env, e, sigs=None):
     raise TypeMismatch(f"not an expression: {e!r}")
 
 
+def typecheck_cmp(env, p, sigs=None):
+    """Check the comparison `p` under `env`; return the types of its sides."""
+    lt = typecheck_expr(env, p.left, sigs)
+    rt = typecheck_expr(env, p.right, sigs)
+    if p.op in ("=", "/="):
+        # ui-sorted terms may be equated with ints: the oracle and the
+        # solver both model uninterpreted sorts by integers
+        if lt != rt and "bool" in (lt.kind, rt.kind):
+            raise TypeMismatch(f"comparison between {lt} and {rt}")
+    elif lt != INT or rt != INT:
+        raise TypeMismatch("ordered comparison over non-int operands")
+    return lt, rt
+
+
 def typecheck_pred(env, p, sigs=None):
     sigs = sigs or {}
     if isinstance(p, (TrueLit, FalseLit)):
         return
     if isinstance(p, BoolVar):
-        t = env.lookup(p.name)
-        if t != BOOL:
+        if type_of(env, p.name) != BOOL:
             raise NonBoolAtom(p.name)
         return
     if isinstance(p, Cmp):
-        lt = typecheck_expr(env, p.left, sigs)
-        rt = typecheck_expr(env, p.right, sigs)
-        if p.op in ("=", "/="):
-            # ui-sorted terms may be equated with ints: the oracle and the
-            # solver both model uninterpreted sorts by integers
-            int_like = lambda t: t == INT or t.kind == "ui"
-            if lt != rt and not (int_like(lt) and int_like(rt)):
-                raise TypeMismatch(f"comparison between {lt} and {rt}")
-        else:
-            if lt != INT or rt != INT:
-                raise TypeMismatch("ordered comparison over non-int operands")
+        typecheck_cmp(env, p, sigs)
         return
     if isinstance(p, Not):
         typecheck_pred(env, p.arg, sigs)
@@ -731,7 +717,7 @@ def check_valid(env, p, mode, sigs=None):
     printed as SMT-LIB text by `solver_query` only for `mode.emit` and for
     an external solver `mode.cmd`, whose printed model `_parse_model` reads
     back without tables. A witness lists the variables of `env` in binding
-    order.
+    order. `p` must be well typed under `env`, as for `Hypothesis`.
     """
     return Hypothesis(env, TRUE, mode, sigs).check(p)
 
@@ -740,13 +726,19 @@ class Hypothesis:
     """The validity of `hyp => goal` under `env`, for one hypothesis and
     many goals.
 
-    The hypothesis is typechecked once and, for the bundled solver, lowered
-    once to an `smt.Context`. Each goal's verdict is cached. The witnesses
-    of the INVALID verdicts are pooled: each one satisfies the hypothesis,
-    so a goal that one of them falsifies is INVALID with no search. A
-    witness that cannot evaluate a goal (`MissingBinding`: an application
-    outside its tables, or a variable an external solver left out) decides
-    nothing, and the goal goes to the search.
+    The hypothesis and every goal must be well typed under `env`; nothing
+    here typechecks them. Each boundary checks its input (`constraints.
+    normalize`, `typecheck_solution`, `absint.parse_preds`), the symbolic
+    run checks each path by `imp.type_instr`, and harvest keeps only the
+    candidates that typecheck.
+
+    The hypothesis is lowered once to an `smt.Context`, for the bundled
+    solver. Each goal's verdict is cached. The witnesses of the INVALID
+    verdicts are pooled: each one satisfies the hypothesis, so a goal that
+    one of them falsifies is INVALID with no search. A witness that cannot
+    evaluate a goal (`MissingBinding`: an application outside its tables,
+    or a variable an external solver left out) decides nothing, and the
+    goal goes to the search.
     """
 
     def __init__(self, env, hyp, mode, sigs=None):
@@ -754,7 +746,6 @@ class Hypothesis:
         self.hyp = hyp
         self.mode = mode
         self.sigs = sigs or {}
-        typecheck_pred(env, hyp, self.sigs)
         self.verdicts = {}  # goal -> Verdict
         self.models = []  # the witnesses of the INVALID verdicts searched
         self._context = None
@@ -766,7 +757,6 @@ class Hypothesis:
         return verdict
 
     def _decide(self, goal):
-        typecheck_pred(self.env, goal, self.sigs)
         for model in self.models:
             try:
                 if not eval_pred(model, goal):
@@ -943,7 +933,7 @@ def _parse_model(output, env):
             val = f[4]
             if isinstance(val, list) and len(val) == 2 and val[0] == "-":
                 val = -val[1]
-            if isinstance(val, int) and env.has(f[1]):
+            if isinstance(val, int) and env.get(f[1]) is not None:
                 values[f[1]] = val
         else:
             stack.extend(f)

@@ -1,6 +1,8 @@
 import random
 from pathlib import Path
 
+import pytest
+
 from gen import gen_constraint_set
 from hmc.absint import (
     AbstractInvariant,
@@ -22,8 +24,19 @@ from hmc.constraints import (
     normalize,
     parse_constraints,
 )
-from hmc.imp import parse_imp
-from hmc.logic import OracleMode, SolverMode, ValueDomain, check_valid, eval_pred, implies, print_pred
+from hmc.imp import Assert, Get, Havoc, ImpProgram, ParseError, Set, parse_imp, seq_of
+from hmc.logic import (
+    BOOL,
+    INT,
+    OracleMode,
+    SolverMode,
+    ValueDomain,
+    check_valid,
+    eval_pred,
+    implies,
+    pred_from_sexpr,
+    print_pred,
+)
 from hmc.translate import translate_set_of_constraints
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -164,6 +177,43 @@ def test_parse_preds_splits_conjunctions():
         "(<= 0 k.1.0)",
         "(<= k.1.0 1)",
     }
+
+
+def test_parse_preds_entry_for_a_cloned_kvar_reaches_each_clone():
+    cs = load(
+        "(kvar k (v int) (n int))\n"
+        "(sub c1 (env (x int true)) (lhs int (= v x)) (rhs int (kapp k (+ x 1))))\n"
+        "(sub c2 (env (a int (kapp k 1)) (b int (kapp k 2))) (lhs int (= v a)) (rhs int (<= v b)))\n"
+    )
+    p = program_of(cs)
+    assert p.clones == {"k.1": "k", "k.2": "k"}
+    preds = parse_preds("(solution (k (<= v k.1)))", p)
+    assert [(k, print_pred(q)) for k, q in preds] == [
+        ("k.1", "(<= k.1.0 k.1.1)"),
+        ("k.2", "(<= k.2.0 k.2.1)"),
+    ]
+
+
+def test_run_blocks_rejects_an_ill_typed_program():
+    # a program built in code skips `parse_imp`; its symbolic run checks
+    # each instruction with the same rule, so no ill-typed query is built
+    def program(*instrs):
+        p = ImpProgram(relvar_sigs={"k": (INT,)}, base_types={"b": BOOL, "t": INT})
+        p.blocks.append(("b1", seq_of(instrs)))
+        return p
+
+    bad = [
+        ((Havoc("b"), Assert(pred_from_sexpr(["<", "b", 1]))),
+         "b1: TypeMismatch: ordered comparison over non-int operands"),
+        ((Havoc("b"), Set("k", ("b",))), "b1: TypeMismatch: k takes int where b holds bool"),
+    ]
+    for instrs, error in bad:
+        with pytest.raises(ParseError) as exc:
+            run_blocks(program(*instrs))
+        assert str(exc.value) == error
+    # b, declared bool, holds the int that `get` writes, and so does b%0
+    runs = run_blocks(program(Get("k", ("b",)), Assert(pred_from_sexpr(["<=", 0, "b"]))))
+    assert [tenv.bindings for _, tenv in runs.values()] == [(("b%0", INT),)]
 
 
 def test_format_invariant_mentions_preds():

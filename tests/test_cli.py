@@ -1,19 +1,23 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hmc import cli, constraints
+from gen import gen_constraint_set
+from hmc import cli, constraints, logic
 from hmc.cli import build_parser, main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 ITERI = str(EXAMPLES / "iteri_mask.hmc")
 TWOREAD = str(EXAMPLES / "tworead.hmc")
 TWOREAD_IMP = str(EXAMPLES / "tworead.imp")
+RETYPED = str(EXAMPLES / "retyped.hmc")
+RETYPED_PREDS = str(EXAMPLES / "retyped.preds")
 
 
 def run(*argv):
@@ -167,6 +171,7 @@ def test_check_bad_preds_is_usage_error(tmp_path, capsys, entries, error):
         ("(kvar k1)", "bad kvar (kvar k1)"),
         ("(kvar k1 (v))", "bad field (v)"),
         ("(kvar k1 v)", "bad field v"),
+        ("(kvar k (v int) (x int) (x int))", "kvar k: duplicate field x"),
         ("(uninterp (f))", "bad function declaration (f)"),
         ("(sub c1)", "sub c1: needs an lhs and an rhs"),
         ("(sub c1 (lhs int true))", "sub c1: needs an lhs and an rhs"),
@@ -202,6 +207,71 @@ def test_exec_malformed_imp_is_usage_error(tmp_path, header, pred, error):
     assert code == 3 and stdout == ""
     assert stderr.startswith(f"error: {f}: {error}")
     assert "Traceback" not in stderr
+
+
+def test_check_types_a_temp_by_the_value_it_holds(tmp_path):
+    # u0 is declared int and holds (tl b), an obj, in c2: each query types
+    # c2's u0%3 as an obj, and c1's as an int
+    dest = tmp_path / "queries"
+    code, out, err = run_process("check", RETYPED, "--preds", RETYPED_PREDS, "--emit-smt", str(dest))
+    assert code == 0 and out.startswith("SAFE") and "Traceback" not in err
+    queries = [q.read_text() for q in dest.iterdir()]
+    assert any("(len u0%3)" in q for q in queries)
+    for q in queries:
+        if "u0%3" in q:
+            sort = "obj" if "(tl b%1)" in q else "Int"
+            assert f"(declare-fun u0%3 () {sort})" in q, q
+    solver = f"{sys.executable} -m hmc.smt"
+    assert run_process("check", RETYPED, "--preds", RETYPED_PREDS, "--smt-cmd", solver)[:2] == (0, out)
+
+
+def test_every_query_is_well_typed(tmp_path, monkeypatch):
+    # `Hypothesis` does not typecheck: every query is built from parts that
+    # a boundary checked, and from the symbolic run, which follows the
+    # `.imp` type rule. Typecheck each hypothesis and goal here instead.
+    asked = []
+    init, check = logic.Hypothesis.__init__, logic.Hypothesis.check
+
+    def typed_init(self, env, hyp, mode, sigs=None):
+        logic.typecheck_pred(env, hyp, sigs)
+        init(self, env, hyp, mode, sigs)
+
+    def typed_check(self, goal):
+        logic.typecheck_pred(self.env, goal, self.sigs)
+        asked.append(goal)
+        return check(self, goal)
+
+    monkeypatch.setattr(logic.Hypothesis, "__init__", typed_init)
+    monkeypatch.setattr(logic.Hypothesis, "check", typed_check)
+    runs = [[ITERI], [TWOREAD], [RETYPED, "--preds", RETYPED_PREDS]]
+    for n in (3, 16):
+        f = tmp_path / f"kchain{n}.hmc"
+        f.write_text(kchain_text(n))
+        runs.append([str(f)])
+    for seed in range(150):
+        f = tmp_path / f"gen{seed}.hmc"
+        f.write_text(constraints.print_constraints(gen_constraint_set(random.Random(seed))))
+        runs += [[str(f)], [str(f), "--no-clone"]]
+    for argv in runs:
+        assert run("check", *argv)[0] in (0, 1, 2), argv
+    assert len(asked) > 1000
+
+
+def test_check_preds_apply_to_each_clone(tmp_path):
+    # c2 reads k twice, so cloning splits k into k.1 and k.2; only the
+    # user's `11 <= v` proves c2, and it reaches both clones
+    f = tmp_path / "twice.hmc"
+    f.write_text(
+        "(kvar k (v int))\n"
+        "(sub c1 (env (z int (=> (not (= v 1)) (= v 2)))) (lhs int (= v (+ z 10))) (rhs int (kapp k)))\n"
+        "(sub c2 (env (x int (kapp k)) (y int (kapp k))) (lhs int (= v (+ x y))) (rhs int (< 20 v)))\n"
+    )
+    preds = tmp_path / "twice.preds"
+    preds.write_text("(solution (k (<= 11 v)))")
+    assert run("check", str(f)) == (2, "INCONCLUSIVE\nabstraction cannot prove c2\n")
+    code, text = run("check", str(f), "--preds", str(preds))
+    assert code == 0 and text.startswith("SAFE")
+    assert "(<= 11 k.1.0)" in text and "(<= 11 k.2.0)" in text
 
 
 def test_check_output_matches_golden():
