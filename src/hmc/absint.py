@@ -4,7 +4,10 @@ Each relation variable k gets a fixed list of predicates, plain formulas
 over its fields k.0 ... k.n (k.0 is the written value, k.i the i-th
 parameter). The abstract invariant tracks, per relation variable, the set
 of reachable "cubes": truth assignments to its predicate list (None =
-unconstrained).
+unconstrained). `cubes_pred` turns a cube set into a formula, for a get's
+hypothesis and for an extracted solution alike; it merges the cubes
+exactly first (`merge_cubes`), while the invariant keeps the cubes as
+reached, so the fixpoint's growth test and termination do not change.
 
 Blocks are executed symbolically: havoc/assume/assign build an SSA path
 formula; a get conjoins the source invariant with fields renamed to the
@@ -507,8 +510,46 @@ def cube_literals(preds, cube, rename):
 
 
 def cubes_pred(preds, cubes, rename):
-    """The disjunction of the cubes, each the conjunction of its literals."""
-    return mk_or(*(mk_and(*cube_literals(preds, c, rename)) for c in sorted(cubes, key=str)))
+    """The disjunction of the cubes, each the conjunction of its literals.
+    This is where a cube set becomes a formula, for a get's hypothesis and
+    for an extracted solution alike, so the cubes are merged here first:
+    the formula is equivalent to the plain disjunction, and often shorter."""
+    merged = sorted(merge_cubes(cubes), key=str)
+    return mk_or(*(mk_and(*cube_literals(preds, c, rename)) for c in merged))
+
+
+def merge_cubes(cubes):
+    """`cubes` after Quine's two exact simplification steps, repeated until
+    neither applies: two cubes equal but for opposite signs at one position
+    become one cube unconstrained there, and a cube that fixes every literal
+    another cube fixes is dropped. The truth assignments covered stay the
+    same. Pairs are visited in `str` order, so the result does not depend on
+    the iteration order of `cubes`; zero or one cube is returned as given."""
+    if len(cubes) < 2:
+        return cubes
+    out = sorted(cubes, key=str)
+    while True:
+        for a, b in combinations(out, 2):
+            step = _merge_pair(a, b)
+            if step is not None:
+                out = sorted(set(out) - {a, b} | {step}, key=str)
+                break
+        else:
+            return set(out)
+
+
+def _merge_pair(a, b):
+    """The one cube that covers exactly what `a` and `b` cover, if a step
+    of `merge_cubes` applies to them, else None."""
+    diff = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    if all(a[i] is None for i in diff):
+        return a  # every literal `a` fixes, `b` fixes too
+    if all(b[i] is None for i in diff):
+        return b
+    if len(diff) == 1:
+        i = diff[0]  # opposite signs: neither is None here
+        return a[:i] + (None,) + a[i + 1 :]
+    return None
 
 
 PROVED = "proved"
@@ -552,9 +593,9 @@ def solve(p, runs, preds, mode):
 
 
 def extract_solution(inv, preds, kvar_sigs):
-    """Per-kvar disjunction of reachable cubes, fields renamed to the kvar's
-    value variable and parameter names. No cubes means the relation stays
-    empty: false."""
+    """Per-kvar disjunction of reachable cubes, merged by `cubes_pred`,
+    fields renamed to the kvar's value variable and parameter names. No
+    cubes means the relation stays empty: false."""
     entries = {}
     for name, sig in kvar_sigs.items():
         cubes = inv.cubes.get(name)

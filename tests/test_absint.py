@@ -1,9 +1,11 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 from gen import gen_constraint_set
+from hmc import absint
 from hmc.absint import (
     AbstractInvariant,
     Engine,
@@ -12,6 +14,7 @@ from hmc.absint import (
     field_var,
     format_invariant,
     harvest_predicates,
+    merge_cubes,
     mined_predicates,
     parse_preds,
     run_blocks,
@@ -30,6 +33,8 @@ from hmc.logic import (
     INT,
     OracleMode,
     SolverMode,
+    TypeEnv,
+    VALID,
     ValueDomain,
     check_valid,
     eval_pred,
@@ -344,3 +349,81 @@ def test_hypothesis_matches_check_valid(monkeypatch):
     # by a pooled model
     invalid = sum(v.status == "invalid" for hyp in hyps for v in hyp.verdicts.values())
     assert invalid > sum(len(hyp.models) for hyp in hyps) > 0
+
+
+def _literals(cube):
+    return {(i, bit) for i, bit in enumerate(cube) if bit is not None}
+
+
+def _covered(cubes, n):
+    """The total truth assignments to n predicates that some cube covers."""
+    return {
+        bits
+        for bits in itertools.product((True, False), repeat=n)
+        if any(_literals(c) <= set(enumerate(bits)) for c in cubes)
+    }
+
+
+def test_merge_cubes_is_exact():
+    rng = random.Random(14)
+    merged_some = 0
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        cubes = {
+            tuple(rng.choice((True, False, None)) for _ in range(n))
+            for _ in range(rng.randint(0, 8))
+        }
+        merged = merge_cubes(cubes)
+        if len(cubes) < 2:
+            assert merged is cubes
+            continue
+        merged_some += merged != cubes
+        assert _covered(merged, n) == _covered(cubes, n), cubes
+        for a, b in itertools.permutations(merged, 2):
+            assert not _literals(a) >= _literals(b), (a, b)  # b subsumes a
+            flipped = _literals(a) ^ _literals(b)
+            assert not (len(flipped) == 2 and len({i for i, _ in flipped}) == 1), (a, b)
+        assert merge_cubes(merged) == merged
+        order = sorted(cubes, key=str)
+        orders = itertools.permutations(order) if len(order) <= 4 else (
+            rng.sample(order, len(order)) for _ in range(20)
+        )
+        for o in orders:
+            assert merge_cubes(list(o)) == merged, cubes
+    assert merged_some > 100
+
+
+def test_merge_changes_no_reached_cube(monkeypatch):
+    # the merged disjunction is equivalent to the plain one, so every get
+    # reads the same relation and the fixpoint reaches the same cubes;
+    # only the extracted formulas differ, and they stay equivalent
+    sets = [load((EXAMPLES / name).read_text()) for name in ("iteri_mask.hmc", "tworead.hmc")]
+    sets.append(load(chain_text(16)))
+    sets += [gen_constraint_set(random.Random(seed)) for seed in range(100)]
+
+    def run(cloned, p):
+        runs = run_blocks(p)
+        preds = harvest_predicates(p, runs)
+        res = solve(p, runs, preds, SolverMode())
+        statuses = [(s.label, s.status) for s in res.statuses]
+        sol = extract_solution(res.invariant, preds, cloned.kvars)
+        return res.invariant.cubes, statuses, sol.entries
+
+    shorter = 0
+    for cs in sets:
+        cloned, cm = clone(cs)
+        p = translate_set_of_constraints(cloned, cm)
+        with monkeypatch.context() as m:
+            m.setattr(absint, "merge_cubes", lambda cubes: cubes)
+            cubes, statuses, plain = run(cloned, p)
+        got_cubes, got_statuses, merged = run(cloned, p)
+        assert (got_cubes, got_statuses) == (cubes, statuses)
+        assert merged.keys() == plain.keys()
+        for name, q in merged.items():
+            sig = cloned.kvars[name]
+            env = TypeEnv(tuple(zip(sig.field_names, sig.field_types)))
+            for a, b in ((q, plain[name]), (plain[name], q)):
+                status = check_valid(env, implies(a, b), SolverMode(), cloned.uninterps).status
+                assert status == VALID, (print_pred(a), print_pred(b))
+            shorter += len(print_pred(q)) < len(print_pred(plain[name]))
+    assert shorter > 0

@@ -439,6 +439,22 @@ def test_unsafe_trace_independent_of_string_hashing(tmp_path):
         assert code == 1 and text.splitlines()[-1] == "trace: c0 -> c1", seed
 
 
+def test_check_output_independent_of_string_hashing(tmp_path):
+    # the merged solution prints in the same bytes whatever order the cube
+    # sets iterate in, and it validates as printed
+    runs = [run_process("check", ITERI, hash_seed=seed) for seed in ("1", "3")]
+    assert runs[0] == runs[1]
+    code, text, _ = runs[0]
+    assert code == 0 and text.startswith("SAFE")
+    prefix = "(solution "
+    entries = [line.strip() for line in text.splitlines() if line.strip().startswith(prefix)]
+    assert len(entries) == 2
+    sol = tmp_path / "iteri.sol"
+    sol.write_text(prefix + " ".join(e[len(prefix) : -1] for e in entries) + ")\n")
+    code, text, _ = run_process("validate", ITERI, "--solution", str(sol))
+    assert code == 0 and text == "SATISFIED\n"
+
+
 def test_parser_built_once_parses_fresh():
     ap = build_parser()
     assert build_parser() is ap
