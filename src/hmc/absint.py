@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from . import sexpr
 from .logic import (
     Add,
     And,
@@ -64,16 +63,13 @@ from .logic import (
     VALUE_VAR,
     Var,
     check_valid,  # unused here; hmcbench/layers.py wraps absint.check_valid
-    expr_to_sexpr,
-    expr_vars,
+    free_vars,
     implies,
     mk_and,
     mk_or,
-    pred_vars,
-    print_pred,
     rename_pred,
-    subst_expr,
-    subst_pred,
+    subst,
+    to_text,
     typecheck_cmp,
     typecheck_pred,
 )
@@ -146,25 +142,22 @@ class SymExec:
             self.fresh(var)
         return self.env[var]
 
-    def rename_expr(self, e):
-        return subst_expr(e, {x: Var(self.sym_of(x)) for x in expr_vars(e)})
-
-    def rename_pred(self, q):
-        return subst_pred(q, {x: Var(self.sym_of(x)) for x in pred_vars(q)})
+    def rename(self, x):
+        return subst(x, {name: Var(self.sym_of(name)) for name in free_vars(x)})
 
     def run(self, label, block):
         for i in block.instrs:
             if isinstance(i, Assign):
-                e = self.rename_expr(i.expr)  # read at the types held before `i`
+                e = self.rename(i.expr)  # read at the types held before `i`
             type_instr(self.p, label, i, self.held)
             if isinstance(i, Havoc):
                 self.fresh(i.var)
             elif isinstance(i, Assign):
                 self.items.append(SymItem("conj", Cmp("=", Var(self.fresh(i.var)), e)))
             elif isinstance(i, Assume):
-                self.items.append(SymItem("conj", self.rename_pred(i.pred)))
+                self.items.append(SymItem("conj", self.rename(i.pred)))
             elif isinstance(i, Assert):
-                self.items.append(SymItem("assert", self.rename_pred(i.pred)))
+                self.items.append(SymItem("assert", self.rename(i.pred)))
             elif isinstance(i, Get):
                 syms = tuple(self.fresh(x) for x in i.targets)
                 self.items.append(SymItem("get", (i.relvar, syms)))
@@ -184,8 +177,8 @@ def _atoms(q, out):
     elif isinstance(q, Not):
         _atoms(q.arg, out)
     elif isinstance(q, (And, Implies)):
-        _atoms(q.left, out)
-        _atoms(q.right, out)
+        for part in q.args if isinstance(q, And) else (q.left, q.right):
+            _atoms(part, out)
     return out
 
 
@@ -230,7 +223,7 @@ def harvest_predicates(p, runs, extra=None):
         for i in block.instrs:
             if isinstance(i, (Assume, Assert)):
                 _atoms(i.pred, atoms)
-    atom_vars = [(atom, pred_vars(atom)) for atom in atoms]
+    atom_vars = [(atom, free_vars(atom)) for atom in atoms]
     for _, block in p.blocks:
         for i in block.instrs:
             if not isinstance(i, Set):
@@ -240,7 +233,7 @@ def harvest_predicates(p, runs, extra=None):
                 fields.setdefault(x, Var(field_var(i.relvar, idx)))
             for atom, xs in atom_vars:
                 if fields.keys() >= xs:
-                    add(i.relvar, subst_pred(atom, fields))
+                    add(i.relvar, subst(atom, fields))
     for kvar, q in mined_predicates(p, runs):
         add(kvar, q)
     for kvar, q in extra or []:
@@ -262,7 +255,7 @@ def _expr_lin(e, keys):
     if isinstance(e, ScalarMul):
         return lin_scale(_expr_lin(e.arg, keys), e.coeff)
     if isinstance(e, App):
-        key = ("app", e.func, tuple(sexpr.to_str(expr_to_sexpr(a)) for a in e.args))
+        key = ("app", e.func, tuple(to_text(a) for a in e.args))
         keys[key] = e
         return lin_var(key)
     raise ValueError(e)
@@ -301,8 +294,10 @@ def _path_ineqs(items, upto):
 
 
 def _project(les, keep):
-    """Fourier-Motzkin elimination of every key not in `keep`."""
-    les = [l for l in les if l]
+    """Fourier-Motzkin elimination of every key not in `keep`. It keeps at
+    most `MAX_MINED_INEQS` inequalities of its input and after each step, so
+    a long path cannot grow the basis, and its pairwise sums, without bound."""
+    les = [l for l in les if l][:MAX_MINED_INEQS]
     while True:
         drop = next((k for lin in les for k in lin_vars(lin) if k not in keep), None)
         if drop is None:
@@ -372,7 +367,7 @@ def mined_predicates(p, runs):
                     isinstance(a, IntLit) or (isinstance(a, Var) and a.name in fields)
                     for a in app.args
                 ):
-                    rename[key] = subst_expr(app, fields)
+                    rename[key] = subst(app, fields)
             basis = _project(les, rename)
             sums = [lin_add(a, b) for a, b in combinations(basis, 2)]
             for lin in basis + sums:
@@ -408,8 +403,8 @@ def parse_preds(text, p):
 
 def _flatten_and(q, out):
     if isinstance(q, And):
-        _flatten_and(q.left, out)
-        _flatten_and(q.right, out)
+        for part in q.args:
+            _flatten_and(part, out)
     else:
         out.append(q)
     return out
@@ -615,7 +610,7 @@ def format_invariant(inv, preds):
             lines.append(f"{kvar}: false (never written)")
             continue
         rendered = {
-            " & ".join(print_pred(q) for q in cube_literals(preds[kvar], cube, {})) or "true"
+            " & ".join(to_text(q) for q in cube_literals(preds[kvar], cube, {})) or "true"
             for cube in cubes
         }
         lines.append(f"{kvar}: " + " | ".join(sorted(rendered)))

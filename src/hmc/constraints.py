@@ -30,12 +30,11 @@ from .logic import (
     Var,
     check_valid,
     expr_from_sexpr,
-    expr_to_sexpr,
     mk_and,
     mk_or,
     pred_from_sexpr,
-    pred_to_sexpr,
-    subst_pred,
+    subst,
+    to_sexpr,
     type_from_sexpr,
     type_to_sexpr,
     typecheck_expr,
@@ -199,7 +198,7 @@ def ref_pred(cs, rt, sol):
     sig = cs.kvars[rt.ref.kvar]
     base = sol.pred_for(sig)
     mapping = {n: e for (n, _), e in zip(sig.params, rt.ref.args)}
-    return subst_pred(base, mapping)
+    return subst(base, mapping)
 
 
 def embed_env(cs, env, sol):
@@ -207,7 +206,7 @@ def embed_env(cs, env, sol):
     parts = []
     for name, rt in env:
         p = ref_pred(cs, rt, sol)
-        parts.append(subst_pred(p, {VALUE_VAR: Var(name)}))
+        parts.append(subst(p, {VALUE_VAR: Var(name)}))
     return mk_and(*parts)
 
 
@@ -264,8 +263,8 @@ def check_satisfied(cs, sol, mode):
 
 def ref_to_sexpr(ref):
     if isinstance(ref, Concrete):
-        return pred_to_sexpr(ref.pred)
-    return ["kapp", ref.kvar] + [expr_to_sexpr(a) for a in ref.args]
+        return to_sexpr(ref.pred)
+    return ["kapp", ref.kvar] + [to_sexpr(a) for a in ref.args]
 
 
 def ref_from_sexpr(form):
@@ -420,6 +419,6 @@ def typecheck_solution(cs, sol):
 def print_solution(sol, cs=None):
     sol = sol if sol.kind == INTENSIONAL else sol.to_intensional(cs)
     form = ["solution"] + [
-        [name, pred_to_sexpr(p)] for name, p in sorted(sol.entries.items())
+        [name, to_sexpr(p)] for name, p in sorted(sol.entries.items())
     ]
     return sexpr.to_str(form) + "\n"

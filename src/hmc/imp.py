@@ -33,11 +33,10 @@ from .logic import (
     eval_expr,
     eval_pred,
     expr_from_sexpr,
-    expr_to_sexpr,
-    expr_vars,
+    free_vars,
     pred_from_sexpr,
-    pred_to_sexpr,
-    pred_vars,
+    to_sexpr,
+    to_text,
     type_from_sexpr,
     type_of,
     type_to_sexpr,
@@ -620,9 +619,9 @@ def _check_program(p):
             elif isinstance(i, Set):
                 reads, writes = i.args, ()
             elif isinstance(i, Assign):
-                reads, writes = expr_vars(i.expr), (i.var,)
+                reads, writes = free_vars(i.expr), (i.var,)
             else:
-                reads, writes = pred_vars(i.pred), ()
+                reads, writes = free_vars(i.pred), ()
             for x in reads:
                 if x not in written:
                     read_first.setdefault(x, label)
@@ -683,7 +682,7 @@ def type_instr(p, label, i, types):
 
 
 def _print_pred_group(pred):
-    form = pred_to_sexpr(pred)
+    form = to_sexpr(pred)
     if isinstance(form, (str, int)):
         return f"({form})"
     return sexpr.to_str(form)
@@ -693,7 +692,7 @@ def print_instr(i):
     if isinstance(i, Havoc):
         return f"havoc {i.var}"
     if isinstance(i, Assign):
-        return f"{i.var} := {sexpr.to_str(expr_to_sexpr(i.expr))}"
+        return f"{i.var} := {to_text(i.expr)}"
     if isinstance(i, Get):
         return f"get {i.relvar} ({', '.join(i.targets)})"
     if isinstance(i, Set):

@@ -4,6 +4,13 @@ validity checking.
 The logic is quantifier-free linear integer arithmetic plus uninterpreted
 functions. Booleans are modeled as integers restricted to {0,1}; uninterpreted
 types are opaque sorts that the finite-domain oracle models as integer ranges.
+
+Formulas keep the shape they are written in: `(and a b c)` is one `And` of
+three conjuncts, so a long conjunction is a wide node, not a deep one, and it
+prints back as written. Each job over formulas is one visitor over
+predicates and expressions alike: `free_vars` collects variables, `subst`
+substitutes, and `to_sexpr` and `to_text` print. Typechecking and evaluation
+keep a function per sort, since they return different things for each.
 """
 
 from __future__ import annotations
@@ -155,8 +162,11 @@ class Not:
 
 @dataclass(frozen=True)
 class And:
-    left: object
-    right: object
+    """The conjunction of `args`, a tuple of two or more predicates, as
+    written: `(and a b c)` is one node, and a conjunct that is itself an
+    `And` stays one argument."""
+
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -185,16 +195,15 @@ FALSE = FalseLit()
 
 
 def mk_and(*ps):
-    """Right-nested conjunction; absorbs true, short-circuits false."""
-    ps = [p for p in ps if p != TRUE]
-    if any(p == FALSE for p in ps):
+    """The conjunction of `ps`, in their order, as one `And` node: true
+    conjuncts are dropped, a false one makes it false, and a single one is
+    returned alone. Nested `And`s are not spliced in."""
+    ps = tuple(p for p in ps if p != TRUE)
+    if FALSE in ps:
         return FALSE
-    if not ps:
-        return TRUE
-    out = ps[-1]
-    for p in reversed(ps[:-1]):
-        out = And(p, out)
-    return out
+    if len(ps) < 2:
+        return ps[0] if ps else TRUE
+    return And(ps)
 
 
 def mk_or(*ps):
@@ -212,20 +221,6 @@ def mk_or(*ps):
 
 # ---------------------------------------------------------------------------
 # Syntax <-> sexpr
-
-
-def expr_to_sexpr(e):
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Add):
-        return ["+", expr_to_sexpr(e.left), expr_to_sexpr(e.right)]
-    if isinstance(e, ScalarMul):
-        return ["*", e.coeff, expr_to_sexpr(e.arg)]
-    if isinstance(e, App):
-        return [e.func] + [expr_to_sexpr(a) for a in e.args]
-    raise TypeMismatch(f"not an expression: {e!r}")
 
 
 def expr_from_sexpr(form):
@@ -261,24 +256,6 @@ def expr_from_sexpr(form):
     raise TypeMismatch(f"bad expression {sexpr.to_str(form)}")
 
 
-def pred_to_sexpr(p):
-    if p == TRUE:
-        return "true"
-    if p == FALSE:
-        return "false"
-    if isinstance(p, BoolVar):
-        return p.name
-    if isinstance(p, Cmp):
-        return [p.op, expr_to_sexpr(p.left), expr_to_sexpr(p.right)]
-    if isinstance(p, Not):
-        return ["not", pred_to_sexpr(p.arg)]
-    if isinstance(p, And):
-        return ["and", pred_to_sexpr(p.left), pred_to_sexpr(p.right)]
-    if isinstance(p, Implies):
-        return ["=>", pred_to_sexpr(p.left), pred_to_sexpr(p.right)]
-    raise TypeMismatch(f"not a predicate: {p!r}")
-
-
 def pred_from_sexpr(form):
     if form == "true":
         return TRUE
@@ -297,58 +274,69 @@ def pred_from_sexpr(form):
                 raise TypeMismatch("not takes one argument")
             return Not(pred_from_sexpr(form[1]))
         if head in ("and", "=>"):
-            args = [pred_from_sexpr(f) for f in form[1:]]
+            args = tuple(pred_from_sexpr(f) for f in form[1:])
             if len(args) < 2:
                 raise TypeMismatch(f"{head} needs at least two arguments")
+            if head == "and":
+                return And(args)
             out = args[-1]
-            ctor = And if head == "and" else Implies
             for a in reversed(args[:-1]):
-                out = ctor(a, out)
+                out = Implies(a, out)
             return out
     raise TypeMismatch(f"bad predicate {sexpr.to_str(form)}")
 
 
-def print_expr(e):
-    return sexpr.to_str(expr_to_sexpr(e))
+def to_sexpr(x):
+    """The predicate or expression `x` as the sexpr form that
+    `pred_from_sexpr` or `expr_from_sexpr` reads back."""
+    if isinstance(x, (Var, BoolVar)):
+        return x.name
+    if isinstance(x, IntLit):
+        return x.value
+    if isinstance(x, Cmp):
+        return [x.op, to_sexpr(x.left), to_sexpr(x.right)]
+    if isinstance(x, Add):
+        return ["+", to_sexpr(x.left), to_sexpr(x.right)]
+    if isinstance(x, ScalarMul):
+        return ["*", x.coeff, to_sexpr(x.arg)]
+    if isinstance(x, App):
+        return [x.func, *map(to_sexpr, x.args)]
+    if isinstance(x, TrueLit):
+        return "true"
+    if isinstance(x, FalseLit):
+        return "false"
+    if isinstance(x, Not):
+        return ["not", to_sexpr(x.arg)]
+    if isinstance(x, And):
+        return ["and", *map(to_sexpr, x.args)]
+    if isinstance(x, Implies):
+        return ["=>", to_sexpr(x.left), to_sexpr(x.right)]
+    raise TypeMismatch(f"not a predicate or expression: {x!r}")
 
 
-def print_pred(p):
-    return sexpr.to_str(pred_to_sexpr(p))
+def to_text(x):
+    return sexpr.to_str(to_sexpr(x))
 
 
 # ---------------------------------------------------------------------------
 # Traversals
 
 
-def expr_vars(e, out=None):
+def free_vars(x, out=None):
+    """The names of the variables, int and bool, that the predicate or
+    expression `x` reads, added to the set `out`."""
     if out is None:
         out = set()
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Add):
-        expr_vars(e.left, out)
-        expr_vars(e.right, out)
-    elif isinstance(e, ScalarMul):
-        expr_vars(e.arg, out)
-    elif isinstance(e, App):
-        for a in e.args:
-            expr_vars(a, out)
-    return out
-
-
-def pred_vars(p, out=None):
-    if out is None:
-        out = set()
-    if isinstance(p, Cmp):
-        expr_vars(p.left, out)
-        expr_vars(p.right, out)
-    elif isinstance(p, Not):
-        pred_vars(p.arg, out)
-    elif isinstance(p, (And, Implies)):
-        pred_vars(p.left, out)
-        pred_vars(p.right, out)
-    elif isinstance(p, BoolVar):
-        out.add(p.name)
+    if isinstance(x, (Var, BoolVar)):
+        out.add(x.name)
+    elif isinstance(x, (Cmp, Add, Implies)):
+        free_vars(x.left, out)
+        free_vars(x.right, out)
+    elif isinstance(x, (Not, ScalarMul)):
+        free_vars(x.arg, out)
+    elif isinstance(x, (And, App)):
+        for a in x.args:
+            free_vars(a, out)
     return out
 
 
@@ -359,49 +347,49 @@ def pred_funcs(p):
         x = stack.pop()
         if isinstance(x, App):
             out.add(x.func)
+        if isinstance(x, (And, App)):
             stack.extend(x.args)
-        elif isinstance(x, (Cmp, Add, And, Implies)):
+        elif isinstance(x, (Cmp, Add, Implies)):
             stack += (x.left, x.right)
         elif isinstance(x, (Not, ScalarMul)):
             stack.append(x.arg)
     return out
 
 
-def subst_expr(e, mapping):
-    """Simultaneous substitution of variables by expressions."""
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Add):
-        return Add(subst_expr(e.left, mapping), subst_expr(e.right, mapping))
-    if isinstance(e, ScalarMul):
-        return ScalarMul(e.coeff, subst_expr(e.arg, mapping))
-    if isinstance(e, App):
-        return App(e.func, tuple(subst_expr(a, mapping) for a in e.args))
-    return e
-
-
-def subst_pred(p, mapping):
-    if isinstance(p, Cmp):
-        return Cmp(p.op, subst_expr(p.left, mapping), subst_expr(p.right, mapping))
-    if isinstance(p, Not):
-        return Not(subst_pred(p.arg, mapping))
-    if isinstance(p, And):
-        return And(subst_pred(p.left, mapping), subst_pred(p.right, mapping))
-    if isinstance(p, Implies):
-        return Implies(subst_pred(p.left, mapping), subst_pred(p.right, mapping))
-    if isinstance(p, BoolVar):
-        repl = mapping.get(p.name)
+def subst(x, mapping):
+    """Simultaneous substitution of variables by expressions in the
+    predicate or expression `x`. A bool variable mapped to a variable is
+    renamed; mapped to any other expression `e`, it becomes `(= e 1)`."""
+    if isinstance(x, Var):
+        return mapping.get(x.name, x)
+    if isinstance(x, (IntLit, TrueLit, FalseLit)):
+        return x
+    if isinstance(x, Cmp):
+        return Cmp(x.op, subst(x.left, mapping), subst(x.right, mapping))
+    if isinstance(x, Add):
+        return Add(subst(x.left, mapping), subst(x.right, mapping))
+    if isinstance(x, Not):
+        return Not(subst(x.arg, mapping))
+    if isinstance(x, App):
+        return App(x.func, tuple(subst(a, mapping) for a in x.args))
+    if isinstance(x, ScalarMul):
+        return ScalarMul(x.coeff, subst(x.arg, mapping))
+    if isinstance(x, And):
+        return And(tuple(subst(a, mapping) for a in x.args))
+    if isinstance(x, Implies):
+        return Implies(subst(x.left, mapping), subst(x.right, mapping))
+    if isinstance(x, BoolVar):
+        repl = mapping.get(x.name)
         if repl is None:
-            return p
+            return x
         if isinstance(repl, Var):
             return BoolVar(repl.name)
-        # non-variable replacement: fall back to the desugared form
         return Cmp("=", repl, IntLit(1))
-    return p
+    raise TypeMismatch(f"not a predicate or expression: {x!r}")
 
 
 def rename_pred(p, mapping):
-    return subst_pred(p, {k: Var(v) for k, v in mapping.items()})
+    return subst(p, {k: Var(v) for k, v in mapping.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +438,7 @@ def typecheck_expr(env, e, sigs=None):
         for part in parts:
             t = typecheck_expr(env, part, sigs)
             if t != INT:
-                raise TypeMismatch(f"arithmetic over non-int operand {print_expr(part)}")
+                raise TypeMismatch(f"arithmetic over non-int operand {to_text(part)}")
         return INT
     if isinstance(e, App):
         sig = sigs.get(e.func)
@@ -463,7 +451,7 @@ def typecheck_expr(env, e, sigs=None):
         for a, want in zip(e.args, sig.arg_types):
             got = typecheck_expr(env, a, sigs)
             if got != want:
-                raise TypeMismatch(f"argument {print_expr(a)} of {e.func}")
+                raise TypeMismatch(f"argument {to_text(a)} of {e.func}")
         return sig.ret_type
     raise TypeMismatch(f"not an expression: {e!r}")
 
@@ -497,8 +485,8 @@ def typecheck_pred(env, p, sigs=None):
         typecheck_pred(env, p.arg, sigs)
         return
     if isinstance(p, (And, Implies)):
-        typecheck_pred(env, p.left, sigs)
-        typecheck_pred(env, p.right, sigs)
+        for part in p.args if isinstance(p, And) else (p.left, p.right):
+            typecheck_pred(env, part, sigs)
         return
     raise TypeMismatch(f"not a predicate: {p!r}")
 
@@ -589,7 +577,7 @@ def eval_pred(interp, p):
     if isinstance(p, Not):
         return not eval_pred(interp, p.arg)
     if isinstance(p, And):
-        return eval_pred(interp, p.left) and eval_pred(interp, p.right)
+        return all(eval_pred(interp, a) for a in p.args)
     if isinstance(p, Implies):
         return (not eval_pred(interp, p.left)) or eval_pred(interp, p.right)
     raise TypeMismatch(f"not a predicate: {p!r}")
@@ -882,7 +870,7 @@ def _smt_form(x):
     if isinstance(x, Not):
         return ["not", _smt_form(x.arg)]
     if isinstance(x, And):
-        return ["and", _smt_form(x.left), _smt_form(x.right)]
+        return ["and", *map(_smt_form, x.args)]
     if isinstance(x, Implies):
         return ["=>", _smt_form(x.left), _smt_form(x.right)]
     raise TypeMismatch(f"not a predicate or expression: {x!r}")

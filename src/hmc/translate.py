@@ -22,11 +22,8 @@ from .logic import (
     TrueLit,
     VALUE_VAR,
     Var,
-    expr_vars,
-    pred_vars,
-    rename_pred,
-    subst_expr,
-    subst_pred,
+    free_vars,
+    subst,
 )
 
 
@@ -80,7 +77,7 @@ def translate_get(rt, blk):
     blk.declare(vv, rt.base)
     if isinstance(rt.ref, Concrete):
         blk.emit(Havoc(vv))
-        pred = subst_pred(rt.ref.pred, {VALUE_VAR: Var(vv)})
+        pred = subst(rt.ref.pred, {VALUE_VAR: Var(vv)})
         blk.emit(Assume(pred))
         return
     sig = blk.cs.kvars[rt.ref.kvar]
@@ -98,7 +95,7 @@ def translate_set(rt, blk):
     vv = value_var(rt.base)
     blk.declare(vv, rt.base)
     if isinstance(rt.ref, Concrete):
-        pred = subst_pred(rt.ref.pred, {VALUE_VAR: Var(vv)})
+        pred = subst(rt.ref.pred, {VALUE_VAR: Var(vv)})
         blk.emit(Assert(pred))
         return
     sig = blk.cs.kvars[rt.ref.kvar]
@@ -231,9 +228,9 @@ def _unconstrained_before(instrs, idx, x):
 
 def _reads(i):
     if isinstance(i, Assign):
-        return expr_vars(i.expr)
+        return free_vars(i.expr)
     if isinstance(i, (Assume, Assert)):
-        return pred_vars(i.pred)
+        return free_vars(i.pred)
     if isinstance(i, Set):
         return set(i.args)
     return set()
@@ -243,7 +240,7 @@ def _rename_instr(i, old, new):
     m = {old: Var(new)}
     if isinstance(i, Assign):
         var = new if i.var == old else i.var
-        return Assign(var, subst_expr(i.expr, m))
+        return Assign(var, subst(i.expr, m))
     if isinstance(i, Havoc):
         return Havoc(new if i.var == old else i.var)
     if isinstance(i, Get):
@@ -251,7 +248,7 @@ def _rename_instr(i, old, new):
     if isinstance(i, Set):
         return Set(i.relvar, tuple(new if x == old else x for x in i.args))
     if isinstance(i, Assume):
-        return Assume(rename_pred(i.pred, {old: new}))
+        return Assume(subst(i.pred, m))
     if isinstance(i, Assert):
-        return Assert(rename_pred(i.pred, {old: new}))
+        return Assert(subst(i.pred, m))
     return i

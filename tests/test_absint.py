@@ -40,7 +40,7 @@ from hmc.logic import (
     eval_pred,
     implies,
     pred_from_sexpr,
-    print_pred,
+    to_text,
 )
 from hmc.translate import translate_set_of_constraints
 
@@ -87,7 +87,7 @@ def test_field_var():
 def test_harvest_includes_cross_block_atoms():
     _, _, p = program_for("iteri_mask.hmc")
     preds = harvest_predicates(p, run_blocks(p))
-    texts = {k: {print_pred(f) for f in fs} for k, fs in preds.items()}
+    texts = {k: {to_text(f) for f in fs} for k, fs in preds.items()}
     # an atom written into k2's blocks lands on k1 through k1's write maps too
     assert any("k1.0" in t for t in texts["k1"])
     assert any("(len k2.1)" in t for t in texts["k2"])
@@ -96,7 +96,7 @@ def test_harvest_includes_cross_block_atoms():
 def test_mining_produces_relational_bound():
     _, _, p = program_for("iteri_mask.hmc")
     mined = mined_predicates(p, run_blocks(p))
-    texts = {print_pred(q) for k, q in mined if k == "k1"}
+    texts = {to_text(q) for k, q in mined if k == "k1"}
     # the inductive strengthening relating the index to the shrinking tail
     assert any("len" in t and "k1.0" in t and "k1.1" in t for t in texts)
 
@@ -170,7 +170,7 @@ def test_empty_invariant_blocks_get():
     res = solve(p, runs, preds, SolverMode())
     assert res.status == PROVED
     sol = extract_solution(res.invariant, preds, {"k": None})
-    assert print_pred(sol.entries["k"]) == "false"
+    assert to_text(sol.entries["k"]) == "false"
 
 
 def test_parse_preds_splits_conjunctions():
@@ -178,7 +178,7 @@ def test_parse_preds_splits_conjunctions():
     preds = parse_preds("(solution (k.1 (and (<= 0 v) (<= v 1))))", p)
     k1 = [q for k, q in preds if k == "k.1"]
     assert len(k1) == 2
-    assert {print_pred(q) for q in k1} == {
+    assert {to_text(q) for q in k1} == {
         "(<= 0 k.1.0)",
         "(<= k.1.0 1)",
     }
@@ -193,7 +193,7 @@ def test_parse_preds_entry_for_a_cloned_kvar_reaches_each_clone():
     p = program_of(cs)
     assert p.clones == {"k.1": "k", "k.2": "k"}
     preds = parse_preds("(solution (k (<= v k.1)))", p)
-    assert [(k, print_pred(q)) for k, q in preds] == [
+    assert [(k, to_text(q)) for k, q in preds] == [
         ("k.1", "(<= k.1.0 k.1.1)"),
         ("k.2", "(<= k.2.0 k.2.1)"),
     ]
@@ -340,11 +340,11 @@ def test_hypothesis_matches_check_valid(monkeypatch):
         solve(p, runs, harvest_predicates(p, runs), SolverMode())
     for hyp, q, status in asked:
         whole = check_valid(hyp.env, implies(hyp.hyp, q), SolverMode(), hyp.sigs)
-        assert status == whole.status, print_pred(implies(hyp.hyp, q))
+        assert status == whole.status, to_text(implies(hyp.hyp, q))
     hyps = list({id(hyp): hyp for hyp, _, _ in asked}.values())
     for hyp in hyps:
         for model in hyp.models:
-            assert eval_pred(model, hyp.hyp), print_pred(hyp.hyp)
+            assert eval_pred(model, hyp.hyp), to_text(hyp.hyp)
     # each searched INVALID verdict pools one model; the rest were decided
     # by a pooled model
     invalid = sum(v.status == "invalid" for hyp in hyps for v in hyp.verdicts.values())
@@ -424,6 +424,6 @@ def test_merge_changes_no_reached_cube(monkeypatch):
             env = TypeEnv(tuple(zip(sig.field_names, sig.field_types)))
             for a, b in ((q, plain[name]), (plain[name], q)):
                 status = check_valid(env, implies(a, b), SolverMode(), cloned.uninterps).status
-                assert status == VALID, (print_pred(a), print_pred(b))
-            shorter += len(print_pred(q)) < len(print_pred(plain[name]))
+                assert status == VALID, (to_text(a), to_text(b))
+            shorter += len(to_text(q)) < len(to_text(plain[name]))
     assert shorter > 0

@@ -409,18 +409,33 @@ def test_check_revalidates_folded_clone_solution(tmp_path, text):
 
 
 def test_check_resource_exhaustion_exits_4(tmp_path):
-    # typechecking a 1,200-deep conjunction exceeds the recursion limit:
+    # reading a conjunction nested 1,200 deep exceeds the recursion limit:
     # that is no input error and no verdict, and it prints no traceback
     f = tmp_path / "deep.hmc"
-    conjuncts = " ".join(["(<= 0 v)"] * 1200)
+    nested = "(and (<= 0 v) " * 1199 + "(<= 0 v)" + ")" * 1199
     f.write_text(
         "(kvar k (v int))\n"
         "(sub c0 (lhs int (= v 0)) (rhs int (kapp k)))\n"
-        f"(sub c1 (lhs int (and {conjuncts})) (rhs int (kapp k)))\n"
+        f"(sub c1 (lhs int {nested}) (rhs int (kapp k)))\n"
     )
     code, out, err = run_process("check", str(f), timeout=30)
     assert code == 4 and out == ""
     assert err.startswith("resource exhausted: ") and "Traceback" not in err
+
+
+def test_check_flat_conjunction(tmp_path):
+    # a flat conjunction is one node, however long: no walk over it
+    # recurses once per conjunct
+    f = tmp_path / "flat.hmc"
+    conjuncts = " ".join(f"(<= {-i} v)" for i in range(2000))
+    f.write_text(
+        "(kvar k (v int))\n"
+        "(sub c0 (lhs int (= v 0)) (rhs int (kapp k)))\n"
+        f"(sub c1 (lhs int (and {conjuncts})) (rhs int (kapp k)))\n"
+        "(sub c2 (lhs int (kapp k)) (rhs int (<= 0 v)))\n"
+    )
+    code, out, err = run_process("check", str(f), timeout=30)
+    assert (code, err) == (0, "") and out.startswith("SAFE"), (code, err)
 
 
 def test_unsafe_trace_independent_of_string_hashing(tmp_path):

@@ -10,7 +10,7 @@ from hmc.constraints import (
     parse_constraints,
     parse_solution,
 )
-from hmc.logic import OracleMode, ValueDomain, print_pred
+from hmc.logic import OracleMode, ValueDomain, to_text
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -60,7 +60,7 @@ def test_fold_intensional():
     sol = parse_solution("(solution (k.1 (<= 0 v)) (k.2 (<= v 1)))")
     folded = fold_solution(sol, cm, cs)
     assert folded.kind == INTENSIONAL
-    assert print_pred(folded.entries["k"]) == "(and (<= 0 v) (<= v 1))"
+    assert to_text(folded.entries["k"]) == "(and (<= 0 v) (<= v 1))"
 
 
 def test_fold_extensional_intersects():

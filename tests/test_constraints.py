@@ -20,7 +20,7 @@ from hmc.constraints import (
     print_solution,
     trivial_solution,
 )
-from hmc.logic import OracleMode, SolverMode, ValueDomain, VALID, check_valid, print_pred
+from hmc.logic import OracleMode, SolverMode, ValueDomain, VALID, check_valid, to_text
 from hmc.sexpr import parse_one
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -80,7 +80,7 @@ def test_embed_sub():
     cs = load(SIMPLE)
     sol = trivial_solution(cs)
     env, p = embed_sub(cs, cs.constraints[0], sol)
-    assert print_pred(p) == "(=> (<= 0 x) (=> (= v x) true))"
+    assert to_text(p) == "(=> (<= 0 x) (=> (= v x) true))"
 
 
 def test_solution_roundtrip_and_extensional():
@@ -94,7 +94,7 @@ def test_solution_roundtrip_and_extensional():
     ext = Solution(EXTENSIONAL, {"k": frozenset({(0, 1), (2, 2)})})
     p = ext.pred_for(sig)
     # disjunction over the two tuples
-    assert "(= v 0)" in print_pred(p) and "(= n 2)" in print_pred(p)
+    assert "(= v 0)" in to_text(p) and "(= n 2)" in to_text(p)
 
 
 def test_check_satisfied():

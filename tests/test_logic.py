@@ -12,6 +12,7 @@ import hmc
 from hmc import cli, logic, sexpr, smt
 from hmc.logic import (
     Add,
+    And,
     App,
     BOOL,
     BoolVar,
@@ -41,12 +42,13 @@ from hmc.logic import (
     enumerate_func_tables,
     eval_pred,
     expr_from_sexpr,
+    free_vars,
     mk_and,
     mk_or,
     pred_from_sexpr,
-    print_pred,
     solver_query,
-    subst_pred,
+    subst,
+    to_text,
     typecheck_pred,
     ui,
 )
@@ -66,7 +68,41 @@ def test_pred_roundtrip():
         "true",
         "(>= (+ x (* 2 y)) -3)",
     ]:
-        assert print_pred(P(text)) == text
+        assert to_text(P(text)) == text
+
+
+def test_and_prints_as_written():
+    # `(and ...)` is one node of all its arguments, nested or not, and it
+    # prints back in the shape it was read
+    rng = random.Random(0)
+    atoms = ["(<= 0 x)", "(< x (len a))", "b", "(not (= x y))", "true", "(=> (= x 1) b)"]
+
+    def form(depth):
+        args = [
+            form(depth - 1) if depth and rng.random() < 0.4 else rng.choice(atoms)
+            for _ in range(rng.randint(2, 6))
+        ]
+        return f"(and {' '.join(args)})"
+
+    for _ in range(200):
+        text = form(2)
+        p = P(text)
+        assert isinstance(p, And) and to_text(p) == text
+    assert len(P("(and b b (and b b) b)").args) == 4
+
+
+def test_long_conjunction_is_shallow():
+    # 5,000 conjuncts are one node: hashing, equality and every walk over
+    # it stay within the recursion limit
+    env = TypeEnv.of(("x", INT), ("y", INT))
+    p, q = (mk_and(*(Cmp("<=", IntLit(-i), Var("x")) for i in range(5000))) for _ in "pq")
+    assert len(p.args) == 5000 and hash(p) == hash(q) and p == q
+    assert p != mk_and(*p.args[:-1])
+    r = subst(p, {"x": Var("y")})
+    assert free_vars(p) == {"x"} and free_vars(r) == {"y"}
+    typecheck_pred(env, r)
+    assert to_text(r).startswith("(and (<= 0 y) (<= -1 y) (<= -2 y) ")
+    assert eval_pred(Interpretation({"y": 0}, {}), r)
 
 
 def test_true_false_are_abbreviations():
@@ -80,6 +116,11 @@ def test_mk_and_or():
     assert mk_or() == FALSE
     assert mk_and(a, TRUE) == a
     assert mk_or(a, FALSE) == a
+    # one node, in argument order; a nested conjunction stays one argument
+    b, c = Cmp("=", Var("y"), IntLit(0)), Cmp("=", Var("z"), IntLit(0))
+    assert mk_and(a, TRUE, b, c) == And((a, b, c))
+    assert mk_and(a, mk_and(b, c)) == And((a, And((b, c))))
+    assert mk_and(a, FALSE, b) == FALSE
     # disjunction is the implication encoding
     b = Cmp("=", Var("x"), IntLit(1))
     assert mk_or(a, b) == Implies(Not(a), b)
@@ -105,8 +146,8 @@ def test_eval_with_functions():
 
 def test_subst():
     p = P("(= v i)")
-    q = subst_pred(p, {"v": Var("x"), "i": Add(Var("i"), IntLit(1))})
-    assert print_pred(q) == "(= x (+ i 1))"
+    q = subst(p, {"v": Var("x"), "i": Add(Var("i"), IntLit(1))})
+    assert to_text(q) == "(= x (+ i 1))"
 
 
 def test_oracle_valid_invalid():
@@ -212,9 +253,9 @@ def test_oracle_solver_agreement():
         # oracle INVALID exhibits a concrete countermodel, so the solver must
         # agree; solver INVALID may lie outside the finite domain
         if a.status == INVALID:
-            assert b.status == INVALID, print_pred(p)
+            assert b.status == INVALID, to_text(p)
         if b.status == VALID:
-            assert a.status == VALID, print_pred(p)
+            assert a.status == VALID, to_text(p)
 
 
 # a ui sort, a bool binder, a 0-ary, a unary and a binary function, negative
@@ -243,7 +284,7 @@ def test_solver_query_bytes():
         "(declare-fun len (obj) Int)\n"
         "(assert (and (<= 0 f) (<= f 1)))\n"
         "(assert (not (=> (and (= f 1) (= 0 0)) (and (not (= (at a (+ v (- 3)))"
-        " (* (- 2) c))) (and (not (<= (+ v (- 1)) (len a))) (=> (= 0 1) (= f 1)))))))\n"
+        " (* (- 2) c))) (not (<= (+ v (- 1)) (len a))) (=> (= 0 1) (= f 1))))))\n"
         "(check-sat)\n"
         "(get-model)\n"
     )
@@ -283,18 +324,18 @@ def test_in_process_query_matches_text_path():
         query = solver_query(env, p, sigs)
         script = smt.script_of(query)
         parsed = smt.parse_script(emit_solver_query(env, p, sigs))
-        assert query == sexpr.parse_many(emit_solver_query(env, p, sigs)), print_pred(p)
+        assert query == sexpr.parse_many(emit_solver_query(env, p, sigs)), to_text(p)
         assert (script.consts, script.funcs, script.asserts) == (
             parsed.consts, parsed.funcs, parsed.asserts
-        ), print_pred(p)
+        ), to_text(p)
         got = check_valid(env, p, SolverMode(), sigs)
         # the printed model has no function tables
         text = _text_verdict(env, p, sigs)
-        assert got.status == text.status, print_pred(p)
+        assert got.status == text.status, to_text(p)
         if got.status == INVALID:
-            assert got.witness.var_values == text.witness.var_values, print_pred(p)
+            assert got.witness.var_values == text.witness.var_values, to_text(p)
             # the witness, function tables included, is a countermodel
-            assert not eval_pred(got.witness, p), print_pred(p)
+            assert not eval_pred(got.witness, p), to_text(p)
             tabled += "len" in got.witness.func_tables or "at" in got.witness.func_tables
         statuses.add(got.status)
     assert statuses == {VALID, INVALID}

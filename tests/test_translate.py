@@ -5,7 +5,7 @@ from pathlib import Path
 from hmc.clone import clone
 from hmc.constraints import normalize, parse_constraints
 from hmc.imp import Assume, Get, Havoc, Set, parse_imp, print_imp
-from hmc.logic import print_pred
+from hmc.logic import to_text
 from hmc.translate import simplify, translate_set_of_constraints, value_var
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -53,7 +53,7 @@ def test_concrete_get_emits_havoc_assume():
     p = translate_set_of_constraints(cs)
     ins = instrs(blocks(p)["c"])
     assert isinstance(ins[0], Havoc) and ins[0].var == "v"
-    assert isinstance(ins[1], Assume) and print_pred(ins[1].pred) == "(<= 0 v)"
+    assert isinstance(ins[1], Assume) and to_text(ins[1].pred) == "(<= 0 v)"
 
 
 def test_kapp_get_set_shapes():
