@@ -340,20 +340,21 @@ def free_vars(x, out=None):
     return out
 
 
-def pred_funcs(p):
-    """The names of the functions `p` applies."""
-    out, stack = set(), [p]
+def applications(p):
+    """The distinct applications in the predicate or expression `p`, in the
+    order of a fixed walk."""
+    out, stack = {}, [p]
     while stack:
         x = stack.pop()
         if isinstance(x, App):
-            out.add(x.func)
+            out[x] = None
         if isinstance(x, (And, App)):
             stack.extend(x.args)
         elif isinstance(x, (Cmp, Add, Implies)):
             stack += (x.left, x.right)
         elif isinstance(x, (Not, ScalarMul)):
             stack.append(x.arg)
-    return out
+    return list(out)
 
 
 def subst(x, mapping):
@@ -700,7 +701,8 @@ def check_valid(env, p, mode, sigs=None):
     ORACLE mode enumerates the finite domain (function tables may be
     sampled, in which case a would-be VALID result degrades to UNKNOWN).
     SOLVER mode asks the decision procedure for a model of the negation.
-    The bundled solver runs in process on an `smt.Context`, and the witness
+    The bundled solver runs in process on an `smt.Context`, which lowers
+    `p` itself, with no SMT-LIB text or form on the way, and the witness
     comes straight from its model, function tables included. The query is
     printed as SMT-LIB text by `solver_query` only for `mode.emit` and for
     an external solver `mode.cmd`, whose printed model `_parse_model` reads
@@ -720,8 +722,12 @@ class Hypothesis:
     run checks each path by `imp.type_instr`, and harvest keeps only the
     candidates that typecheck.
 
-    The hypothesis is lowered once to an `smt.Context`, for the bundled
-    solver. Each goal's verdict is cached. The witnesses of the INVALID
+    The hypothesis is handed as it is to an `smt.Context`, for the bundled
+    solver, which lowers it once; each goal is handed over negated. Bools
+    are 0 or 1: the context gets the ranges of the bool variables of `env`
+    and of the bool-valued functions without arguments, and ranges each
+    application of a bool-valued function itself. Each goal's verdict is
+    cached. The witnesses of the INVALID
     verdicts are pooled: each one satisfies the hypothesis, so a goal that
     one of them falsifies is INVALID with no search. A witness that cannot
     evaluate a goal (`MissingBinding`: an application outside its tables,
@@ -769,8 +775,11 @@ class Hypothesis:
                 return _check_valid_external(mode.cmd, text, self.env)
         if self._context is None:
             funcs = {name for name, sig in self.sigs.items() if sig.arg_types}
-            self._context = smt.Context(funcs, _bool_ranges(self.env) + [_smt_form(self.hyp)])
-        model = self._context.decide(["not", _smt_form(goal)])
+            bools = {name for name, sig in self.sigs.items() if sig.ret_type == BOOL}
+            # a function without arguments is a constant of the context
+            ranges = _bool_ranges(self.env) + [_range(App(c, ())) for c in sorted(bools - funcs)]
+            self._context = smt.Context(funcs, ranges + [self.hyp], bools)
+        model = self._context.decide(Not(goal))
         if model is None:
             return Verdict(VALID)
         values, tables = model
@@ -783,8 +792,7 @@ class Hypothesis:
 
 
 def _check_valid_oracle(env, p, mode, sigs):
-    used = pred_funcs(p)
-    active = [sigs[f] for f in sorted(used)]
+    active = [sigs[f] for f in sorted({a.func for a in applications(p)})]
     tables = enumerate_func_tables(active, mode.domain, mode.table_budget, mode.seed)
     exhaustive = all(ex for _, ex in tables)
     for tab, _ in tables:
@@ -798,8 +806,9 @@ def _check_valid_oracle(env, p, mode, sigs):
 def solver_query(env, p, sigs=None):
     """The SMT-LIB commands, as sexpr forms, that ask the solver for a model
     of the negation of `p` under `env`. Sorts are declared in order of first
-    use, then the variables, then the functions `p` applies, by name; each
-    bool variable is asserted to lie in {0, 1}."""
+    use, then the variables, then the functions `p` applies, by name, bools
+    as Int. Each bool variable, and then each distinct application in `p`
+    of a bool-valued function, is asserted to lie in {0, 1}."""
     sigs = sigs or {}
     sorts = []
 
@@ -811,24 +820,32 @@ def solver_query(env, p, sigs=None):
         return "Int"
 
     decls = [["declare-fun", name, [], sort_name(t)] for name, t in env.bindings]
-    for fname in sorted(pred_funcs(p)):
+    apps = applications(p)
+    for fname in sorted({a.func for a in apps}):
         sig = sigs.get(fname)
         if sig is None:
             raise UnknownFunction(fname)
         args = [sort_name(t) for t in sig.arg_types]
         decls.append(["declare-fun", sig.name, args, sort_name(sig.ret_type)])
+    ranges = _bool_ranges(env)
+    ranges += [_range(a) for a in apps if sigs[a.func].ret_type == BOOL]
     return (
         [["set-logic", "QF_UFLIA"]]
         + [["declare-sort", s, 0] for s in sorts]
         + decls
-        + [["assert", r] for r in _bool_ranges(env)]
+        + [["assert", _smt_form(r)] for r in ranges]
         + [["assert", ["not", _smt_form(p)]], ["check-sat"], ["get-model"]]
     )
 
 
+def _range(e):
+    """`0 <= e <= 1`: the bool-valued term `e` is 0 or 1."""
+    return And((Cmp("<=", IntLit(0), e), Cmp("<=", e, IntLit(1))))
+
+
 def _bool_ranges(env):
-    """The SMT-LIB forms that keep each bool variable of `env` in {0, 1}."""
-    return [["and", ["<=", 0, name], ["<=", name, 1]] for name, t in env.bindings if t == BOOL]
+    """The ranges that keep each bool variable of `env` in {0, 1}."""
+    return [_range(Var(name)) for name, t in env.bindings if t == BOOL]
 
 
 def emit_solver_query(env, p, sigs=None):
@@ -847,7 +864,8 @@ def _smt_num(n):
 def _smt_form(x):
     """A predicate or expression as an SMT-LIB form: negative numbers are
     negations, true and false are (= 0 0) and (= 0 1), a bool variable b is
-    (= b 1) and (/= l r) is (not (= l r))."""
+    (= b 1) and (/= l r) is (not (= l r)). Only the text of `solver_query`
+    needs it; the bundled solver lowers formulas itself (`smt.lower`)."""
     if isinstance(x, Var):
         return x.name
     if isinstance(x, IntLit):

@@ -1,10 +1,14 @@
-"""Decision procedure for a QF_UFLIA subset of SMT-LIB 2.
+"""Decision procedure for QF_UFLIA: the formulas of `hmc.logic`, and a
+subset of SMT-LIB 2 read into them.
 
-Pipeline: formulas -> negation normal form, with every application of an
+Pipeline: `logic` formulas -> negation normal form, lowered straight from
+the formula by polarity (`lower`), with every application of an
 uninterpreted function replaced by its Ackermann constant as the terms are
 lowered -> presolve -> satisfiability search over the disjuncts -> omega
 test on each conjunction of linear constraints, with model reconstruction
-by back-substitution.
+by back-substitution. No SMT-LIB form is built on the way: the filter reads
+each SMT-LIB assert into `logic` first (`formula_of`), and from there every
+query takes the same lowering.
 
 A `Context` lowers a hypothesis once and then decides it together with one
 goal at a time. Its Ackermann table is keyed on each application's function
@@ -35,10 +39,14 @@ but its model may be one found earlier on the path, which the leaf's atoms
 also satisfy, rather than the one the omega test gives for the leaf.
 
 The omega test normalizes each constraint once: on entry, after each
-substitution of an equality, and when it builds a shadow.
+substitution of an equality, and when it builds a shadow. A constraint with
+a coefficient of 1 or -1 is already normalized and is taken as it is.
 
 Uninterpreted sorts are modeled as Int; that preserves quantifier-free
 satisfiability because any model over an infinite carrier injects into Int.
+Bools are the integers 0 and 1: a bool variable b stands for b = 1, and the
+Ackermann constant of each application of a bool-valued function is kept
+in {0, 1} by its own range atoms.
 
 Exposed as a library and as a filter. `Context.decide` returns a model with
 a table for each function, which `hmc.logic` turns into a witness; `solve`
@@ -50,11 +58,12 @@ a script on stdin and print `sat`/`unsat` plus a model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
 
-from . import sexpr
+from . import logic, sexpr
 
 
 class SmtError(Exception):
@@ -158,8 +167,9 @@ def parse_script(text):
 
 
 # ---------------------------------------------------------------------------
-# Terms and NNF. Atoms are ("le", lin) for lin <= 0 and ("eq", lin) for
-# lin = 0; disequalities are split into a disjunction of strict orderings.
+# Lowering. A `logic` formula becomes an NNF tree whose atoms are
+# ("le", lin) for lin <= 0 and ("eq", lin) for lin = 0; disequalities are
+# split into a disjunction of strict orderings.
 #
 # Uninterpreted functions are eliminated by Ackermannization as the terms
 # are lowered: every distinct application becomes a fresh constant.
@@ -173,17 +183,26 @@ class Apps:
     its function and the linear forms of its arguments as written, with the
     constant `.ackN` that stands for it. A copy extends an earlier table.
     Applications whose arguments become equal only under the presolve's
-    definitions get two constants here; `Context` merges them."""
+    definitions get two constants here; `Context` merges them.
 
-    def __init__(self, funcs, table=None):
+    The values of the functions in `bools` are bools: each constant the
+    table gains for one of them adds the atoms of `0 <= c <= 1` to
+    `ranges`."""
+
+    def __init__(self, funcs, bools=frozenset(), table=None):
         self.funcs = funcs  # the names of the functions that take arguments
+        self.bools = bools
         self.table = dict(table or {})  # key -> (constant, function, arg lins)
+        self.ranges = []
 
     def const(self, func, args):
         key = (func, tuple(frozenset(a.items()) for a in args))
         entry = self.table.get(key)
         if entry is None:
-            entry = self.table[key] = (f".ack{len(self.table)}", func, args)
+            const = f".ack{len(self.table)}"
+            entry = self.table[key] = (const, func, args)
+            if func in self.bools:
+                self.ranges += [_le({const: -1}), _le({const: 1, None: -1})]
         return entry[0]
 
 
@@ -214,40 +233,24 @@ def congruence(entries, start=0):
     return out
 
 
-def term_to_lin(form, apps=None):
-    if isinstance(form, int):
-        return lin_const(form)
-    if isinstance(form, str):
-        return lin_var(form)
-    if isinstance(form, list) and form:
-        head = form[0]
-        if head == "+":
-            out = {}
-            for f in form[1:]:
-                out = lin_add(out, term_to_lin(f, apps))
-            return out
-        if head == "-":
-            if len(form) == 2:
-                return lin_scale(term_to_lin(form[1], apps), -1)
-            out = term_to_lin(form[1], apps)
-            for f in form[2:]:
-                out = lin_sub(out, term_to_lin(f, apps))
-            return out
-        if head == "*":
-            args = [term_to_lin(f, apps) for f in form[1:]]
-            out = lin_const(1)
-            for a in args:
-                ka, ko = lin_vars(a), lin_vars(out)
-                if ka and ko:
-                    raise SmtError(f"nonlinear product {sexpr.to_str(form)}")
-                if ka:
-                    out = lin_scale(a, out.get(None, 0))
-                else:
-                    out = lin_scale(out, a.get(None, 0))
-            return out
-        if apps is not None and head in apps.funcs:
-            return lin_var(apps.const(head, [term_to_lin(f, apps) for f in form[1:]]))
-    raise SmtError(f"bad term {sexpr.to_str(form)}")
+def lin_of(e, apps):
+    """The linear form of the `logic` expression `e`, with each application
+    of a function in `apps.funcs` replaced by its Ackermann constant. A
+    function without arguments is a constant of its own name."""
+    if isinstance(e, logic.Var):
+        return {e.name: 1}
+    if isinstance(e, logic.Add):
+        return lin_add(lin_of(e.left, apps), lin_of(e.right, apps))
+    if isinstance(e, logic.IntLit):
+        return lin_const(e.value)
+    if isinstance(e, logic.ScalarMul):
+        return lin_scale(lin_of(e.arg, apps), e.coeff)
+    if isinstance(e, logic.App):
+        if not e.args:
+            return {e.func: 1}
+        if e.func in apps.funcs:
+            return {apps.const(e.func, [lin_of(a, apps) for a in e.args]): 1}
+    raise SmtError(f"bad term {logic.to_text(e)}")
 
 
 def _le(lin):
@@ -299,52 +302,124 @@ def _join(tag, kids):
     return tag, out
 
 
-def nnf(form, positive=True, apps=None):
-    """The NNF tree of a formula, or of its negation. With `apps`, the
-    applications of its functions become their Ackermann constants."""
-    if form in ("true", "false"):
-        return _truth((form == "true") == positive)
-    if isinstance(form, str):
-        # bare boolean symbol: treat as symbol = 1
-        return _rel("=", lin_add(lin_var(form), lin_const(-1)), positive)
-    if not isinstance(form, list) or not form:
-        raise SmtError(f"bad formula {sexpr.to_str(form)}")
-    head = form[0]
-    if head == "not":
-        return nnf(form[1], not positive, apps)
-    if head == "and":
-        kids = [nnf(f, positive, apps) for f in form[1:]]
-        return _join("and" if positive else "or", kids)
-    if head == "or":
-        kids = [nnf(f, positive, apps) for f in form[1:]]
-        return _join("or" if positive else "and", kids)
-    if head == "=>":
-        *hyps, concl = form[1:]
-        kids = [nnf(h, not positive, apps) for h in hyps] + [nnf(concl, positive, apps)]
-        return _join("or" if positive else "and", kids)
-    if head in ("<=", "<", ">=", ">", "=", "distinct"):
-        if len(form) != 3:
-            raise SmtError(f"{head} takes two arguments")
-        d = lin_sub(term_to_lin(form[1], apps), term_to_lin(form[2], apps))
-        if head == "distinct":
+def lower(p, positive, apps):
+    """The NNF tree of the `logic` predicate `p`, or of its negation, with
+    its applications replaced through `apps` (see `lin_of`). A bool
+    variable b stands for b = 1."""
+    if isinstance(p, logic.Cmp):
+        d = lin_sub(lin_of(p.left, apps), lin_of(p.right, apps))
+        if p.op == "/=":
             return _rel("=", d, not positive)
-        return _rel(head, d, positive)
-    raise SmtError(f"bad formula head {head}")
+        return _rel(p.op, d, positive)
+    if isinstance(p, logic.And):
+        return _join("and" if positive else "or", [lower(a, positive, apps) for a in p.args])
+    if isinstance(p, logic.Implies):
+        kids = [lower(p.left, not positive, apps), lower(p.right, positive, apps)]
+        return _join("or" if positive else "and", kids)
+    if isinstance(p, logic.Not):
+        return lower(p.arg, not positive, apps)
+    if isinstance(p, logic.BoolVar):
+        return _rel("=", {p.name: 1, None: -1}, positive)
+    if isinstance(p, logic.TrueLit):
+        return _truth(positive)
+    if isinstance(p, logic.FalseLit):
+        return _truth(not positive)
+    raise SmtError(f"bad formula {p!r}")
+
+
+# ---------------------------------------------------------------------------
+# The filter's reader: SMT-LIB forms to `logic`
+
+
+_RELATIONS = {"<=": "<=", "<": "<", ">=": ">=", ">": ">", "=": "=", "distinct": "/="}
+
+
+def formula_of(form, funcs):
+    """The `logic` predicate of an SMT-LIB formula, where `funcs` holds the
+    functions that take arguments. A bare symbol is a bool variable; `or`
+    and `=>` become implications and `distinct` a disequality."""
+    if form in ("true", "false"):
+        return logic.TRUE if form == "true" else logic.FALSE
+    if isinstance(form, str):
+        return logic.BoolVar(form)
+    if not isinstance(form, list) or not form or not isinstance(form[0], str):
+        raise SmtError(f"bad formula {sexpr.to_str(form)}")
+    head, args = form[0], form[1:]
+    if head in _RELATIONS:
+        if len(args) != 2:
+            raise SmtError(f"{head} takes two arguments")
+        return logic.Cmp(_RELATIONS[head], term_of(args[0], funcs), term_of(args[1], funcs))
+    if head == "not" and len(args) == 1:
+        return logic.Not(formula_of(args[0], funcs))
+    if head not in ("and", "or", "=>") or (head == "=>" and not args):
+        raise SmtError(f"bad formula head {head}")
+    kids = [formula_of(f, funcs) for f in args]
+    if head == "and":
+        return logic.mk_and(*kids)
+    if head == "or":
+        return logic.mk_or(*kids)
+    out = kids[-1]
+    for kid in reversed(kids[:-1]):
+        out = logic.Implies(kid, out)
+    return out
+
+
+def term_of(form, funcs):
+    """The `logic` expression of an SMT-LIB term (see `formula_of`). All
+    factors of a product but one must be constant."""
+    if isinstance(form, int):
+        return logic.IntLit(form)
+    if isinstance(form, str):
+        return logic.Var(form)
+    if not (isinstance(form, list) and form and isinstance(form[0], str)
+            and (form[0] in ("+", "-", "*") or form[0] in funcs)):
+        raise SmtError(f"bad term {sexpr.to_str(form)}")
+    head, args = form[0], [term_of(f, funcs) for f in form[1:]]
+    if head == "+":
+        return functools.reduce(logic.Add, args) if args else logic.IntLit(0)
+    if head == "-":
+        if not args:
+            raise SmtError("- takes one or more arguments")
+        if len(args) == 1:
+            return logic.ScalarMul(-1, args[0])
+        return functools.reduce(lambda a, b: logic.Add(a, logic.ScalarMul(-1, b)), args)
+    if head == "*":
+        coeff, term = 1, None
+        for arg in args:
+            lin = lin_of(arg, Apps(funcs))
+            if not lin_vars(lin):
+                coeff *= lin.get(None, 0)
+            elif term is not None and coeff:
+                raise SmtError(f"nonlinear product {sexpr.to_str(form)}")
+            else:
+                term = arg
+        return logic.IntLit(coeff) if term is None else logic.ScalarMul(coeff, term)
+    return logic.App(head, tuple(args))
 
 
 # ---------------------------------------------------------------------------
 # Omega test
 
 
+def _gcd(lin):
+    """The gcd of the coefficients of the variables of `lin`, 0 when it has
+    none. It is 1 as soon as one of them is 1 or -1."""
+    g = 0
+    for k, c in lin.items():
+        if k is not None:
+            if c == 1 or c == -1:
+                return 1
+            g = math.gcd(g, c)
+    return g
+
+
 def norm_le(lin):
-    """lin <= 0 divided by the gcd of its coefficients."""
-    ks = lin_vars(lin)
-    if not ks:
-        return lin
-    g = math.gcd(*(abs(lin[k]) for k in ks))
+    """lin <= 0 divided by the gcd of its coefficients: `lin` itself when
+    the gcd is 1, as it is whenever a coefficient is 1 or -1."""
+    g = _gcd(lin)
     if g <= 1:
         return lin
-    out = {k: lin[k] // g for k in ks}
+    out = {k: c // g for k, c in lin.items() if k is not None}
     c = lin.get(None, 0)
     tight = -((-c) // g)  # ceil(c/g): tightens to the integer hull
     if tight:
@@ -353,16 +428,15 @@ def norm_le(lin):
 
 
 def _norm_eq(lin):
-    ks = lin_vars(lin)
-    if not ks:
-        return lin
-    g = math.gcd(*(abs(lin[k]) for k in ks))
+    """lin = 0 divided by the gcd of its coefficients, as for `norm_le`, or
+    None when the gcd does not divide the constant."""
+    g = _gcd(lin)
     if g <= 1:
         return lin
     c = lin.get(None, 0)
     if c % g != 0:
         return None  # no integer solution
-    out = {k: lin[k] // g for k in ks}
+    out = {k: v // g for k, v in lin.items() if k is not None}
     if c // g:
         out[None] = c // g
     return out
@@ -673,14 +747,15 @@ class Context:
     """A hypothesis lowered once, then decided together with one goal at a
     time.
 
-    Building the context Ackermannizes the hypothesis's asserts, puts them
-    into NNF and presolves them. Then it merges every application whose
-    arguments, after the presolve's definitions are substituted, equal an
-    earlier one's: their constants are equated and the tree presolved
-    again, until the applications left all differ in their arguments (see
+    Building the context lowers the hypothesis's asserts, `logic`
+    predicates, to one NNF tree and presolves it. Then it merges every
+    application whose arguments, after the presolve's definitions are
+    substituted, equal an earlier one's: their constants are equated and
+    the tree presolved again, until the applications left all differ in their arguments (see
     `_merge`). Congruence axioms are built only between those: an axiom
     between two applications with equal arguments is a plain equality, and
-    the merge has already substituted it away.
+    the merge has already substituted it away. The range atoms of the
+    applications of the functions in `bools` join the axioms.
 
     `decide` lowers only the goal and substitutes the hypothesis's
     definitions into it, folding the atoms that become variable-free, and
@@ -689,28 +764,29 @@ class Context:
     of definitions, so a goal equality can merge two of the hypothesis's,
     and adds the congruence axioms of every pair left that has a goal
     application in it, whatever was merged. The search runs over the
-    hypothesis, then the goal, then the congruence axioms: the
-    hypothesis's first and the goal's after them."""
+    hypothesis, then the goal, then the axioms: the hypothesis's first and
+    the goal's after them."""
 
-    def __init__(self, funcs, asserts):
-        self.apps = Apps(funcs)
-        tree, sub = presolve(_join("and", [nnf(f, apps=self.apps) for f in asserts]))
+    def __init__(self, funcs, asserts, bools=frozenset()):
+        self.apps = Apps(funcs, bools)
+        tree, sub = presolve(_join("and", [lower(f, True, self.apps) for f in asserts]))
         self.tree, self.sub, self.reps = _merge(tree, sub, list(self.apps.table.values()))
         self.consts = {const for const, _, _ in self.reps}
-        self.axioms = [_subst_tree(a, self.sub) for a in congruence(self.reps)]
+        axioms = self.apps.ranges + congruence(self.reps)
+        self.axioms = [_subst_tree(a, self.sub) for a in axioms]
 
     def decide(self, goal):
-        """A model of the hypothesis and the formula `goal`, or None when
-        they are unsatisfiable. The model is (values, tables): a dict from
-        the variables to their values, where one left out is 0, and a dict
-        from each function the hypothesis or the goal applies to its table,
-        which maps argument values to the result."""
-        apps = Apps(self.apps.funcs, self.apps.table)
-        tree, sub = presolve(_subst_tree(nnf(goal, apps=apps), self.sub))
+        """A model of the hypothesis and the `logic` predicate `goal`, or
+        None when they are unsatisfiable. The model is (values, tables): a
+        dict from the variables to their values, where one left out is 0,
+        and a dict from each function the hypothesis or the goal applies to
+        its table, which maps argument values to the result."""
+        apps = Apps(self.apps.funcs, self.apps.bools, self.apps.table)
+        tree, sub = presolve(_subst_tree(lower(goal, True, apps), self.sub))
         entries = list(apps.table.values())
         reps = self.reps + [(const, func, [lin_subst(a, self.sub) for a in args])
                             for const, func, args in entries[len(self.apps.table):]]
-        axioms = self.axioms
+        axioms = self.axioms + [_subst_tree(a, self.sub) for a in apps.ranges]
         # with one application or none there is nothing to merge or relate,
         # and without new applications or definitions nothing new to merge
         if len(reps) > 1 and (len(reps) > len(self.reps) or sub):
@@ -741,10 +817,12 @@ class Context:
 
 def solve(script):
     """A model of the script's asserts, as a dict from variables to values,
-    or None when they are unsatisfiable: a context with no hypothesis
-    decides their conjunction. A variable the dict leaves out is 0; a
-    declared constant the asserts leave free may take any value."""
-    model = Context(script.funcs, []).decide(["and", *script.asserts])
+    or None when they are unsatisfiable: the asserts are read into `logic`,
+    and a context with no hypothesis decides their conjunction. A variable
+    the dict leaves out is 0; a declared constant the asserts leave free may
+    take any value."""
+    asserts = [formula_of(f, script.funcs) for f in script.asserts]
+    model = Context(script.funcs, []).decide(logic.mk_and(*asserts))
     return model and model[0]
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ TWOREAD = str(EXAMPLES / "tworead.hmc")
 TWOREAD_IMP = str(EXAMPLES / "tworead.imp")
 RETYPED = str(EXAMPLES / "retyped.hmc")
 RETYPED_PREDS = str(EXAMPLES / "retyped.preds")
+BOOLFUN = str(EXAMPLES / "boolfun.hmc")
 
 
 def run(*argv):
@@ -223,6 +225,29 @@ def test_check_types_a_temp_by_the_value_it_holds(tmp_path):
             assert f"(declare-fun u0%3 () {sort})" in q, q
     solver = f"{sys.executable} -m hmc.smt"
     assert run_process("check", RETYPED, "--preds", RETYPED_PREDS, "--smt-cmd", solver)[:2] == (0, out)
+
+
+def test_bool_valued_function_ranges_its_applications(tmp_path):
+    # boolfun.hmc holds only if (f x) is 0 or 1, and its copy with a bool
+    # constant (c) for (f x) only if (c) is: in process, and through the
+    # filter, which sees each range as one assert per application
+    sol = tmp_path / "empty.sol"
+    sol.write_text("(solution)")
+    const = tmp_path / "boolconst.hmc"
+    text = Path(BOOLFUN).read_text().replace("(f (int) bool)", "(c () bool)")
+    const.write_text(text.replace("(f x)", "(c)"))
+    solver = ["--smt-cmd", f"{sys.executable} -m hmc.smt"]
+    for hmc in (BOOLFUN, str(const)):
+        for extra in ([], solver):
+            code, out, err = run_process("check", hmc, *extra)
+            assert (code, out.splitlines()[0], err) == (0, "SAFE", ""), (hmc, extra)
+            code, out, err = run_process("validate", hmc, "--solution", str(sol), *extra)
+            assert (code, out.splitlines()[0], err) == (0, "SATISFIED", ""), (hmc, extra)
+    dest = tmp_path / "queries"
+    assert run_process("check", BOOLFUN, "--emit-smt", str(dest))[0] == 0
+    queries = [q.read_text() for q in dest.iterdir()]
+    ranged = r"\(assert \(and \(<= 0 \(f (x\S*)\)\) \(<= \(f \1\) 1\)\)\)\n"
+    assert queries and all(re.search(ranged, q) for q in queries), queries
 
 
 def test_every_query_is_well_typed(tmp_path, monkeypatch):

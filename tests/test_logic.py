@@ -348,7 +348,87 @@ def test_check_needs_no_smt_text(monkeypatch):
 
     monkeypatch.setattr(smt, "parse_script", no_text)
     monkeypatch.setattr(logic, "_parse_model", no_text)
+    monkeypatch.setattr(logic, "_smt_form", no_text)
     out = io.StringIO()
     iteri = Path(__file__).resolve().parent.parent / "examples" / "iteri_mask.hmc"
     assert cli.main(["check", str(iteri)], out) == 0
     assert out.getvalue().startswith("SAFE")
+
+
+# Random well-typed formulas over two ints, two bools and two objs, with
+# `len : obj -> int` and the bool-valued `g : int -> bool` and `c : bool`,
+# decided in process by a `Hypothesis` and as SMT-LIB text by the filter:
+# both go through `smt.lower`, the filter after reading its asserts back
+# into `logic`. Every bool, `g`'s and `c`'s values included, is 0 or 1.
+DIFF_ENV = TypeEnv.of(
+    ("x", INT), ("y", INT), ("p", BOOL), ("q", BOOL), ("a", ui("obj")), ("b", ui("obj"))
+)
+DIFF_SIGS = {"len": LEN, "g": FuncSig("g", (INT,), BOOL), "c": FuncSig("c", (), BOOL)}
+
+
+def _rand_int(rng, depth=2):
+    r = rng.random()
+    if depth and r < 0.15:
+        return Add(_rand_int(rng, depth - 1), _rand_int(rng, depth - 1))
+    if depth and r < 0.3:
+        return logic.ScalarMul(rng.choice((-3, -2, -1, 2)), _rand_int(rng, depth - 1))
+    if r < 0.5:
+        return App("len", (Var(rng.choice("ab")),))
+    if r < 0.65:
+        return IntLit(rng.randint(-2, 2))
+    return Var(rng.choice("xy"))
+
+
+def _rand_bool_term(rng):
+    r = rng.random()
+    if r < 0.4:
+        return App("g", (_rand_int(rng, 1),))
+    if r < 0.6:
+        return App("c", ())
+    return Var(rng.choice("pq"))
+
+
+def _rand_atom(rng):
+    r = rng.random()
+    if r < 0.5:
+        return Cmp(rng.choice(logic.CMP_OPS), _rand_int(rng), _rand_int(rng))
+    if r < 0.7:
+        return Cmp(rng.choice(("=", "/=")), _rand_bool_term(rng), _rand_bool_term(rng))
+    if r < 0.9:
+        return BoolVar(rng.choice("pq"))
+    return Cmp(rng.choice(("=", "/=")), Var("a"), Var("b"))
+
+
+def _rand_pred(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return _rand_atom(rng)
+    if r < 0.45:
+        return Not(_rand_pred(rng, depth - 1))
+    if r < 0.75:
+        return And(tuple(_rand_pred(rng, depth - 1) for _ in range(rng.randint(2, 4))))
+    return Implies(_rand_pred(rng, depth - 1), _rand_pred(rng, depth - 1))
+
+
+def test_in_process_and_filter_share_one_lowering():
+    rng = random.Random(16)
+    statuses = {VALID: 0, INVALID: 0}
+    for case in range(150):
+        hyp = _rand_pred(rng, 2) if case % 3 else TRUE
+        typecheck_pred(DIFF_ENV, hyp, DIFF_SIGS)
+        hypothesis = logic.Hypothesis(DIFF_ENV, hyp, SolverMode(), DIFF_SIGS)
+        for _ in range(3):
+            goal = _rand_pred(rng, 2)
+            typecheck_pred(DIFF_ENV, goal, DIFF_SIGS)
+            p = logic.implies(hyp, goal)
+            got = hypothesis.check(goal)
+            text = smt.solve_script(emit_solver_query(DIFF_ENV, p, DIFF_SIGS))
+            assert text.split()[0] == ("unsat" if got.status == VALID else "sat"), to_text(p)
+            statuses[got.status] += 1
+            if got.status == INVALID:
+                w = got.witness
+                assert not eval_pred(w, p), to_text(p)
+                assert w.var_values["p"] in (0, 1) and w.var_values["q"] in (0, 1), to_text(p)
+                for f in ("g", "c"):
+                    assert set(w.func_tables.get(f, {}).values()) <= {0, 1}, to_text(p)
+    assert min(statuses.values()) >= 40, statuses

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hmc import cli, sexpr, smt
-from hmc.smt import SmtError, eval_lin, omega, parse_script, solve_script, term_to_lin
+from hmc.smt import SmtError, eval_lin, omega, parse_script, solve_script
 
 ITERI = str(Path(__file__).resolve().parent.parent / "examples" / "iteri_mask.hmc")
 
@@ -132,9 +132,47 @@ def test_cli_main():
     assert proc.stdout.splitlines()[0] == "sat"
 
 
+# The SMT-LIB syntax the filter accepts, each script with its answer; the
+# filter reads every assert into `logic` before it lowers it.
+X = "(declare-const x Int) "
+ABC = "(declare-const a Int) (declare-const b Int) (declare-const c Int) "
+FILTER_SYNTAX = [
+    (X + "(assert (= (* x 3) 7))", "unsat"),
+    (X + "(assert (= (* x 3) (- 6)))", "sat"),
+    (X + "(assert (= (* 2 3 x) 12))", "sat"),
+    (X + "(assert (= (* 2 3 x) 8))", "unsat"),
+    (X + "(assert (= (* (- 2) x 0) 1))", "unsat"),
+    (X + "(assert (= (- x) 4)) (assert (< 0 x))", "unsat"),
+    (ABC + "(assert (= (- a b c) 1)) (assert (= a 3)) (assert (= b c))", "sat"),
+    (ABC + "(assert (= (- a b c) 1)) (assert (= a 0)) (assert (= b 0)) (assert (= c 0))", "unsat"),
+    (X + "(assert (= (+ x) 2)) (assert (distinct x 2))", "unsat"),
+    (X + "(assert (or (< x 0) (> x 5) (= x 3))) (assert (<= 0 x)) (assert (<= x 5))", "sat"),
+    (X + "(assert (or (< x 0) (> x 5) (= x 3))) (assert (<= 0 x)) (assert (distinct x 3))"
+     " (assert (<= x 5))", "unsat"),
+    (X + "(assert (=> (<= 0 x) (<= x 1) (= x 2))) (assert (= x 1))", "unsat"),
+    (X + "(assert (=> (<= 0 x) (<= x 1) (= x 2))) (assert (= x 7))", "sat"),
+    (X + "(assert (distinct x x))", "unsat"),
+    ("(declare-const b Bool) (assert b) (assert (not b))", "unsat"),
+    ("(declare-const b Bool) (assert (=> b (< 0 0)))", "sat"),
+    ("(assert true)", "sat"),
+    ("(assert false)", "unsat"),
+    (X + "(declare-const y Int) (assert (= (* x y) 4))", "error"),
+    (X + "(assert (<= (foo x) 1))", "error"),
+    (X + "(assert (foo x))", "error"),
+]
+
+
+@pytest.mark.parametrize("text, answer", FILTER_SYNTAX)
+def test_filter_syntax(text, answer, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text + " (check-sat) (get-model)"))
+    code = smt.main()
+    out = capsys.readouterr().out
+    assert (out.split()[0], code) == (("(error", 1) if answer == "error" else (answer, 0)), out
+
+
 def test_lin_helpers():
     script = parse_script("(declare-const x Int) (assert (<= (+ x 1) (* 2 x)))")
-    lin = term_to_lin(["+", "x", ["*", 3, "x"]])
+    lin = smt.lin_of(smt.term_of(["+", "x", ["*", 3, "x"]], {}), smt.Apps({}))
     assert eval_lin(lin, {"x": 2}) == 8
     assert eval_lin(lin, {}) == 0
     assert script.asserts
@@ -168,6 +206,17 @@ def test_mod_trick_is_deterministic():
     assert 3 * m["x"] + 5 * m["y"] == 7 and m["x"] >= 0
     eq = [("eq", {"x": 3, "y": 5, None: -7})]
     assert omega(eq) == omega(eq)
+
+
+def test_normalization():
+    # an atom with a coefficient of 1 or -1 has a gcd of 1 and is taken as
+    # it is; a constant of 1 or -1 says nothing about the gcd
+    for lin in ({"x": 1, "y": 4, None: 3}, {"x": 6, "y": -1}, {None: 5}, {}):
+        assert smt.norm_le(lin) is lin and smt._norm_eq(lin) is lin
+    assert smt.norm_le({"x": 2, "y": 4, None: 1}) == {"x": 1, "y": 2, None: 1}
+    assert smt.norm_le({"x": -4, None: -1}) == {"x": -1}
+    assert smt._norm_eq({"x": 2, "y": -4, None: -6}) == {"x": 1, "y": -2, None: -3}
+    assert smt._norm_eq({"x": 2, None: 1}) is None
 
 
 def test_prunes_inconsistent_branches(monkeypatch):
@@ -213,12 +262,16 @@ def test_omega_calls_on_iteri(monkeypatch):
     assert top[0] <= 60
 
 
+def _nnf(form):
+    return smt.lower(smt.formula_of(form, {}), True, smt.Apps({}))
+
+
 def test_ground_atoms_fold():
-    assert smt.nnf(["<=", 1, 0]) == ("or", [])
-    assert smt.nnf(["not", ["distinct", ["+", 1, 2], 3]]) == ("and", [])
-    assert smt.nnf(["and", ["<=", 0, 1], ["<=", "x", 2]]) == ("and", [("le", {"x": 1, None: -2})])
-    assert smt.nnf(["or", ["<", 1, 0], ["=>", ["<=", 0, "x"], ["=", 2, 2]]]) == ("and", [])
-    assert smt.nnf(["and", ["<=", "x", 2], ["or", ["<", 1, 0]]]) == ("or", [])
+    assert _nnf(["<=", 1, 0]) == ("or", [])
+    assert _nnf(["not", ["distinct", ["+", 1, 2], 3]]) == ("and", [])
+    assert _nnf(["and", ["<=", 0, 1], ["<=", "x", 2]]) == ("and", [("le", {"x": 1, None: -2})])
+    assert _nnf(["or", ["<", 1, 0], ["=>", ["<=", 0, "x"], ["=", 2, 2]]]) == ("and", [])
+    assert _nnf(["and", ["<=", "x", 2], ["or", ["<", 1, 0]]]) == ("or", [])
 
 
 def test_deep_disjunction_search():
@@ -485,9 +538,10 @@ def test_uninterpreted_function_matches_brute_force(seed=5, cases=240):
         goal_box = _fbox([a for k, a in goal_apps.items() if k not in hyp_apps])
         if case % 3 == 2:
             context = smt.Context({"f"}, [])
-            query = ["and", *hyp_box, *hyp, *goal_box, *goal]
+            query = _logic(["and", *hyp_box, *hyp, *goal_box, *goal])
         else:
-            context, query = smt.Context({"f"}, hyp_box + hyp), ["and", *goal_box, *goal]
+            context = smt.Context({"f"}, [_logic(f) for f in hyp_box + hyp])
+            query = _logic(["and", *goal_box, *goal])
         model = context.decide(query)
         brute = _fbrute(hyp + goal)
         assert (model is not None) == brute, (case, hyp, goal)
@@ -505,16 +559,20 @@ def _assert_one_value_per_argument(context, goal, model):
     """Every application the hypothesis or the goal makes, evaluated in the
     model, takes the value its function's table gives its arguments."""
     values, tables = model
-    apps = smt.Apps(context.apps.funcs, context.apps.table)
-    smt.nnf(goal, apps=apps)
+    apps = smt.Apps(context.apps.funcs, table=context.apps.table)
+    smt.lower(goal, True, apps)
     for const, func, args in apps.table.values():
         key = tuple(eval_lin(a, values) for a in args)
         assert tables[func][key] == values.get(const, 0), (const, key, values, tables)
 
 
+def _logic(form):
+    return smt.formula_of(form, {"f"})
+
+
 def _form(text):
     (form,) = sexpr.parse_many(text)
-    return form
+    return _logic(form)
 
 
 def _context(hyp):
@@ -539,7 +597,7 @@ def test_applications_equal_after_presolve_share_one_constant():
     whole = _context(hyp + ["(distinct (f z) (f x))"])
     assert len(whole.apps.table) == 2 and len(whole.reps) == 1
     assert whole.axioms == []
-    assert whole.decide("true") is None
+    assert whole.decide(_form("true")) is None
     nested = _context(["(= x y)"])
     assert nested.decide(_form("(distinct (f (f x)) (f (f y)))")) is None
     assert nested.decide(_form("(distinct (f (f x)) (f (+ (f y) 1)))")) is not None
