@@ -35,8 +35,9 @@ Predicates come from two deterministic sources: harvesting (atomic
 comparisons from any block whose variables a write passes, substituted by
 the written fields) and mining (per write, the block's linear path
 constraints projected onto the written fields by Fourier-Motzkin
-elimination, plus pairwise sums). Each candidate is typechecked once, in
-its kvar's field environment, and kept if new.
+elimination, plus pairwise sums), which reads the path through the
+solver's one linearization, `smt.lin_of`. Each candidate is typechecked
+once, in its kvar's field environment, and kept if new.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .logic import (
 )
 from .constraints import INTENSIONAL, ConstraintError, Solution, parse_solution
 from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set, type_instr
-from .smt import lin_add, lin_const, lin_scale, lin_sub, lin_var, lin_vars, norm_le
+from .smt import Apps, lin_add, lin_const, lin_of, lin_scale, lin_sub, lin_vars, norm_le
 
 MAX_PREDS_PER_KVAR = 14
 MAX_MINED_INEQS = 64
@@ -244,23 +245,6 @@ def harvest_predicates(p, runs, extra=None):
 # -- mining: linear projection of per-block path formulas onto write fields
 
 
-def _expr_lin(e, keys):
-    """Expression over syms -> {key: coeff}; apps become atomic keys."""
-    if isinstance(e, Var):
-        return lin_var(("var", e.name))
-    if isinstance(e, IntLit):
-        return lin_const(e.value)
-    if isinstance(e, Add):
-        return lin_add(_expr_lin(e.left, keys), _expr_lin(e.right, keys))
-    if isinstance(e, ScalarMul):
-        return lin_scale(_expr_lin(e.arg, keys), e.coeff)
-    if isinstance(e, App):
-        key = ("app", e.func, tuple(to_text(a) for a in e.args))
-        keys[key] = e
-        return lin_var(key)
-    raise ValueError(e)
-
-
 # comparison -> the (lhs, rhs, constant) of each `lhs - rhs + constant <= 0`
 # it gives, with 0 and 1 naming the comparison's left and right sides
 _LE = {
@@ -272,25 +256,20 @@ _LE = {
 }
 
 
-def _path_ineqs(items, upto):
+def _path_ineqs(items, upto, apps):
     """Linear inequalities (lin <= 0) from the top-level comparisons of the
-    conjuncts before item `upto` (under-approximating the path)."""
-    keys = {}
+    conjuncts before item `upto` (under-approximating the path), each side
+    lowered by `smt.lin_of` through the Ackermann table `apps`."""
     les = []
     for item in items[:upto]:
         if item.kind != "conj":
             continue
         for atom in _flatten_and(item.payload, []):
-            if not isinstance(atom, Cmp):
-                continue
-            sides = (atom.left, atom.right)
-            try:
-                for l, r, c in _LE.get(atom.op, ()):
-                    lin = lin_sub(_expr_lin(sides[l], keys), _expr_lin(sides[r], keys))
-                    les.append(lin_add(lin, lin_const(c)))
-            except ValueError:
-                continue
-    return les, keys
+            if isinstance(atom, Cmp) and atom.op in _LE:
+                sides = (lin_of(atom.left, apps), lin_of(atom.right, apps))
+                for l, r, c in _LE[atom.op]:
+                    les.append(lin_add(lin_sub(sides[l], sides[r]), lin_const(c)))
+    return les
 
 
 def _project(les, keep):
@@ -317,15 +296,17 @@ def _project(les, keep):
         les = rest[:MAX_MINED_INEQS]
 
 
-def _lin_to_pred(lin, rename):
-    """{key: coeff} (lin <= 0) -> Cmp over field expressions."""
+def _lin_to_pred(lin, terms):
+    """`lin <= 0` as a comparison of two sums over the fields, or None when
+    `lin` has no key. `terms` maps each key to (the text of its term on the
+    path, which orders each sum, and its term over the fields)."""
     lin = norm_le(lin)
-    ks = sorted(lin_vars(lin), key=str)
+    ks = sorted(lin_vars(lin), key=lambda k: terms[k][0])
     if not ks:
         return None
 
     def term(k, c):
-        e = rename[k]
+        e = terms[k][1]
         return e if c == 1 else ScalarMul(c, e)
 
     pos = [term(k, lin[k]) for k in ks if lin[k] > 0]
@@ -337,19 +318,29 @@ def _lin_to_pred(lin, rename):
         neg.append(IntLit(-c))
 
     def side(parts):
-        if not parts:
-            return IntLit(0)
-        out = parts[0]
-        for t in parts[1:]:
-            out = Add(out, t)
-        return out
+        if len(parts) < 2:
+            return parts[0] if parts else IntLit(0)
+        return Add(tuple(parts))
 
     return Cmp("<=", side(pos), side(neg))
 
 
+def _term_of(lin):
+    """The literal or the variable that the linear form `lin` is, else None."""
+    if not lin_vars(lin):
+        return IntLit(lin.get(None, 0))
+    if len(lin) == 1 and 1 in lin.values():
+        return Var(next(iter(lin)))
+    return None
+
+
 def mined_predicates(p, runs):
     """(kvar, formula) candidates from projecting each write's path formula
-    onto the written fields, plus pairwise sums of the projection basis."""
+    onto the written fields, plus pairwise sums of the projection basis.
+    Every application on the path, nullary ones included, is lowered to its
+    Ackermann constant; one whose arguments are all literals or written
+    variables maps back to the application over the fields, and the
+    projection eliminates the others."""
     out = []
     for _, block in p.blocks:
         items = runs[block][0]
@@ -357,21 +348,20 @@ def mined_predicates(p, runs):
             if item.kind != "set":
                 continue
             kvar, syms = item.payload
-            les, keys = _path_ineqs(items, idx)
+            apps = Apps(p.func_sigs)
+            les = _path_ineqs(items, idx, apps)
             fields = {}
             for i, s in enumerate(syms):
                 fields.setdefault(s, Var(field_var(kvar, i)))
-            rename = {("var", s): f for s, f in fields.items()}
-            for key, app in keys.items():
-                if all(
-                    isinstance(a, IntLit) or (isinstance(a, Var) and a.name in fields)
-                    for a in app.args
-                ):
-                    rename[key] = subst(app, fields)
-            basis = _project(les, rename)
+            terms = {s: (s, f) for s, f in fields.items()}  # see `_lin_to_pred`
+            for const, func, args in apps.table.values():
+                app = App(func, tuple(map(_term_of, args)))
+                if None not in app.args and free_vars(app) <= fields.keys():
+                    terms[const] = (to_text(app), subst(app, fields))
+            basis = _project(les, terms)
             sums = [lin_add(a, b) for a, b in combinations(basis, 2)]
             for lin in basis + sums:
-                q = _lin_to_pred(lin, rename)
+                q = _lin_to_pred(lin, terms)
                 if q is not None:
                     out.append((kvar, q))
     return out

@@ -124,10 +124,6 @@ class Solution:
         )
 
 
-def trivial_solution(cs, pred=TRUE):
-    return Solution(INTENSIONAL, {k: pred for k in cs.kvars})
-
-
 # ---------------------------------------------------------------------------
 # Normalization and well-formedness
 

@@ -5,9 +5,10 @@ The logic is quantifier-free linear integer arithmetic plus uninterpreted
 functions. Booleans are modeled as integers restricted to {0,1}; uninterpreted
 types are opaque sorts that the finite-domain oracle models as integer ranges.
 
-Formulas keep the shape they are written in: `(and a b c)` is one `And` of
-three conjuncts, so a long conjunction is a wide node, not a deep one, and it
-prints back as written. Each job over formulas is one visitor over
+Formulas and terms keep the shape they are written in: `(and a b c)` is one
+`And` of three conjuncts and `(+ a b c)` one `Add` of three terms, so a long
+conjunction or sum is a wide node, not a deep one, and it prints back as
+written. Each job over formulas is one visitor over
 predicates and expressions alike: `free_vars` collects variables, `subst`
 substitutes, and `to_sexpr` and `to_text` print. Typechecking and evaluation
 keep a function per sort, since they return different things for each.
@@ -122,8 +123,10 @@ class IntLit:
 
 @dataclass(frozen=True)
 class Add:
-    left: object
-    right: object
+    """The sum of `args`, a tuple of two or more expressions, as written:
+    `(+ a b c)` is one node, and a nested `Add` stays one argument."""
+
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -235,17 +238,14 @@ def expr_from_sexpr(form):
         args = [expr_from_sexpr(f) for f in form[1:]]
         if len(args) < 2:
             raise TypeMismatch("+ needs at least two arguments")
-        out = args[0]
-        for a in args[1:]:
-            out = Add(out, a)
-        return out
+        return Add(tuple(args))
     if head == "-":
         args = [expr_from_sexpr(f) for f in form[1:]]
         neg = lambda e: IntLit(-e.value) if isinstance(e, IntLit) else ScalarMul(-1, e)
         if len(args) == 1:
             return neg(args[0])
         if len(args) == 2:
-            return Add(args[0], neg(args[1]))
+            return Add((args[0], neg(args[1])))
         raise TypeMismatch("- takes one or two arguments")
     if head == "*":
         if len(form) != 3 or not isinstance(form[1], int):
@@ -296,7 +296,7 @@ def to_sexpr(x):
     if isinstance(x, Cmp):
         return [x.op, to_sexpr(x.left), to_sexpr(x.right)]
     if isinstance(x, Add):
-        return ["+", to_sexpr(x.left), to_sexpr(x.right)]
+        return ["+", *map(to_sexpr, x.args)]
     if isinstance(x, ScalarMul):
         return ["*", x.coeff, to_sexpr(x.arg)]
     if isinstance(x, App):
@@ -329,12 +329,12 @@ def free_vars(x, out=None):
         out = set()
     if isinstance(x, (Var, BoolVar)):
         out.add(x.name)
-    elif isinstance(x, (Cmp, Add, Implies)):
+    elif isinstance(x, (Cmp, Implies)):
         free_vars(x.left, out)
         free_vars(x.right, out)
     elif isinstance(x, (Not, ScalarMul)):
         free_vars(x.arg, out)
-    elif isinstance(x, (And, App)):
+    elif isinstance(x, (And, Add, App)):
         for a in x.args:
             free_vars(a, out)
     return out
@@ -348,9 +348,9 @@ def applications(p):
         x = stack.pop()
         if isinstance(x, App):
             out[x] = None
-        if isinstance(x, (And, App)):
+        if isinstance(x, (And, Add, App)):
             stack.extend(x.args)
-        elif isinstance(x, (Cmp, Add, Implies)):
+        elif isinstance(x, (Cmp, Implies)):
             stack += (x.left, x.right)
         elif isinstance(x, (Not, ScalarMul)):
             stack.append(x.arg)
@@ -367,16 +367,14 @@ def subst(x, mapping):
         return x
     if isinstance(x, Cmp):
         return Cmp(x.op, subst(x.left, mapping), subst(x.right, mapping))
-    if isinstance(x, Add):
-        return Add(subst(x.left, mapping), subst(x.right, mapping))
     if isinstance(x, Not):
         return Not(subst(x.arg, mapping))
     if isinstance(x, App):
-        return App(x.func, tuple(subst(a, mapping) for a in x.args))
+        return App(x.func, tuple([subst(a, mapping) for a in x.args]))
     if isinstance(x, ScalarMul):
         return ScalarMul(x.coeff, subst(x.arg, mapping))
-    if isinstance(x, And):
-        return And(tuple(subst(a, mapping) for a in x.args))
+    if isinstance(x, (And, Add)):
+        return type(x)(tuple([subst(a, mapping) for a in x.args]))
     if isinstance(x, Implies):
         return Implies(subst(x.left, mapping), subst(x.right, mapping))
     if isinstance(x, BoolVar):
@@ -435,8 +433,7 @@ def typecheck_expr(env, e, sigs=None):
     if isinstance(e, IntLit):
         return INT
     if isinstance(e, (Add, ScalarMul)):
-        parts = (e.left, e.right) if isinstance(e, Add) else (e.arg,)
-        for part in parts:
+        for part in e.args if isinstance(e, Add) else (e.arg,):
             t = typecheck_expr(env, part, sigs)
             if t != INT:
                 raise TypeMismatch(f"arithmetic over non-int operand {to_text(part)}")
@@ -542,7 +539,10 @@ def eval_expr(interp, e):
     if isinstance(e, IntLit):
         return e.value
     if isinstance(e, Add):
-        return eval_expr(interp, e.left) + eval_expr(interp, e.right)
+        total = 0
+        for a in e.args:
+            total += eval_expr(interp, a)
+        return total
     if isinstance(e, ScalarMul):
         return e.coeff * eval_expr(interp, e.arg)
     if isinstance(e, App):
@@ -768,7 +768,7 @@ class Hypothesis:
     def _solve(self, goal):
         mode = self.mode
         if mode.emit or mode.cmd:
-            text = _query_text(solver_query(self.env, implies(self.hyp, goal), self.sigs))
+            text = emit_solver_query(self.env, implies(self.hyp, goal), self.sigs)
             if mode.emit:
                 mode.emit.write(text)
             if mode.cmd:
@@ -849,12 +849,9 @@ def _bool_ranges(env):
 
 
 def emit_solver_query(env, p, sigs=None):
-    """Deterministic SMT-LIB 2 script asserting the negation of `p`."""
-    return _query_text(solver_query(env, p, sigs))
-
-
-def _query_text(query):
-    return "".join(sexpr.to_str(c) + "\n" for c in query)
+    """The text of `solver_query`, one command a line: what `--emit-smt`
+    writes and an external solver reads."""
+    return "".join(sexpr.to_str(c) + "\n" for c in solver_query(env, p, sigs))
 
 
 def _smt_num(n):
@@ -871,7 +868,7 @@ def _smt_form(x):
     if isinstance(x, IntLit):
         return _smt_num(x.value)
     if isinstance(x, Add):
-        return ["+", _smt_form(x.left), _smt_form(x.right)]
+        return ["+", *map(_smt_form, x.args)]
     if isinstance(x, ScalarMul):
         return ["*", _smt_num(x.coeff), _smt_form(x.arg)]
     if isinstance(x, App):

@@ -58,7 +58,6 @@ a script on stdin and print `sat`/`unsat` plus a model.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -235,21 +234,24 @@ def congruence(entries, start=0):
 
 def lin_of(e, apps):
     """The linear form of the `logic` expression `e`, with each application
-    of a function in `apps.funcs` replaced by its Ackermann constant. A
-    function without arguments is a constant of its own name."""
+    of a function in `apps.funcs` replaced by its Ackermann constant. Any
+    other function without arguments is a constant of its own name."""
     if isinstance(e, logic.Var):
         return {e.name: 1}
     if isinstance(e, logic.Add):
-        return lin_add(lin_of(e.left, apps), lin_of(e.right, apps))
+        out = lin_of(e.args[0], apps)
+        for a in e.args[1:]:
+            out = lin_add(out, lin_of(a, apps))
+        return out
     if isinstance(e, logic.IntLit):
         return lin_const(e.value)
     if isinstance(e, logic.ScalarMul):
         return lin_scale(lin_of(e.arg, apps), e.coeff)
     if isinstance(e, logic.App):
-        if not e.args:
-            return {e.func: 1}
         if e.func in apps.funcs:
             return {apps.const(e.func, [lin_of(a, apps) for a in e.args]): 1}
+        if not e.args:
+            return {e.func: 1}
     raise SmtError(f"bad term {logic.to_text(e)}")
 
 
@@ -335,9 +337,10 @@ _RELATIONS = {"<=": "<=", "<": "<", ">=": ">=", ">": ">", "=": "=", "distinct": 
 
 
 def formula_of(form, funcs):
-    """The `logic` predicate of an SMT-LIB formula, where `funcs` holds the
-    functions that take arguments. A bare symbol is a bool variable; `or`
-    and `=>` become implications and `distinct` a disequality."""
+    """The `logic` predicate of an SMT-LIB formula, where `funcs` maps each
+    function that takes arguments to its declaration, (arg sorts, sort). A
+    bare symbol is a bool variable; `or` and `=>` become implications and
+    `distinct` a disequality."""
     if form in ("true", "false"):
         return logic.TRUE if form == "true" else logic.FALSE
     if isinstance(form, str):
@@ -365,8 +368,10 @@ def formula_of(form, funcs):
 
 
 def term_of(form, funcs):
-    """The `logic` expression of an SMT-LIB term (see `formula_of`). All
-    factors of a product but one must be constant."""
+    """The `logic` expression of an SMT-LIB term (see `formula_of`): a sum
+    or a difference is one `Add`, as written. All factors of a product but
+    one must be constant, and an application must have the arity of its
+    declaration."""
     if isinstance(form, int):
         return logic.IntLit(form)
     if isinstance(form, str):
@@ -376,13 +381,15 @@ def term_of(form, funcs):
         raise SmtError(f"bad term {sexpr.to_str(form)}")
     head, args = form[0], [term_of(f, funcs) for f in form[1:]]
     if head == "+":
-        return functools.reduce(logic.Add, args) if args else logic.IntLit(0)
+        if len(args) < 2:
+            return args[0] if args else logic.IntLit(0)
+        return logic.Add(tuple(args))
     if head == "-":
         if not args:
             raise SmtError("- takes one or more arguments")
         if len(args) == 1:
             return logic.ScalarMul(-1, args[0])
-        return functools.reduce(lambda a, b: logic.Add(a, logic.ScalarMul(-1, b)), args)
+        return logic.Add((args[0], *[logic.ScalarMul(-1, a) for a in args[1:]]))
     if head == "*":
         coeff, term = 1, None
         for arg in args:
@@ -394,6 +401,8 @@ def term_of(form, funcs):
             else:
                 term = arg
         return logic.IntLit(coeff) if term is None else logic.ScalarMul(coeff, term)
+    if len(args) != len(funcs[head][0]):
+        raise SmtError(f"{head} expects {len(funcs[head][0])} args, got {len(args)}")
     return logic.App(head, tuple(args))
 
 

@@ -52,7 +52,7 @@ def gen_expr(rng, names):
         return Var(rng.choice(names))
     if r < 0.7:
         return IntLit(rng.choice((0, 1)))
-    return Add(Var(rng.choice(names)), IntLit(rng.choice((0, 1))))
+    return Add((Var(rng.choice(names)), IntLit(rng.choice((0, 1)))))
 
 
 def gen_atom(rng, names):

@@ -101,6 +101,15 @@ def test_mining_produces_relational_bound():
     assert any("len" in t and "k1.0" in t and "k1.1" in t for t in texts)
 
 
+def test_mining_maps_applications_back_to_fields():
+    # `(c)` takes no argument and `(len xs)` one written field: both come
+    # back as applications over the fields, in the order of their text, and
+    # the three-term sum of the path projects to a two-term one
+    _, _, p = program_for("sums.hmc")
+    mined = mined_predicates(p, run_blocks(p))
+    assert [(k, to_text(q)) for k, q in mined] == [("k", "(<= (+ (c) (len k.1)) k.0)")] * 4
+
+
 def test_solve_proves_iteri():
     cs, cm, p = program_for("iteri_mask.hmc")
     runs = run_blocks(p)

@@ -463,6 +463,23 @@ def test_check_flat_conjunction(tmp_path):
     assert (code, err) == (0, "") and out.startswith("SAFE"), (code, err)
 
 
+def test_check_flat_sum(tmp_path):
+    # a flat sum is one node, however long: reading it, the symbolic run,
+    # the miner and the solver do not recurse once per term. Each term is
+    # bound by an equality, which the presolve substitutes away: the Omega
+    # test still recurses once per variable it eliminates
+    f = tmp_path / "sum.hmc"
+    xs = [f"x{i}" for i in range(1500)]
+    env = " ".join(f"({x} int (= v 1))" for x in xs)
+    f.write_text(
+        "(kvar k (v int))\n"
+        f"(sub c1 (env {env}) (lhs int (= v (+ {' '.join(xs)}))) (rhs int (kapp k)))\n"
+        "(sub c2 (lhs int (kapp k)) (rhs int (<= 0 v)))\n"
+    )
+    code, out, err = run_process("check", str(f), timeout=60)
+    assert (code, err) == (0, "") and out.startswith("SAFE"), (code, err)
+
+
 def test_unsafe_trace_independent_of_string_hashing(tmp_path):
     # c0 -> c1 and c0 -> c2 both reach ERROR; the least one in block order
     # is reported, whatever order the state sets iterate in

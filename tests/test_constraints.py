@@ -18,9 +18,8 @@ from hmc.constraints import (
     parse_solution,
     print_constraints,
     print_solution,
-    trivial_solution,
 )
-from hmc.logic import OracleMode, SolverMode, ValueDomain, VALID, check_valid, to_text
+from hmc.logic import TRUE, OracleMode, SolverMode, ValueDomain, VALID, check_valid, to_text
 from hmc.sexpr import parse_one
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -78,7 +77,7 @@ def test_base_mismatch_rejected():
 
 def test_embed_sub():
     cs = load(SIMPLE)
-    sol = trivial_solution(cs)
+    sol = Solution(INTENSIONAL, dict.fromkeys(cs.kvars, TRUE))
     env, p = embed_sub(cs, cs.constraints[0], sol)
     assert to_text(p) == "(=> (<= 0 x) (=> (= v x) true))"
 
@@ -165,7 +164,7 @@ def test_uninterp_signature_used():
     )
     rep = check_satisfied(
         cs,
-        trivial_solution(cs),
+        Solution(INTENSIONAL, dict.fromkeys(cs.kvars, TRUE)),
         OracleMode(ValueDomain((-1, 1), (("obj", (0, 1)),))),
     )
     assert rep.satisfied

@@ -40,6 +40,7 @@ from hmc.logic import (
     check_valid,
     emit_solver_query,
     enumerate_func_tables,
+    eval_expr,
     eval_pred,
     expr_from_sexpr,
     free_vars,
@@ -49,6 +50,7 @@ from hmc.logic import (
     solver_query,
     subst,
     to_text,
+    typecheck_expr,
     typecheck_pred,
     ui,
 )
@@ -89,6 +91,27 @@ def test_and_prints_as_written():
         p = P(text)
         assert isinstance(p, And) and to_text(p) == text
     assert len(P("(and b b (and b b) b)").args) == 4
+
+
+# a sum of three terms, as written, and what each job over terms makes of it
+# under x = 1, y = 2 and (len a) = 4
+SUM_INTERP = Interpretation({"x": 1, "y": 2, "a": 0}, {"len": {(0,): 4}})
+SUM_ENV = TypeEnv.of(("x", INT), ("y", INT), ("a", ui("obj")))
+SUM_JOBS = [
+    ("round trip", lambda e: to_text(e), "(+ x (len a) y)"),
+    ("subst", lambda e: to_text(subst(e, {"y": Var("z"), "x": IntLit(3)})), "(+ 3 (len a) z)"),
+    ("free_vars", lambda e: free_vars(e), {"x", "y", "a"}),
+    ("eval_expr", lambda e: eval_expr(SUM_INTERP, e), 7),
+    ("typecheck_expr", lambda e: typecheck_expr(SUM_ENV, e, SIGS), INT),
+    ("lin_of", lambda e: smt.lin_of(e, smt.Apps({"len"})), {"x": 1, ".ack0": 1, "y": 1}),
+]
+
+
+@pytest.mark.parametrize("job, run, want", SUM_JOBS, ids=[j for j, _, _ in SUM_JOBS])
+def test_three_term_sum(job, run, want):
+    e = expr_from_sexpr(sexpr.parse_one("(+ x (len a) y)"))
+    assert isinstance(e, Add) and len(e.args) == 3
+    assert run(e) == want
 
 
 def test_long_conjunction_is_shallow():
@@ -146,7 +169,7 @@ def test_eval_with_functions():
 
 def test_subst():
     p = P("(= v i)")
-    q = subst(p, {"v": Var("x"), "i": Add(Var("i"), IntLit(1))})
+    q = subst(p, {"v": Var("x"), "i": Add((Var("i"), IntLit(1)))})
     assert to_text(q) == "(= x (+ i 1))"
 
 
@@ -369,7 +392,7 @@ DIFF_SIGS = {"len": LEN, "g": FuncSig("g", (INT,), BOOL), "c": FuncSig("c", (), 
 def _rand_int(rng, depth=2):
     r = rng.random()
     if depth and r < 0.15:
-        return Add(_rand_int(rng, depth - 1), _rand_int(rng, depth - 1))
+        return Add((_rand_int(rng, depth - 1), _rand_int(rng, depth - 1)))
     if depth and r < 0.3:
         return logic.ScalarMul(rng.choice((-3, -2, -1, 2)), _rand_int(rng, depth - 1))
     if r < 0.5:

@@ -159,6 +159,7 @@ FILTER_SYNTAX = [
     (X + "(declare-const y Int) (assert (= (* x y) 4))", "error"),
     (X + "(assert (<= (foo x) 1))", "error"),
     (X + "(assert (foo x))", "error"),
+    ("(declare-fun f (Int) Int) (assert (= (f 1 2) 0))", "error"),
 ]
 
 
@@ -567,7 +568,7 @@ def _assert_one_value_per_argument(context, goal, model):
 
 
 def _logic(form):
-    return smt.formula_of(form, {"f"})
+    return smt.formula_of(form, {"f": (["Int"], "Int")})
 
 
 def _form(text):
