@@ -33,10 +33,12 @@ proves every assert or reports the first one that may fail.
 
 Predicates come from two deterministic sources: harvesting (atomic
 comparisons from any block whose variables a write passes, substituted by
-the written fields) and mining (per write, the block's linear path
-constraints projected onto the written fields by Fourier-Motzkin
-elimination, plus pairwise sums), which reads the path through the
-solver's one linearization, `smt.lin_of`. Each candidate is typechecked
+the written fields; each distinct atom is walked once) and mining (per
+write, the block's linear path constraints projected onto the written
+fields by Fourier-Motzkin elimination, plus pairwise sums), which reads the
+path through the solver's one linearization, `smt.lin_of`. The projection
+drops the empty forms (`0 <= 0`) that elimination leaves, which would offer
+no predicate or one the basis already offers. Each candidate is typechecked
 once, in its kvar's field environment, and kept if new.
 """
 
@@ -224,7 +226,8 @@ def harvest_predicates(p, runs, extra=None):
         for i in block.instrs:
             if isinstance(i, (Assume, Assert)):
                 _atoms(i.pred, atoms)
-    atom_vars = [(atom, free_vars(atom)) for atom in atoms]
+    # a repeated atom offers a predicate the list already holds or refused
+    atom_vars = [(atom, free_vars(atom)) for atom in dict.fromkeys(atoms)]
     for _, block in p.blocks:
         for i in block.instrs:
             if not isinstance(i, Set):
@@ -275,12 +278,14 @@ def _path_ineqs(items, upto, apps):
 def _project(les, keep):
     """Fourier-Motzkin elimination of every key not in `keep`. It keeps at
     most `MAX_MINED_INEQS` inequalities of its input and after each step, so
-    a long path cannot grow the basis, and its pairwise sums, without bound."""
+    a long path cannot grow the basis, and its pairwise sums, without bound.
+    The empty forms (`0 <= 0`) that elimination leaves are dropped at the
+    end: one gives no predicate, and its sum with a form is that form."""
     les = [l for l in les if l][:MAX_MINED_INEQS]
     while True:
         drop = next((k for lin in les for k in lin_vars(lin) if k not in keep), None)
         if drop is None:
-            return les
+            return [lin for lin in les if lin]
         lowers, uppers, rest = [], [], []
         for lin in les:
             c = lin.get(drop, 0)

@@ -3,9 +3,16 @@
 Atoms are symbols (str) or integers; lists are Python lists. `;` starts a
 line comment. Printing is canonical: single spaces, no line breaks, so
 print(parse(print(x))) == print(x).
+
+`parse_many` takes every token from one `re.findall` and builds the lists
+on one explicit stack. It keeps no positions: an error works out its line
+and column from the text when it is raised. `\\s` in the token pattern
+matches exactly the characters for which `str.isspace()` is true.
 """
 
 from __future__ import annotations
+
+import re
 
 
 class SexprError(Exception):
@@ -17,59 +24,49 @@ class SexprError(Exception):
         self.col = col
 
 
-_DELIMS = "();"
+# a paren, an atom (up to whitespace, a paren or `;`), or a comment
+_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*")
 
 
-def tokenize(text):
-    """Yield (token, line, col) where token is '(' , ')' or an atom string."""
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c, line, col
-            col += 1
-            i += 1
-        else:
-            start = i
-            startcol = col
-            while i < n and not text[i].isspace() and text[i] not in _DELIMS:
-                i += 1
-                col += 1
-            yield text[start:i], line, startcol
-
-
-def _atom(tok):
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
+def _unbalanced(text):
+    """The error for the first ')' that closes nothing, with its 1-based
+    line and column: columns count characters, lines count only '\\n'."""
+    depth = 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            if not depth:
+                at = m.start()
+                line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+                return SexprError("unbalanced ')'", line, col)
+            depth -= 1
 
 
 def parse_many(text):
-    """Parse all top-level forms in `text`."""
-    forms = []
+    """Parse all top-level forms in `text`. A token is an integer if `int()`
+    reads it, which it tries only on a token that starts with a sign or a
+    digit and ends in a digit: a name such as `k05` raises no exception."""
+    forms = top = []
     stack = []
-    for tok, line, col in tokenize(text):
+    for tok in _TOKEN.findall(text):
         if tok == "(":
-            stack.append([])
+            stack.append(top)
+            top = []
         elif tok == ")":
             if not stack:
-                raise SexprError("unbalanced ')'", line, col)
-            done = stack.pop()
-            (stack[-1] if stack else forms).append(done)
-        else:
-            (stack[-1] if stack else forms).append(_atom(tok))
+                raise _unbalanced(text)
+            done = top
+            top = stack.pop()
+            top.append(done)
+        elif tok[0] != ";":
+            if tok[-1].isdigit() and (tok[0].isdigit() or tok[0] in "+-"):
+                try:
+                    tok = int(tok)
+                except ValueError:
+                    pass
+            top.append(tok)
     if stack:
         raise SexprError("unclosed '('")
     return forms

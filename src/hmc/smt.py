@@ -571,45 +571,54 @@ def _assign_between(x, lowers, uppers, model):
         model[x] = hi
     else:
         model[x] = 0
-    return model
 
 
 def _solve_ineqs(les, fresh):
-    """A model of normalized inequalities that all have variables, or None."""
-    if not les:
-        return {}
-    x, exact = _pick_variable(les)
-    lowers, uppers, others = [], [], []
-    for lin in les:
-        a = lin.get(x, 0)
-        if a == 0:
-            others.append(lin)
-        elif a > 0:  # a*x + r <= 0  =>  a*x <= -r
-            uppers.append((a, lin_scale({v: c for v, c in lin.items() if v != x}, -1)))
-        else:  # a*x + r <= 0  =>  (-a)*x >= r
-            lowers.append((-a, {v: c for v, c in lin.items() if v != x}))
-    if not lowers or not uppers:
-        model = _solve_ineqs(others, fresh)
-        if model is None:
-            return None
-        return _assign_between(x, lowers, uppers, model)
-    # dark shadow of each pair b*x >= r, a*x <= u: a*r + (a-1)(b-1) <= b*u.
-    # The slack (a-1)(b-1) is 0 for every pair when the elimination is exact,
-    # and then this is the real shadow.
-    shadow = list(others)
-    feasible = all(
-        _constrain("le", lin_add(lin_sub(lin_scale(r, a), lin_scale(u, b)),
-                                 lin_const((a - 1) * (b - 1))), None, shadow)
-        for b, r in lowers
-        for a, u in uppers
-    )
-    if feasible:
-        model = _solve_ineqs(shadow, fresh)
+    """A model of normalized inequalities that all have variables, or None.
+    An exact elimination (one-sided, or with unit coefficients on one side)
+    is one step of the loop: its variable waits on `undo` until the rest has
+    a model. Only an inexact one, the dark shadow and then its splinters,
+    recurses."""
+    undo = []  # (x, lowers, uppers) of each exact elimination, in order
+    model = {}
+    while les:
+        x, exact = _pick_variable(les)
+        lowers, uppers, others = [], [], []
+        for lin in les:
+            a = lin.get(x, 0)
+            if a == 0:
+                others.append(lin)
+            elif a > 0:  # a*x + r <= 0  =>  a*x <= -r
+                uppers.append((a, lin_scale({v: c for v, c in lin.items() if v != x}, -1)))
+            else:  # a*x + r <= 0  =>  (-a)*x >= r
+                lowers.append((-a, {v: c for v, c in lin.items() if v != x}))
+        # dark shadow of each pair b*x >= r, a*x <= u: a*r + (a-1)(b-1) <= b*u.
+        # The slack (a-1)(b-1) is 0 for every pair when the elimination is
+        # exact, and then this is the real shadow; one-sided, it is `others`.
+        shadow = list(others)
+        feasible = all(
+            _constrain("le", lin_add(lin_sub(lin_scale(r, a), lin_scale(u, b)),
+                                     lin_const((a - 1) * (b - 1))), None, shadow)
+            for b, r in lowers
+            for a, u in uppers
+        )
+        if exact:
+            if not feasible:
+                return None
+            undo.append((x, lowers, uppers))
+            les = shadow
+            continue
+        model = _solve_ineqs(shadow, fresh) if feasible else None
         if model is not None:
-            return _assign_between(x, lowers, uppers, model)
-    if exact:
-        return None
-    return _splinters(x, lowers, uppers, les, fresh)
+            _assign_between(x, lowers, uppers, model)
+        else:
+            model = _splinters(x, lowers, uppers, les, fresh)
+            if model is None:
+                return None
+        break
+    for x, lowers, uppers in reversed(undo):
+        _assign_between(x, lowers, uppers, model)
+    return model
 
 
 def _splinters(x, lowers, uppers, les, fresh):

@@ -93,6 +93,19 @@ def test_harvest_includes_cross_block_atoms():
     assert any("(len k2.1)" in t for t in texts["k2"])
 
 
+def test_harvest_ignores_a_repeated_constraint():
+    # a constraint repeated under a new label repeats its atoms and its
+    # write: every predicate they offer is already in the list
+    text = (EXAMPLES / "iteri_mask.hmc").read_text()
+    c1 = text[text.index("(sub c1"):text.index("; the recursive call")]
+    texts = []
+    for extra in ("", c1.replace("(sub c1", "(sub c5")):
+        p = program_of(load(text + extra))
+        preds = harvest_predicates(p, run_blocks(p))
+        texts.append({k: [to_text(q) for q in qs] for k, qs in preds.items()})
+    assert len(p.blocks) == 5 and texts[0] == texts[1]
+
+
 def test_mining_produces_relational_bound():
     _, _, p = program_for("iteri_mask.hmc")
     mined = mined_predicates(p, run_blocks(p))
@@ -104,10 +117,16 @@ def test_mining_produces_relational_bound():
 def test_mining_maps_applications_back_to_fields():
     # `(c)` takes no argument and `(len xs)` one written field: both come
     # back as applications over the fields, in the order of their text, and
-    # the three-term sum of the path projects to a two-term one
+    # the three-term sum of the path projects to a two-term one. The
+    # projection's empty forms add no copies of it
     _, _, p = program_for("sums.hmc")
-    mined = mined_predicates(p, run_blocks(p))
-    assert [(k, to_text(q)) for k, q in mined] == [("k", "(<= (+ (c) (len k.1)) k.0)")] * 4
+    runs = run_blocks(p)
+    mined = mined_predicates(p, runs)
+    assert [(k, to_text(q)) for k, q in mined] == [("k", "(<= (+ (c) (len k.1)) k.0)")]
+    preds = harvest_predicates(p, runs)
+    assert {k: [to_text(q) for q in qs] for k, qs in preds.items()} == {
+        "k": ["(<= 0 k.0)", "(<= (+ (c) (len k.1) 0) k.0)", "(<= (+ (c) (len k.1)) k.0)"]
+    }
 
 
 def test_solve_proves_iteri():

@@ -179,6 +179,12 @@ def test_check_bad_preds_is_usage_error(tmp_path, capsys, entries, error):
         ("(sub c1 (lhs int true))", "sub c1: needs an lhs and an rhs"),
         ("(sub c1 (env (x)) (lhs int true) (rhs int true))", "bad binder (x)"),
         ("(sub c1 (lhs int (not)) (rhs int true))", "not takes one argument"),
+        # a column counts characters, a comment included; only `\n` ends a line
+        (
+            "(kvar k (v int)) ; (\n\t\x0b(sub c1 (lhs int (= v 0)) (rhs int (kapp k)))) ; )",
+            "2:48: unbalanced ')'",
+        ),
+        ("(kvar k (v int)) (sub c1 (lhs int (= v 0))", "unclosed '('"),
     ],
 )
 def test_check_malformed_form_is_usage_error(tmp_path, text, error):
@@ -299,12 +305,24 @@ def test_check_preds_apply_to_each_clone(tmp_path):
     assert "(<= 11 k.1.0)" in text and "(<= 11 k.2.0)" in text
 
 
-def test_check_output_matches_golden():
+# example -> the exit code of `hmc check` on it, and its flags
+GOLDEN_CHECKS = {
+    "iteri_mask": (0, []),
+    "tworead": (2, []),
+    "sums": (0, []),
+    "boolfun": (0, []),
+    "retyped": (0, ["--preds", RETYPED_PREDS]),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CHECKS)
+def test_check_output_matches_golden(name):
     # the invariant and solution text follow the order of each kvar's
     # predicates, so this pins predicate discovery as well as the printer
-    code, text = run("check", ITERI)
-    assert code == 0
-    assert text == (EXAMPLES / "iteri_mask.check.txt").read_text()
+    want, flags = GOLDEN_CHECKS[name]
+    code, text = run("check", str(EXAMPLES / f"{name}.hmc"), *flags)
+    assert code == want
+    assert text == (EXAMPLES / f"{name}.check.txt").read_text()
 
 
 def test_usage_errors():
@@ -466,11 +484,25 @@ def test_check_flat_conjunction(tmp_path):
 def test_check_flat_sum(tmp_path):
     # a flat sum is one node, however long: reading it, the symbolic run,
     # the miner and the solver do not recurse once per term. Each term is
-    # bound by an equality, which the presolve substitutes away: the Omega
-    # test still recurses once per variable it eliminates
+    # bound by an equality, which the presolve substitutes away
     f = tmp_path / "sum.hmc"
     xs = [f"x{i}" for i in range(1500)]
     env = " ".join(f"({x} int (= v 1))" for x in xs)
+    f.write_text(
+        "(kvar k (v int))\n"
+        f"(sub c1 (env {env}) (lhs int (= v (+ {' '.join(xs)}))) (rhs int (kapp k)))\n"
+        "(sub c2 (lhs int (kapp k)) (rhs int (<= 0 v)))\n"
+    )
+    code, out, err = run_process("check", str(f), timeout=60)
+    assert (code, err) == (0, "") and out.startswith("SAFE"), (code, err)
+
+
+def test_check_flat_sum_over_bounded_terms(tmp_path):
+    # each term is bound only by `0 <= v`, so the presolve leaves every one
+    # to the Omega test, which eliminates them one-sided in a loop
+    f = tmp_path / "sum.hmc"
+    xs = [f"x{i}" for i in range(1200)]
+    env = " ".join(f"({x} int (<= 0 v))" for x in xs)
     f.write_text(
         "(kvar k (v int))\n"
         f"(sub c1 (env {env}) (lhs int (= v (+ {' '.join(xs)}))) (rhs int (kapp k)))\n"
