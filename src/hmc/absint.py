@@ -25,6 +25,16 @@ path. The hypothesis is lowered to the solver once, each answer is cached
 on it, and a model that one INVALID answer returned decides every later
 query that it falsifies, with no search.
 
+The witnesses also carry across a block's runs. The invariant only grows
+during `solve`, so each get's hypothesis, a disjunction of its kvar's cubes,
+only weakens, and a block's path at a given set or assert on a later run is
+implied by its path there on an earlier run. Every witness found at that
+position still satisfies the new path, so it is still a countermodel of
+each goal it falsifies. The engine keeps the last Hypothesis at each
+position, (block, item index), and a new Hypothesis there starts its model
+pool with that one's witnesses. This state lives on the engine, one per
+`solve`.
+
 The fixpoint runs the blocks round-robin, but runs a block again only when
 a kvar it gets has gained a cube since the block last ran: the invariant
 reaches a block only through its gets, so that run would change nothing.
@@ -423,15 +433,23 @@ class Engine:
         self.preds = preds
         self.mode = mode
         self.memo = {}  # (tenv, hypothesis) -> Hypothesis
+        self.last = {}  # (block, item index) -> the Hypothesis its last run used
 
-    def hypothesis(self, tenv, path):
+    def hypothesis(self, tenv, path, at):
         """The one `Hypothesis` of the conjunction of `path` under `tenv`,
-        which decides and caches every query on that path."""
+        which decides and caches every query on that path. `at` is the
+        path's position, (block, item index): a new Hypothesis there starts
+        its model pool with the witnesses of the one the position's last
+        run used, which satisfy this path too (see the module docstring)."""
         hyp = mk_and(*path)
         key = (tenv, hyp)
         found = self.memo.get(key)
         if found is None:
             found = self.memo[key] = Hypothesis(tenv, hyp, self.mode, self.p.func_sigs)
+            before = self.last.get(at)
+            if before is not None:
+                found.models.extend(before.models)
+        self.last[at] = found
         return found
 
     def valid(self, hyp, q):
@@ -445,14 +463,14 @@ class Engine:
         path = []
         statuses = []
         new = []
-        for item in items:
+        for at, item in enumerate(items):
             if item.kind == "conj":
                 path.append(item.payload)
             elif item.kind == "assert":
                 if item.payload == TRUE:
                     statuses.append(AssertStatus(label, HOLDS))
                     continue
-                hyp = self.hypothesis(tenv, path)
+                hyp = self.hypothesis(tenv, path, (block, at))
                 if self.valid(hyp, item.payload) == VALID:
                     statuses.append(AssertStatus(label, HOLDS))
                 else:
@@ -466,7 +484,7 @@ class Engine:
                 path.append(cubes_pred(self.preds[kvar], inv.cubes[kvar], _fields(kvar, syms)))
             elif item.kind == "set":
                 kvar, syms = item.payload
-                hyp = self.hypothesis(tenv, path)
+                hyp = self.hypothesis(tenv, path, (block, at))
                 if path and self.valid(hyp, FALSE) == VALID:
                     continue  # the write is unreachable on this path
                 rename = _fields(kvar, syms)

@@ -179,6 +179,7 @@ def build_parser():
 
 
 def cmd_check(args, out):
+    domain = _domain(args)  # a bad range is exit 3 whatever the verdict
     report = RunReport()
     t0 = time.monotonic()
     cs = _load_constraints(args.file)
@@ -226,7 +227,7 @@ def cmd_check(args, out):
         t3 = time.monotonic()
         verdict = imp.exec_program(
             p,
-            _domain(args),
+            domain,
             "relational",
             args.table_budget,
             args.seed,
@@ -274,6 +275,7 @@ def cmd_clone(args, out):
 
 
 def cmd_exec(args, out):
+    domain = _domain(args)
     report = RunReport()
     if args.file.endswith(".imp"):
         try:
@@ -284,7 +286,7 @@ def cmd_exec(args, out):
         cs = _load_constraints(args.file)
         p, _, _ = _pipeline_program(args, cs)
     verdict = imp.exec_program(
-        p, _domain(args), args.semantics, args.table_budget, args.seed, args.fuel
+        p, domain, args.semantics, args.table_budget, args.seed, args.fuel
     )
     if verdict.status == imp.UNSAFE:
         report.verdict = "UNSAFE"
@@ -302,6 +304,7 @@ def cmd_exec(args, out):
 
 
 def cmd_validate(args, out):
+    domain = _domain(args)
     report = RunReport()
     cs = _load_constraints(args.file)
     try:
@@ -312,7 +315,7 @@ def cmd_validate(args, out):
     if args.mode == "solver":
         mode = _solver_mode(args)
     else:
-        mode = OracleMode(_domain(args), args.table_budget, args.seed)
+        mode = OracleMode(domain, args.table_budget, args.seed)
     sat = constraints.check_satisfied(cs, sol, mode)
     if sat.satisfied:
         report.verdict = "SATISFIED"

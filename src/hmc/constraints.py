@@ -194,7 +194,7 @@ def ref_pred(cs, rt, sol):
     sig = cs.kvars[rt.ref.kvar]
     base = sol.pred_for(sig)
     mapping = {n: e for (n, _), e in zip(sig.params, rt.ref.args)}
-    return subst(base, mapping)
+    return subst(base, mapping) if mapping else base
 
 
 def embed_env(cs, env, sol):

@@ -26,7 +26,9 @@ substitutes every top-level equality that has a unit coefficient (the SSA
 bindings `x%3 = ...` of a path formula) into the whole tree once, so the
 omega test never eliminates them again at each leaf; an atom that the
 substitution leaves without variables folds in the same way. The model gets
-the substituted variables' values back by substitution.
+the substituted variables' values back by substitution. A presolve that
+defines nothing, as for a goal of one atom, returns its conjunction as it
+is, without rebuilding the tree.
 
 The search expands the disjunctions depth first, on an explicit stack, and
 carries a model of the atoms gathered so far. Before it splits a
@@ -40,7 +42,14 @@ also satisfy, rather than the one the omega test gives for the leaf.
 
 The omega test normalizes each constraint once: on entry, after each
 substitution of an equality, and when it builds a shadow. A constraint with
-a coefficient of 1 or -1 is already normalized and is taken as it is.
+a coefficient of 1 or -1 is already normalized and is taken as it is. It
+picks the variable to eliminate in one pass over the inequalities, which
+counts each variable's lower and upper bounds and their largest
+coefficients; the least cost wins, ties to the least name. Each dark shadow
+`a*r - b*u + (a-1)(b-1)` is built in one dict, and each substitution writes
+into one, with the keys in the order that adding the scaled forms one at a
+time gives them: a pivot is the first variable in that order with a unit
+coefficient, so the order fixes the models.
 
 Uninterpreted sorts are modeled as Int; that preserves quantifier-free
 satisfiability because any model over an infinite carrier injects into Int.
@@ -84,13 +93,19 @@ def lin_var(name):
 
 def lin_add(a, b):
     out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, 0) + v
+    _add_scaled(out, b, 1)
+    return out
+
+
+def _add_scaled(out, lin, c):
+    """Add c*lin into `out` in place: a key that cancels is dropped, a new
+    one goes last."""
+    for k, v in lin.items():
+        nv = out.get(k, 0) + c * v
         if nv:
             out[k] = nv
         else:
             out.pop(k, None)
-    return out
 
 
 def lin_scale(a, c):
@@ -114,7 +129,7 @@ def lin_subst(lin, sub):
     out = {k: c for k, c in lin.items() if k not in sub}
     for k, c in lin.items():
         if k in sub:
-            out = lin_add(out, lin_scale(sub[k], c))
+            _add_scaled(out, sub[k], c)
     return out
 
 
@@ -540,18 +555,23 @@ def _pick_variable(les):
     bounds = {}  # v -> [lower count, largest lower, upper count, largest upper]
     for lin in les:
         for v, c in lin.items():
-            if v is not None:
-                s = bounds.setdefault(v, [0, 0, 0, 0])
-                i = 0 if c < 0 else 2
-                s[i] += 1
-                s[i + 1] = max(s[i + 1], abs(c))
-
-    def cost(v):
-        n_low, low, n_up, up = bounds[v]
-        return n_low > 0 and n_up > 0, low > 1 and up > 1, n_low * n_up
-
-    x = min(sorted(bounds), key=cost)
-    return x, not cost(x)[1]
+            if v is None:
+                continue
+            s = bounds.get(v)
+            if s is None:
+                s = bounds[v] = [0, 0, 0, 0]
+            if c < 0:
+                s[0] += 1
+                if -c > s[1]:
+                    s[1] = -c
+            else:
+                s[2] += 1
+                if c > s[3]:
+                    s[3] = c
+    # the least cost, ties to the least name
+    cost, x = min(((n_low > 0 and n_up > 0, low > 1 and up > 1, n_low * n_up), v)
+                  for v, (n_low, low, n_up, up) in bounds.items())
+    return x, not cost[1]
 
 
 def _assign_between(x, lowers, uppers, model):
@@ -589,7 +609,7 @@ def _solve_ineqs(les, fresh):
             if a == 0:
                 others.append(lin)
             elif a > 0:  # a*x + r <= 0  =>  a*x <= -r
-                uppers.append((a, lin_scale({v: c for v, c in lin.items() if v != x}, -1)))
+                uppers.append((a, {v: -c for v, c in lin.items() if v != x}))
             else:  # a*x + r <= 0  =>  (-a)*x >= r
                 lowers.append((-a, {v: c for v, c in lin.items() if v != x}))
         # dark shadow of each pair b*x >= r, a*x <= u: a*r + (a-1)(b-1) <= b*u.
@@ -597,8 +617,7 @@ def _solve_ineqs(les, fresh):
         # exact, and then this is the real shadow; one-sided, it is `others`.
         shadow = list(others)
         feasible = all(
-            _constrain("le", lin_add(lin_sub(lin_scale(r, a), lin_scale(u, b)),
-                                     lin_const((a - 1) * (b - 1))), None, shadow)
+            _constrain("le", _shadow(b, r, a, u), None, shadow)
             for b, r in lowers
             for a, u in uppers
         )
@@ -619,6 +638,15 @@ def _solve_ineqs(les, fresh):
     for x, lowers, uppers in reversed(undo):
         _assign_between(x, lowers, uppers, model)
     return model
+
+
+def _shadow(b, r, a, u):
+    """a*r - b*u + (a-1)(b-1), built in one dict, with the keys in the order
+    `lin_add` would give them."""
+    out = lin_scale(r, a)
+    _add_scaled(out, u, -b)
+    _add_scaled(out, lin_const((a - 1) * (b - 1)), 1)
+    return out
 
 
 def _splinters(x, lowers, uppers, les, fresh):
@@ -679,6 +707,8 @@ def presolve(tree):
                 sub[x] = repl
                 continue
         rest.append(node)
+    if not sub:
+        return _join("and", rest), sub
     # back-substitution, last definition first
     for x in reversed(list(sub)):
         sub[x] = lin_subst(sub[x], sub)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gen import gen_constraint_set
-from hmc import absint
+from hmc import absint, cli, smt
 from hmc.absint import (
     AbstractInvariant,
     Engine,
@@ -377,6 +378,40 @@ def test_hypothesis_matches_check_valid(monkeypatch):
     # by a pooled model
     invalid = sum(v.status == "invalid" for hyp in hyps for v in hyp.verdicts.values())
     assert invalid > sum(len(hyp.models) for hyp in hyps) > 0
+
+
+def test_witnesses_carried_across_a_blocks_runs(monkeypatch):
+    # a block's path at a set or assert only weakens from one run to the
+    # next, so the witnesses a position's last Hypothesis found satisfy the
+    # new one's path, and decide its goals with no search: on iteri, 28
+    # searches where a pool that starts empty on every path makes 30
+    searches = [0]
+    decide = smt.Context.decide
+
+    def counted(self, goal):
+        searches[0] += 1
+        return decide(self, goal)
+
+    carried = []
+    hypothesis = Engine.hypothesis
+
+    def recorded(self, tenv, path, at):
+        size = len(self.memo)
+        hyp = hypothesis(self, tenv, path, at)
+        if len(self.memo) > size:
+            carried.append((hyp, list(hyp.models)))
+        return hyp
+
+    monkeypatch.setattr(smt.Context, "decide", counted)
+    monkeypatch.setattr(Engine, "hypothesis", recorded)
+    out = io.StringIO()
+    assert cli.main(["check", str(EXAMPLES / "iteri_mask.hmc")], out) == 0
+    assert out.getvalue() == (EXAMPLES / "iteri_mask.check.txt").read_text()
+    assert searches[0] <= 28
+    assert sum(len(models) for _, models in carried) > 0
+    for hyp, models in carried:
+        for model in models:
+            assert eval_pred(model, hyp.hyp), to_text(hyp.hyp)
 
 
 def _literals(cube):

@@ -325,6 +325,35 @@ def test_check_output_matches_golden(name):
     assert text == (EXAMPLES / f"{name}.check.txt").read_text()
 
 
+PROVABLE = "(sub c1 (lhs int (= v 1)) (rhs int (<= 0 v)))\n"
+UNPROVABLE = "(sub c1 (lhs int (= v 1)) (rhs int (<= 2 v)))\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags, error",
+    [
+        ("check", ["--int-range", "abc"], "bad range 'abc', expected LO..HI"),
+        ("check", ["--int-range", "abc", "--oracle"], "bad range 'abc', expected LO..HI"),
+        ("check", ["--int-range", "2..-2", "--oracle"], "int_range must be non-empty"),
+        ("check", ["--ui-range", "nonsense", "--oracle"], "bad --ui-range 'nonsense'"),
+        ("check", ["--ui-range", "obj=3..1"], "empty ui range"),
+        ("exec", ["--int-range", "1..0"], "int_range must be non-empty"),
+        ("validate", ["--solution", "SOL", "--int-range", "abc"], "bad range 'abc'"),
+    ],
+)
+@pytest.mark.parametrize("text", [PROVABLE, UNPROVABLE], ids=["provable", "unprovable"])
+def test_bad_domain_flag_is_usage_error(tmp_path, capsys, command, flags, error, text):
+    # the domain flags are checked before anything runs, so a malformed or
+    # empty range is exit 3 whether or not the oracle would have used it
+    f = tmp_path / "c.hmc"
+    f.write_text(text)
+    sol = tmp_path / "c.sol"
+    sol.write_text("(solution)\n")
+    code, out = run(command, str(f), *[str(sol) if a == "SOL" else a for a in flags])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
 def test_usage_errors():
     code, _ = run("exec", "/nonexistent/file.imp")
     assert code == 3

@@ -256,10 +256,11 @@ def test_omega_calls_on_iteri(monkeypatch):
     assert cli.main(["check", ITERI], out) == 0
     assert out.getvalue().startswith("SAFE")
     # one context per path, congruence axioms only between applications
-    # whose arguments differ after the presolve, and get hypotheses whose
-    # cubes are merged make 48 calls; unmerged cubes make 75, an Ackermann
-    # table keyed on the raw arguments 167, and a search that runs omega at
-    # every split and leaf with new atoms 457
+    # whose arguments differ after the presolve, get hypotheses whose cubes
+    # are merged, and witnesses carried across a block's runs make 44 calls;
+    # without the carried witnesses there are 48, with unmerged cubes 75,
+    # with an Ackermann table keyed on the raw arguments 167, and with a
+    # search that runs omega at every split and leaf with new atoms 457
     assert top[0] <= 60
 
 
@@ -408,6 +409,163 @@ def test_omega_matches_brute_force(monkeypatch):
         if model is not None:
             assert all(holds(k, l, model) for k, l in cons), (case, model)
     assert hits["inexact"] and hits["splinters"], hits
+
+
+# The kernels as they were before they were written in one pass, kept as
+# the references of `test_kernels_match_reference`: the variable choice
+# sorts the names and then takes the least cost, each dark shadow takes six
+# dicts, and a substitution adds one scaled form at a time, each through a
+# copy of the old `lin_add`.
+
+
+def _ref_lin_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        nv = out.get(k, 0) + v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _ref_pick_variable(les):
+    bounds = {}  # v -> [lower count, largest lower, upper count, largest upper]
+    for lin in les:
+        for v, c in lin.items():
+            if v is not None:
+                s = bounds.setdefault(v, [0, 0, 0, 0])
+                i = 0 if c < 0 else 2
+                s[i] += 1
+                s[i + 1] = max(s[i + 1], abs(c))
+
+    def cost(v):
+        n_low, low, n_up, up = bounds[v]
+        return n_low > 0 and n_up > 0, low > 1 and up > 1, n_low * n_up
+
+    x = min(sorted(bounds), key=cost)
+    return x, not cost(x)[1]
+
+
+def _ref_solve_ineqs(les, fresh):
+    undo = []
+    model = {}
+    while les:
+        x, exact = smt._pick_variable(les)
+        lowers, uppers, others = [], [], []
+        for lin in les:
+            a = lin.get(x, 0)
+            if a == 0:
+                others.append(lin)
+            elif a > 0:
+                uppers.append((a, smt.lin_scale({v: c for v, c in lin.items() if v != x}, -1)))
+            else:
+                lowers.append((-a, {v: c for v, c in lin.items() if v != x}))
+        shadow = list(others)
+        feasible = all(
+            smt._constrain("le", _ref_shadow(b, r, a, u), None, shadow)
+            for b, r in lowers
+            for a, u in uppers
+        )
+        if exact:
+            if not feasible:
+                return None
+            undo.append((x, lowers, uppers))
+            les = shadow
+            continue
+        model = smt._solve_ineqs(shadow, fresh) if feasible else None
+        if model is not None:
+            smt._assign_between(x, lowers, uppers, model)
+        else:
+            model = smt._splinters(x, lowers, uppers, les, fresh)
+            if model is None:
+                return None
+        break
+    for x, lowers, uppers in reversed(undo):
+        smt._assign_between(x, lowers, uppers, model)
+    return model
+
+
+def _ref_shadow(b, r, a, u):
+    diff = _ref_lin_add(smt.lin_scale(r, a), smt.lin_scale(smt.lin_scale(u, b), -1))
+    return _ref_lin_add(diff, smt.lin_const((a - 1) * (b - 1)))
+
+
+def _ref_lin_subst(lin, sub):
+    if not any(k in sub for k in lin):
+        return lin
+    out = {k: c for k, c in lin.items() if k not in sub}
+    for k, c in lin.items():
+        if k in sub:
+            out = _ref_lin_add(out, smt.lin_scale(sub[k], c))
+    return out
+
+
+KERNEL_NAMES = ("a", "b", "c", "d", "e")
+
+
+def _rand_lin(rng, names, const=True):
+    lin = {v: rng.choice((-3, -2, -1, 1, 2, 3)) for v in rng.sample(names, rng.randint(1, len(names)))}
+    if const and rng.random() < 0.9:
+        lin[None] = rng.choice((-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6))
+    return lin
+
+
+def _rand_system(rng):
+    # seven constraints at most: with ten, a few draws take the splinter
+    # search minutes (CHANGES.md)
+    names = KERNEL_NAMES[: rng.randint(1, 5)]
+    return [("eq" if rng.random() < 0.2 else "le", _rand_lin(rng, names))
+            for _ in range(rng.randint(1, 7))]
+
+
+def test_kernels_match_reference(monkeypatch):
+    # the one-pass kernels against the references above: the same form, key
+    # order included, from every substitution and every dark shadow, and
+    # then the same model, key order included, or None from `omega` on every
+    # system
+    rng = random.Random(19)
+    for _ in range(3000):
+        lin = _rand_lin(rng, KERNEL_NAMES)
+        sub = {v: _rand_lin(rng, KERNEL_NAMES + ("f", "g"))
+               for v in rng.sample(KERNEL_NAMES, rng.randint(0, 3))}
+        got, want = smt.lin_subst(lin, sub), _ref_lin_subst(lin, sub)
+        assert list(got.items()) == list(want.items()), (lin, sub)
+        assert (got is lin) == (want is lin)
+        b, a = rng.randint(1, 3), rng.randint(1, 3)
+        r, u = _rand_lin(rng, KERNEL_NAMES), _rand_lin(rng, KERNEL_NAMES)
+        want = _ref_shadow(b, r, a, u)
+        assert list(smt._shadow(b, r, a, u).items()) == list(want.items()), (b, r, a, u)
+        assert list(smt.lin_add(r, u).items()) == list(_ref_lin_add(r, u).items())
+    splintered = [0]
+    splinters = smt._splinters
+
+    def counted_splinters(*args):
+        splintered[0] += 1
+        return splinters(*args)
+
+    monkeypatch.setattr(smt, "_splinters", counted_splinters)
+    ref = {"_pick_variable": _ref_pick_variable, "_solve_ineqs": _ref_solve_ineqs,
+           "lin_subst": _ref_lin_subst}
+    new = {name: getattr(smt, name) for name in ref}
+
+    def run(impl, cons):
+        for name, fn in impl.items():
+            monkeypatch.setattr(smt, name, fn)
+        model = omega(cons)
+        return model if model is None else list(model.items())
+
+    answers = {"sat": 0, "unsat": 0}
+    reached = 0  # the systems whose solving reaches the splinters
+    for case in range(3000):
+        cons = _rand_system(rng)
+        before = splintered[0]
+        got = run(new, cons)
+        reached += splintered[0] > before
+        assert got == run(ref, cons), (case, cons)
+        answers["unsat" if got is None else "sat"] += 1
+    assert min(answers.values()) > 900, answers
+    assert reached > 30, reached
 
 
 # Random scripts with one uninterpreted `f : Int -> Int`: a hypothesis and
