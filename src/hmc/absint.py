@@ -86,7 +86,7 @@ from .logic import (
     typecheck_cmp,
     typecheck_pred,
 )
-from .constraints import INTENSIONAL, ConstraintError, Solution, parse_solution
+from .constraints import ConstraintError, parse_solution
 from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set, type_instr
 from .smt import Apps, lin_add, lin_const, lin_of, lin_scale, lin_sub, lin_vars, norm_le
 
@@ -390,7 +390,7 @@ def parse_preds(text, p):
     Raises ConstraintError for an entry whose kvar is neither in `p` nor
     cloned in it, or which does not typecheck over its kvar's fields."""
     out = []
-    for kvar, pred in sorted(parse_solution(text).entries.items()):
+    for kvar, pred in sorted(parse_solution(text).items()):
         names = [kvar] if kvar in p.relvar_sigs else [c for c, o in p.clones.items() if o == kvar]
         if not names:
             raise ConstraintError(f"unknown kvar {kvar}")
@@ -611,7 +611,7 @@ def extract_solution(inv, preds, kvar_sigs):
             entries[name] = FALSE
             continue
         entries[name] = cubes_pred(preds[name], cubes, _fields(name, sig.field_names))
-    return Solution(INTENSIONAL, entries)
+    return entries
 
 
 def format_invariant(inv, preds):

@@ -110,14 +110,11 @@ def _load_constraints(path):
 
 
 def _pipeline_program(args, cs):
-    if args.no_clone:
-        cloned, cm = cs, clone_mod.CloneMap()
-    else:
-        cloned, cm = clone_mod.clone(cs)
-    p = trans.translate_set_of_constraints(cloned, cm)
+    cloned, clones = (cs, {}) if args.no_clone else clone_mod.clone(cs)
+    p = trans.translate_set_of_constraints(cloned, clones)
     if getattr(args, "simplify", False):
         p = trans.simplify(p)
-    return p, cloned, cm
+    return p, cloned, clones
 
 
 def _add_domain_flags(sp):
@@ -183,7 +180,7 @@ def cmd_check(args, out):
     report = RunReport()
     t0 = time.monotonic()
     cs = _load_constraints(args.file)
-    p, cloned, cm = _pipeline_program(args, cs)
+    p, cloned, clones = _pipeline_program(args, cs)
     report.timings["translate"] = time.monotonic() - t0
     if args.emit_imp:
         with open(args.emit_imp, "w") as fh:
@@ -203,7 +200,7 @@ def cmd_check(args, out):
     report.timings["solve"] = time.monotonic() - t1
     if result.status == absint.PROVED:
         sol = absint.extract_solution(result.invariant, preds, cloned.kvars)
-        folded = clone_mod.fold_solution(sol, cm, cs)
+        folded = clone_mod.fold_solution(sol, clones, cs)
         t2 = time.monotonic()
         sat = constraints.check_satisfied(cs, folded, mode)
         report.timings["validate"] = time.monotonic() - t2
@@ -211,10 +208,7 @@ def cmd_check(args, out):
             report.verdict = "SAFE"
             report.invariant = absint.format_invariant(result.invariant, preds)
             report.solution = {
-                k: constraints.print_solution(
-                    constraints.Solution(constraints.INTENSIONAL, {k: q}), cs
-                ).strip()
-                for k, q in folded.entries.items()
+                k: constraints.print_solution({k: q}).strip() for k, q in folded.items()
             }
             _emit(args, out, report, _render_safe(report))
             return EXIT_SAFE

@@ -8,37 +8,16 @@ every constraint writing k is replicated once per clone (labels suffixed
 #i). Kvars read at most once are left untouched, so cloning is the identity
 on already-RWO constraint sets.
 
-A solution over the cloned set folds back to the original kvars by
-intersection: conjunction of predicates (intensional) or intersection of
-tuple sets (extensional).
+The clone relation is a dict {clone: original}, in clone order, and empty
+when nothing is split; it is the mapping `ImpProgram.clones` holds and
+`.imp` headers print. A solution over the cloned set folds back to the
+original kvars by conjoining each original's distinct clone entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .constraints import (
-    ConstraintSet,
-    INTENSIONAL,
-    KApp,
-    KVarSig,
-    RefType,
-    Solution,
-    SubConstraint,
-)
+from .constraints import ConstraintSet, KApp, KVarSig, RefType, SubConstraint
 from .logic import TRUE, mk_and
-
-
-@dataclass
-class CloneMap:
-    groups: dict = field(default_factory=dict)  # original -> [clone names]
-
-    @property
-    def identity(self):
-        return not self.groups
-
-    def clones_of(self, orig):
-        return self.groups.get(orig, [orig])
 
 
 def read_occurrences(cs):
@@ -61,68 +40,56 @@ def clone_name(orig, i):
 
 
 def clone(cs):
-    """Returns (cloned ConstraintSet, CloneMap)."""
-    reads = read_occurrences(cs)
-    cm = CloneMap()
+    """Returns (cloned ConstraintSet, {clone: original})."""
+    reads = read_occurrences(cs)  # a kvar read n >= 2 times has clones k.1 ... k.n
+    clones = {}
     kvars = {}
     for name, sig in cs.kvars.items():
-        n = reads.get(name, 0)
+        n = reads[name]
         if n >= 2:
-            names = [clone_name(name, i) for i in range(1, n + 1)]
-            cm.groups[name] = names
-            for cn in names:
+            for i in range(1, n + 1):
+                cn = clone_name(name, i)
+                clones[cn] = name
                 kvars[cn] = KVarSig(cn, sig.value_type, sig.params)
         else:
             kvars[name] = sig
-    if cm.identity:
-        return cs, cm
+    if not clones:
+        return cs, clones
     out = ConstraintSet(dict(cs.uninterps), kvars, [])
     for c in cs.constraints:
         seen = {}
 
         def read_ref(rt):
-            if not isinstance(rt.ref, KApp) or rt.ref.kvar not in cm.groups:
+            if not isinstance(rt.ref, KApp) or reads.get(rt.ref.kvar, 0) < 2:
                 return rt
             k = rt.ref.kvar
-            i = seen.get(k, 0)
-            seen[k] = i + 1
-            return RefType(rt.base, KApp(cm.groups[k][i], rt.ref.args))
+            i = seen.get(k, 0) + 1
+            seen[k] = i
+            return RefType(rt.base, KApp(clone_name(k, i), rt.ref.args))
 
         env = tuple((n, read_ref(rt)) for n, rt in c.env)
         lhs = read_ref(c.lhs)
-        if isinstance(c.rhs.ref, KApp) and c.rhs.ref.kvar in cm.groups:
-            for i, cn in enumerate(cm.groups[c.rhs.ref.kvar], start=1):
-                rhs = RefType(c.rhs.base, KApp(cn, c.rhs.ref.args))
-                out.constraints.append(
-                    SubConstraint(f"{c.label}#{i}", env, lhs, rhs)
-                )
+        if isinstance(c.rhs.ref, KApp) and reads.get(c.rhs.ref.kvar, 0) >= 2:
+            k = c.rhs.ref.kvar
+            for i in range(1, reads[k] + 1):
+                rhs = RefType(c.rhs.base, KApp(clone_name(k, i), c.rhs.ref.args))
+                out.constraints.append(SubConstraint(f"{c.label}#{i}", env, lhs, rhs))
         else:
             out.constraints.append(SubConstraint(c.label, env, lhs, c.rhs))
-    return out, cm
+    return out, clones
 
 
-def fold_solution(sol, cm, cs):
-    """Fold a solution over clones back to the original kvars.
-
-    Intensional entries conjoin; extensional entries intersect. `cs` is the
-    original (uncloned) constraint set, for its kvar listing.
-    """
-    if cm.identity:
+def fold_solution(sol, clones, cs):
+    """Fold a solution over clones back to the original kvars: each
+    original's entry is the conjunction of its clones' entries (true for a
+    clone with none), where an entry equal to an earlier one is dropped,
+    since A /\\ A is A. `cs` is the original (uncloned) constraint set, for
+    its kvar listing."""
+    if not clones:
         return sol
-    if sol.kind == INTENSIONAL:
-        entries = {}
-        for k in cs.kvars:
-            parts = [sol.entries.get(cn, TRUE) for cn in cm.clones_of(k)]
-            entries[k] = mk_and(*parts)
-        return Solution(INTENSIONAL, entries)
-    entries = {}
-    for k in cs.kvars:
-        sets = [sol.entries.get(cn) for cn in cm.clones_of(k)]
-        sets = [s for s in sets if s is not None]
-        if not sets:
-            continue
-        acc = set(sets[0])
-        for s in sets[1:]:
-            acc &= s
-        entries[k] = frozenset(acc)
-    return Solution(sol.kind, entries)
+    parts = {k: [] for k in cs.kvars}
+    for cn, orig in clones.items():
+        parts[orig].append(sol.get(cn, TRUE))
+    return {
+        k: mk_and(*dict.fromkeys(ps)) if ps else sol.get(k, TRUE) for k, ps in parts.items()
+    }

@@ -7,9 +7,9 @@ concrete predicates over the value variable `v` (plus in-scope program
 variables) or applications `(kapp k e1 ... en)` of a kvar to argument
 expressions standing in for its parameters.
 
-Solutions map kvars to predicates (intensional) or to finite tuple sets over
-(v, params) (extensional). A solution satisfies the set when every
-constraint's embedding `env /\\ lhs => rhs` is valid.
+A solution is a dict from kvar name to a predicate over the kvar's fields:
+`v` and its parameters. It satisfies the set when every constraint's
+embedding `env /\\ lhs => rhs` is valid.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from . import sexpr
 from .logic import (
     BaseType,
-    Cmp,
     FuncSig,
     Implies,
-    IntLit,
     LogicError,
     TRUE,
     TypeEnv,
@@ -31,7 +29,6 @@ from .logic import (
     check_valid,
     expr_from_sexpr,
     mk_and,
-    mk_or,
     pred_from_sexpr,
     subst,
     to_sexpr,
@@ -93,37 +90,6 @@ class ConstraintSet:
     constraints: list = field(default_factory=list)
 
 
-EXTENSIONAL = "extensional"
-INTENSIONAL = "intensional"
-
-
-@dataclass
-class Solution:
-    kind: str
-    entries: dict  # kvar -> Pred (intensional) | frozenset of value tuples
-
-    def pred_for(self, sig):
-        """The entry as a predicate over (v, params)."""
-        if self.kind == INTENSIONAL:
-            return self.entries[sig.name]
-        disjuncts = []
-        for tup in sorted(self.entries[sig.name]):
-            eqs = [
-                Cmp("=", Var(n), IntLit(val))
-                for n, val in zip(sig.field_names, tup)
-            ]
-            disjuncts.append(mk_and(*eqs))
-        return mk_or(*disjuncts)
-
-    def to_intensional(self, cs):
-        if self.kind == INTENSIONAL:
-            return self
-        return Solution(
-            INTENSIONAL,
-            {k: self.pred_for(cs.kvars[k]) for k in self.entries},
-        )
-
-
 # ---------------------------------------------------------------------------
 # Normalization and well-formedness
 
@@ -157,7 +123,7 @@ def _norm_ref(cs, label, scope, rt):
         try:
             typecheck_pred(inner, rt.ref.pred, cs.uninterps)
         except LogicError as exc:
-            raise ConstraintError(f"{label}: {exc}") from exc
+            raise ConstraintError(f"{label}: {type(exc).__name__}: {exc}") from exc
         return rt.ref
     sig = cs.kvars.get(rt.ref.kvar)
     if sig is None:
@@ -173,7 +139,7 @@ def _norm_ref(cs, label, scope, rt):
         try:
             got = typecheck_expr(inner, arg, cs.uninterps)
         except LogicError as exc:
-            raise ConstraintError(f"{label}: {exc}") from exc
+            raise ConstraintError(f"{label}: {type(exc).__name__}: {exc}") from exc
         if got != ptype:
             raise ConstraintError(
                 f"{label}: argument for {sig.name}.{pname} has type {got}"
@@ -192,7 +158,7 @@ def ref_pred(cs, rt, sol):
     if sol is None:
         raise ConstraintError(f"kvar {rt.ref.kvar} needs a solution to embed")
     sig = cs.kvars[rt.ref.kvar]
-    base = sol.pred_for(sig)
+    base = sol[sig.name]
     mapping = {n: e for (n, _), e in zip(sig.params, rt.ref.args)}
     return subst(base, mapping) if mapping else base
 
@@ -241,7 +207,7 @@ def check_satisfied(cs, sol, mode):
     is; missing kvar entries default to true. Constraints that embed to the
     same (tenv, q) pair share one decision: the embeddings are looked up in
     a cache local to this call, so the result is that of deciding each."""
-    sol = Solution(INTENSIONAL, dict.fromkeys(cs.kvars, TRUE) | sol.to_intensional(cs).entries)
+    sol = dict.fromkeys(cs.kvars, TRUE) | sol
     decided = {}
     verdicts = []
     for c in cs.constraints:
@@ -395,13 +361,13 @@ def parse_solution(text):
         if name in entries:
             raise ConstraintError(f"duplicate solution entry {name}")
         entries[name] = pred
-    return Solution(INTENSIONAL, entries)
+    return entries
 
 
 def typecheck_solution(cs, sol):
     """Raise ConstraintError unless each entry names a kvar of `cs` and is a
     predicate over that kvar's fields: `v` and its parameters."""
-    for name, pred in sol.entries.items():
+    for name, pred in sol.items():
         sig = cs.kvars.get(name)
         if sig is None:
             raise ConstraintError(f"unknown kvar {name}")
@@ -412,9 +378,6 @@ def typecheck_solution(cs, sol):
             raise ConstraintError(f"{name}: {type(exc).__name__}: {exc}") from exc
 
 
-def print_solution(sol, cs=None):
-    sol = sol if sol.kind == INTENSIONAL else sol.to_intensional(cs)
-    form = ["solution"] + [
-        [name, to_sexpr(p)] for name, p in sorted(sol.entries.items())
-    ]
+def print_solution(sol):
+    form = ["solution"] + [[name, to_sexpr(p)] for name, p in sorted(sol.items())]
     return sexpr.to_str(form) + "\n"

@@ -337,7 +337,7 @@ def is_rwo(p):
 
 def alpha(states):
     """Per-relvar union of relation contents over non-error Relational
-    states, as an extensional solution mapping."""
+    states: a dict from relvar to a frozenset of tuples."""
     out = {}
     for s in states:
         if s is ERROR:

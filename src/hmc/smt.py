@@ -150,29 +150,36 @@ class Script:
         self.want_model = False
 
 
+def _symbol(x):
+    """Whether `x` is a symbol: a name, which cannot start with a digit."""
+    return isinstance(x, str) and not x[0].isdigit()
+
+
 def script_of(commands):
-    """The Script of a sequence of SMT-LIB commands given as sexpr forms."""
+    """The Script of a sequence of SMT-LIB commands given as sexpr forms. A
+    declaration must name a symbol and give symbols for sorts, those of a
+    function's arguments in a list, and an assert must have one formula."""
     script = Script()
     for form in commands:
-        if not isinstance(form, list) or not form:
-            raise SmtError(f"bad command {sexpr.to_str(form)}")
-        head = form[0]
+        head, *rest = form if isinstance(form, list) and form else [None]
         if head in ("set-logic", "set-option", "set-info", "declare-sort", "check-sat", "exit"):
             continue
         if head == "get-model":
             script.want_model = True
-        elif head == "declare-fun":
-            name, args, ret = form[1], form[2], form[3]
+        elif head == "declare-fun" and len(rest) == 3 and isinstance(rest[1], list) and all(
+            map(_symbol, [rest[0], *rest[1], rest[2]])
+        ):
+            name, args, ret = rest
             if args:
                 script.funcs[name] = (args, ret)
             else:
                 script.consts[name] = ret
-        elif head == "declare-const":
-            script.consts[form[1]] = form[2]
-        elif head == "assert":
-            script.asserts.append(form[1])
+        elif head == "declare-const" and len(rest) == 2 and all(map(_symbol, rest)):
+            script.consts[rest[0]] = rest[1]
+        elif head == "assert" and len(rest) == 1:
+            script.asserts.append(rest[0])
         else:
-            raise SmtError(f"unsupported command {head}")
+            raise SmtError(f"bad command {sexpr.to_str(form)}")
     return script
 
 
@@ -358,7 +365,7 @@ def formula_of(form, funcs):
     `distinct` a disequality."""
     if form in ("true", "false"):
         return logic.TRUE if form == "true" else logic.FALSE
-    if isinstance(form, str):
+    if _symbol(form):
         return logic.BoolVar(form)
     if not isinstance(form, list) or not form or not isinstance(form[0], str):
         raise SmtError(f"bad formula {sexpr.to_str(form)}")
@@ -389,7 +396,7 @@ def term_of(form, funcs):
     declaration."""
     if isinstance(form, int):
         return logic.IntLit(form)
-    if isinstance(form, str):
+    if _symbol(form):
         return logic.Var(form)
     if not (isinstance(form, list) and form and isinstance(form[0], str)
             and (form[0] in ("+", "-", "*") or form[0] in funcs)):
@@ -887,8 +894,7 @@ def solve_script(text):
         for name, sort in script.consts.items():
             val = model.get(name, 0)
             txt = str(val) if val >= 0 else f"(- {-val})"
-            sname = sort if isinstance(sort, str) else sexpr.to_str(sort)
-            lines.append(f"  (define-fun {name} () {sname} {txt})")
+            lines.append(f"  (define-fun {name} () {sort} {txt})")
         lines.append(")")
     return "\n".join(lines) + "\n"
 

@@ -133,15 +133,13 @@ def translate_constraint(cs, c):
     return c.label, seq_of(blk.instrs), blk.types
 
 
-def translate_set_of_constraints(cs, clone_map=None):
+def translate_set_of_constraints(cs, clones=None):
+    """The IMP program of `cs`, with `clones` ({clone: original}) as its clone relation."""
     p = ImpProgram()
     p.func_sigs = dict(cs.uninterps)
     for name, sig in cs.kvars.items():
         p.relvar_sigs[name] = sig.field_types
-    if clone_map is not None:
-        for orig, names in clone_map.groups.items():
-            for cn in names:
-                p.clones[cn] = orig
+    p.clones = dict(clones or {})
     for c in cs.constraints:
         label, block, types = translate_constraint(cs, c)
         for name, t in types.items():

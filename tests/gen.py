@@ -7,11 +7,9 @@ import itertools
 from hmc.constraints import (
     Concrete,
     ConstraintSet,
-    EXTENSIONAL,
     KApp,
     KVarSig,
     RefType,
-    Solution,
     SubConstraint,
     check_satisfied,
     normalize,
@@ -37,6 +35,8 @@ from hmc.logic import (
     TRUE,
     ValueDomain,
     Var,
+    mk_and,
+    mk_or,
 )
 
 DOMAIN01 = ValueDomain((0, 1))
@@ -171,8 +171,19 @@ def gen_constraint_set(rng, max_kvars=2, max_params=1, max_constraints=3):
     return normalize(cs)
 
 
+def points_pred(sig, tuples):
+    """The predicate over a kvar's fields (`v`, then its parameters) that
+    holds exactly at the given value tuples: one disjunct of equalities per
+    tuple, in sorted order."""
+    return mk_or(*(
+        mk_and(*(Cmp("=", Var(n), IntLit(val)) for n, val in zip(sig.field_names, tup)))
+        for tup in sorted(tuples)
+    ))
+
+
 def all_extensional_solutions(cs, domain=DOMAIN01):
-    """Every assignment of a tuple set (over the domain) to every kvar."""
+    """Every assignment of a tuple set (over the domain) to every kvar, as a
+    dict from kvar name to a frozenset of value tuples."""
     per_kvar = []
     names = list(cs.kvars)
     for name in names:
@@ -187,11 +198,14 @@ def all_extensional_solutions(cs, domain=DOMAIN01):
             )
         per_kvar.append(subsets)
     for combo in itertools.product(*per_kvar):
-        yield Solution(EXTENSIONAL, dict(zip(names, combo)))
+        yield dict(zip(names, combo))
 
 
 def satisfies(cs, sol, domain=DOMAIN01):
-    return check_satisfied(cs, sol, OracleMode(domain)).satisfied
+    """Whether the tuple-set solution `sol` satisfies `cs` over `domain`; a
+    kvar it leaves out is true."""
+    preds = {k: points_pred(cs.kvars[k], tuples) for k, tuples in sol.items()}
+    return check_satisfied(cs, preds, OracleMode(domain)).satisfied
 
 
 def satisfying_solutions(cs, domain=DOMAIN01, limit=None):

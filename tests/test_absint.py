@@ -23,7 +23,6 @@ from hmc.absint import (
 )
 from hmc.clone import clone
 from hmc.constraints import (
-    INTENSIONAL,
     check_satisfied,
     normalize,
     parse_constraints,
@@ -55,13 +54,13 @@ def load(text):
 
 def program_for(name):
     cs = load((EXAMPLES / name).read_text())
-    cloned, cm = clone(cs)
-    return cs, cm, translate_set_of_constraints(cloned, cm)
+    cloned, clones = clone(cs)
+    return cs, clones, translate_set_of_constraints(cloned, clones)
 
 
 def program_of(cs):
-    cloned, cm = clone(cs)
-    return translate_set_of_constraints(cloned, cm)
+    cloned, clones = clone(cs)
+    return translate_set_of_constraints(cloned, clones)
 
 
 def chain_text(n):
@@ -131,19 +130,19 @@ def test_mining_maps_applications_back_to_fields():
 
 
 def test_solve_proves_iteri():
-    cs, cm, p = program_for("iteri_mask.hmc")
+    cs, _, p = program_for("iteri_mask.hmc")
     runs = run_blocks(p)
     preds = harvest_predicates(p, runs)
     res = solve(p, runs, preds, SolverMode())
     assert res.status == PROVED
     sol = extract_solution(res.invariant, preds, cs.kvars)
-    assert sol.kind == INTENSIONAL
+    assert list(sol) == list(cs.kvars)
     rep = check_satisfied(cs, sol, SolverMode())
     assert rep.satisfied, rep.first_failure
 
 
 def test_solution_matches_oracle_on_small_domain():
-    cs, cm, p = program_for("iteri_mask.hmc")
+    cs, _, p = program_for("iteri_mask.hmc")
     runs = run_blocks(p)
     preds = harvest_predicates(p, runs)
     res = solve(p, runs, preds, SolverMode())
@@ -199,7 +198,7 @@ def test_empty_invariant_blocks_get():
     res = solve(p, runs, preds, SolverMode())
     assert res.status == PROVED
     sol = extract_solution(res.invariant, preds, {"k": None})
-    assert to_text(sol.entries["k"]) == "false"
+    assert to_text(sol["k"]) == "false"
 
 
 def test_parse_preds_splits_conjunctions():
@@ -251,7 +250,7 @@ def test_run_blocks_rejects_an_ill_typed_program():
 
 
 def test_format_invariant_mentions_preds():
-    cs, cm, p = program_for("iteri_mask.hmc")
+    cs, _, p = program_for("iteri_mask.hmc")
     runs = run_blocks(p)
     preds = harvest_predicates(p, runs)
     res = solve(p, runs, preds, SolverMode())
@@ -260,7 +259,7 @@ def test_format_invariant_mentions_preds():
 
 
 def test_engine_assert_statuses():
-    cs, cm, p = program_for("iteri_mask.hmc")
+    cs, _, p = program_for("iteri_mask.hmc")
     runs = run_blocks(p)
     res = solve(p, runs, harvest_predicates(p, runs), SolverMode())
     assert res.statuses and all(s.status == "holds" for s in res.statuses)
@@ -470,12 +469,12 @@ def test_merge_changes_no_reached_cube(monkeypatch):
         res = solve(p, runs, preds, SolverMode())
         statuses = [(s.label, s.status) for s in res.statuses]
         sol = extract_solution(res.invariant, preds, cloned.kvars)
-        return res.invariant.cubes, statuses, sol.entries
+        return res.invariant.cubes, statuses, sol
 
     shorter = 0
     for cs in sets:
-        cloned, cm = clone(cs)
-        p = translate_set_of_constraints(cloned, cm)
+        cloned, clones = clone(cs)
+        p = translate_set_of_constraints(cloned, clones)
         with monkeypatch.context() as m:
             m.setattr(absint, "merge_cubes", lambda cubes: cubes)
             cubes, statuses, plain = run(cloned, p)

@@ -25,8 +25,6 @@ from gen import (
 from hmc.cli import main
 from hmc.clone import clone, fold_solution
 from hmc.constraints import (
-    EXTENSIONAL,
-    Solution,
     check_satisfied,
     normalize,
     parse_constraints,
@@ -120,8 +118,8 @@ def test_02_tworead_dichotomy():
 def test_03_clone_restores_agreement():
     with budget(10):
         cs = normalize(parse_constraints(TWOREAD_HMC.read_text()))
-        cloned, cm = clone(cs)
-        p = translate_set_of_constraints(cloned, cm)
+        cloned, clones = clone(cs)
+        p = translate_set_of_constraints(cloned, clones)
         assert is_rwo(p) is None
         for rng in ((-1, 1), (-2, 2)):
             d = ValueDomain(rng)
@@ -145,11 +143,11 @@ def test_04_satisfiability_equals_relational_safety():
             assert r.exhausted, seed
             assert bool(sols) == (r.error_trace is None), seed
             if sols:
-                asol = Solution(EXTENSIONAL, dict(alpha(r.states)))
+                asol = alpha(r.states)
                 assert satisfies(cs, asol), ("alpha not satisfying", seed)
                 for s in sols:
-                    for k, tuples in asol.entries.items():
-                        assert tuples <= s.entries[k], ("alpha not least", seed)
+                    for k, tuples in asol.items():
+                        assert tuples <= s[k], ("alpha not least", seed)
 
 
 # -- 5. semantics agreement on read-write-once programs --------------------
@@ -260,10 +258,7 @@ def test_07_intersection_of_solutions_satisfies():
             if len(sols) < 2:
                 continue
             a, b = rng.sample(sols, 2)
-            inter = Solution(
-                EXTENSIONAL,
-                {k: a.entries[k] & b.entries[k] for k in a.entries},
-            )
+            inter = {k: a[k] & b[k] for k in a}
             assert satisfies(cs, inter), seed
             found += 1
 
@@ -279,8 +274,8 @@ CORRECTED_K1 = "(and (<= i v) (< v (+ i (len xs))))"
 
 def _check_iteri():
     cs = normalize(parse_constraints(ITERI.read_text()))
-    cloned, cm = clone(cs)
-    p = translate_set_of_constraints(cloned, cm)
+    cloned, clones = clone(cs)
+    p = translate_set_of_constraints(cloned, clones)
     from hmc import absint
 
     mode = SolverMode()
@@ -289,7 +284,7 @@ def _check_iteri():
     result = absint.solve(p, runs, preds, mode)
     assert result.status == absint.PROVED
     sol = fold_solution(
-        absint.extract_solution(result.invariant, preds, cloned.kvars), cm, cs
+        absint.extract_solution(result.invariant, preds, cloned.kvars), clones, cs
     )
     assert check_satisfied(cs, sol, mode).satisfied
     return cs, sol, mode
@@ -308,14 +303,14 @@ def test_08_check_proves_iteri_and_revalidates():
     with budget(10):
         cs, sol, mode = _check_iteri()
         # the extracted predicates are equivalent to the corrected bounds
-        assert _equivalent(cs, "k1", sol.entries["k1"], CORRECTED_K1, mode)
+        assert _equivalent(cs, "k1", sol["k1"], CORRECTED_K1, mode)
         # k2 may carry extra conjuncts that hold of every reachable tuple
         # (such as 0 <= len(a)); it must still imply the bare bound
         sig = cs.kvars["k2"]
         tenv = TypeEnv.of(*zip(sig.field_names, sig.field_types))
         want = pred_from_sexpr(parse_one(HANDWRITTEN_K2))
         v = check_valid(
-            tenv, Implies(sol.entries["k2"], want), mode, cs.uninterps
+            tenv, Implies(sol["k2"], want), mode, cs.uninterps
         )
         assert v.status == VALID
 
@@ -334,8 +329,8 @@ def test_08_check_proves_iteri_and_revalidates():
 def test_08_extracted_equals_handwritten():
     with budget(10):
         cs, sol, mode = _check_iteri()
-        assert _equivalent(cs, "k1", sol.entries["k1"], HANDWRITTEN_K1, mode)
-        assert _equivalent(cs, "k2", sol.entries["k2"], HANDWRITTEN_K2, mode)
+        assert _equivalent(cs, "k1", sol["k1"], HANDWRITTEN_K1, mode)
+        assert _equivalent(cs, "k2", sol["k2"], HANDWRITTEN_K2, mode)
 
 
 # -- 9. solution validation ------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from gen import gen_constraint_set
 from hmc import cli, constraints, logic
 from hmc.cli import build_parser, main
+from hmc.sexpr import parse_one, to_str
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 ITERI = str(EXAMPLES / "iteri_mask.hmc")
@@ -185,6 +186,12 @@ def test_check_bad_preds_is_usage_error(tmp_path, capsys, entries, error):
             "2:48: unbalanced ')'",
         ),
         ("(kvar k (v int)) (sub c1 (lhs int (= v 0))", "unclosed '('"),
+        # a typing error names its kind, as in a solution or --preds file
+        ("(sub c1 (lhs int (= v 1)) (rhs int (= v (f))))", "c1: UnknownFunction: f"),
+        (
+            "(sub c2 (env (x int (= v y))) (lhs int true) (rhs int true))",
+            "c2: UnboundVariable: y",
+        ),
     ],
 )
 def test_check_malformed_form_is_usage_error(tmp_path, text, error):
@@ -312,6 +319,7 @@ GOLDEN_CHECKS = {
     "sums": (0, []),
     "boolfun": (0, []),
     "retyped": (0, ["--preds", RETYPED_PREDS]),
+    "clonefold": (0, []),
 }
 
 
@@ -323,6 +331,23 @@ def test_check_output_matches_golden(name):
     code, text = run("check", str(EXAMPLES / f"{name}.hmc"), *flags)
     assert code == want
     assert text == (EXAMPLES / f"{name}.check.txt").read_text()
+
+
+@pytest.mark.parametrize("name", [n for n, (code, _) in GOLDEN_CHECKS.items() if code == 0])
+def test_golden_solution_revalidates(tmp_path, name):
+    # the `(solution ...)` lines a SAFE check prints, joined into one
+    # solution file, are read back by `validate` and satisfy the set: in
+    # process and through the filter
+    golden = (EXAMPLES / f"{name}.check.txt").read_text()
+    lines = golden.partition("solution:\n")[2].splitlines()  # none for boolfun
+    entries = [e for line in lines for e in parse_one(line)[1:]]
+    sol = tmp_path / f"{name}.sol"
+    sol.write_text(to_str(["solution", *entries]) + "\n")
+    hmc = str(EXAMPLES / f"{name}.hmc")
+    assert run("validate", hmc, "--solution", str(sol)) == (0, "SATISFIED\n")
+    solver = f"{sys.executable} -m hmc.smt"
+    got = run_process("validate", hmc, "--solution", str(sol), "--smt-cmd", solver)
+    assert got == (0, "SATISFIED\n", "")
 
 
 PROVABLE = "(sub c1 (lhs int (= v 1)) (rhs int (<= 0 v)))\n"

@@ -1,16 +1,15 @@
 from pathlib import Path
 
+from gen import points_pred
+
 from hmc.clone import clone, fold_solution, read_occurrences
 from hmc.constraints import (
-    EXTENSIONAL,
-    INTENSIONAL,
-    Solution,
     check_satisfied,
     normalize,
     parse_constraints,
     parse_solution,
 )
-from hmc.logic import OracleMode, ValueDomain, to_text
+from hmc.logic import Interpretation, OracleMode, ValueDomain, eval_pred, to_text
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -29,16 +28,15 @@ def test_read_occurrences():
 
 def test_identity_when_single_read():
     cs = load((EXAMPLES / "iteri_mask.hmc").read_text())
-    cloned, cm = clone(cs)
-    assert cm.identity
+    cloned, clones = clone(cs)
+    assert clones == {}
     assert cloned is cs
 
 
 def test_clone_tworead():
     cs = load(TWOREAD)
-    cloned, cm = clone(cs)
-    assert not cm.identity
-    assert dict(cm.groups) == {"k": ["k.1", "k.2"]}
+    cloned, clones = clone(cs)
+    assert clones == {"k.1": "k", "k.2": "k"}
     assert set(cloned.kvars) == {"k.1", "k.2"}
     labels = [c.label for c in cloned.constraints]
     # writer c1 replicated once per clone, reader c2 kept with renamed reads
@@ -56,37 +54,35 @@ def test_clone_signatures_shared():
 
 def test_fold_intensional():
     cs = load(TWOREAD)
-    cloned, cm = clone(cs)
+    _, clones = clone(cs)
     sol = parse_solution("(solution (k.1 (<= 0 v)) (k.2 (<= v 1)))")
-    folded = fold_solution(sol, cm, cs)
-    assert folded.kind == INTENSIONAL
-    assert to_text(folded.entries["k"]) == "(and (<= 0 v) (<= v 1))"
+    folded = fold_solution(sol, clones, cs)
+    assert list(folded) == ["k"]
+    assert to_text(folded["k"]) == "(and (<= 0 v) (<= v 1))"
 
 
 def test_fold_extensional_intersects():
     cs = load(TWOREAD)
-    cloned, cm = clone(cs)
-    sol = Solution(
-        EXTENSIONAL,
-        {"k.1": frozenset({(0,), (1,)}), "k.2": frozenset({(1,), (2,)})},
-    )
-    folded = fold_solution(sol, cm, cs)
-    assert folded.entries["k"] == frozenset({(1,)})
+    # folding conjoins the clones' entries, so entries that hold exactly
+    # at {0, 1} and at {1, 2} fold to one that holds exactly at their
+    # intersection {1}
+    _, clones = clone(cs)
+    sig = cs.kvars["k"]
+    sol = {"k.1": points_pred(sig, {(0,), (1,)}), "k.2": points_pred(sig, {(1,), (2,)})}
+    folded = fold_solution(sol, clones, cs)["k"]
+    holds = [v for v in range(-2, 3) if eval_pred(Interpretation({"v": v}), folded)]
+    assert holds == [1]
 
 
-SINGLETON = """\
-(kvar k (v int))
-(sub c1 (env) (lhs int (= v 0)) (rhs int (kapp k)))
-(sub c2 (env (x int (kapp k)) (y int (kapp k))) (lhs int true) (rhs int (= x y)))
-"""
+SINGLETON = (EXAMPLES / "clonefold.hmc").read_text()
 
 
 def test_cloned_satisfaction_matches_folded():
     # a solution of the cloned set, once folded, satisfies the original
     cs = load(SINGLETON)
-    cloned, cm = clone(cs)
+    cloned, clones = clone(cs)
     mode = OracleMode(ValueDomain((-1, 1)))
     sol = parse_solution("(solution (k.1 (= v 0)) (k.2 (= v 0)))")
     assert check_satisfied(cloned, sol, mode).satisfied
-    folded = fold_solution(sol, cm, cs)
+    folded = fold_solution(sol, clones, cs)
     assert check_satisfied(cs, folded, mode).satisfied

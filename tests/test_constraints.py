@@ -2,15 +2,12 @@ import random
 from pathlib import Path
 
 import pytest
-from gen import gen_constraint_set, gen_pred
+from gen import gen_constraint_set, gen_pred, points_pred
 
 from hmc import constraints
 from hmc.constraints import (
     ConstraintError,
-    EXTENSIONAL,
-    INTENSIONAL,
     KApp,
-    Solution,
     check_satisfied,
     embed_sub,
     normalize,
@@ -77,21 +74,20 @@ def test_base_mismatch_rejected():
 
 def test_embed_sub():
     cs = load(SIMPLE)
-    sol = Solution(INTENSIONAL, dict.fromkeys(cs.kvars, TRUE))
+    sol = dict.fromkeys(cs.kvars, TRUE)
     env, p = embed_sub(cs, cs.constraints[0], sol)
     assert to_text(p) == "(=> (<= 0 x) (=> (= v x) true))"
 
 
 def test_solution_roundtrip_and_extensional():
     sol = parse_solution("(solution (k (<= 0 v)))")
-    assert sol.kind == INTENSIONAL
+    assert list(sol) == ["k"]
     assert print_solution(sol) == "(solution (k (<= 0 v)))\n"
     from hmc.constraints import KVarSig
     from hmc.logic import INT
 
     sig = KVarSig("k", INT, (("n", INT),))
-    ext = Solution(EXTENSIONAL, {"k": frozenset({(0, 1), (2, 2)})})
-    p = ext.pred_for(sig)
+    p = points_pred(sig, frozenset({(0, 1), (2, 2)}))
     # disjunction over the two tuples
     assert "(= v 0)" in to_text(p) and "(= n 2)" in to_text(p)
 
@@ -113,7 +109,7 @@ def test_check_satisfied():
 
 def test_missing_entry_defaults_true():
     cs = load(SIMPLE)
-    sol = Solution(INTENSIONAL, {})
+    sol = {}
     rep = check_satisfied(cs, sol, OracleMode(ValueDomain((-1, 1))))
     # k := true satisfies c1 but not c2
     assert not rep.satisfied and rep.first_failure[0] == "c2"
@@ -123,7 +119,7 @@ def test_check_satisfied_leaves_solution_unchanged():
     cs = load((EXAMPLES / "iteri_mask.hmc").read_text())
     sol = parse_solution("(solution (k2 (<= 0 v)))")
     check_satisfied(cs, sol, OracleMode(ValueDomain((-1, 1))))
-    assert list(sol.entries) == ["k2"]
+    assert list(sol) == ["k2"]
 
 
 @pytest.mark.parametrize(
@@ -143,9 +139,7 @@ def test_check_satisfied_decides_each_embedding_once(mode, monkeypatch):
     repeats = 0
     for _ in range(40):
         cs = gen_constraint_set(rng)
-        sol = Solution(INTENSIONAL, {
-            k: gen_pred(rng, list(sig.field_names)) for k, sig in cs.kvars.items()
-        })
+        sol = {k: gen_pred(rng, list(sig.field_names)) for k, sig in cs.kvars.items()}
         calls.clear()
         rep = check_satisfied(cs, sol, mode)
         keys = [embed_sub(cs, c, sol) for c in cs.constraints]
@@ -164,7 +158,7 @@ def test_uninterp_signature_used():
     )
     rep = check_satisfied(
         cs,
-        Solution(INTENSIONAL, dict.fromkeys(cs.kvars, TRUE)),
+        dict.fromkeys(cs.kvars, TRUE),
         OracleMode(ValueDomain((-1, 1), (("obj", (0, 1)),))),
     )
     assert rep.satisfied

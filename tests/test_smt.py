@@ -160,6 +160,13 @@ FILTER_SYNTAX = [
     (X + "(assert (<= (foo x) 1))", "error"),
     (X + "(assert (foo x))", "error"),
     ("(declare-fun f (Int) Int) (assert (= (f 1 2) 0))", "error"),
+    # malformed commands: each is an error, not a traceback or an answer
+    ("(declare-fun x)", "error"),
+    ("(assert)", "error"),
+    ("(declare-const y)", "error"),
+    ("(declare-fun f Int Int) (assert (= (f 1 2 3) 0))", "error"),
+    ("(declare-fun 3 () Int)", "error"),
+    (X + "(assert (= x 1.5))", "error"),
 ]
 
 

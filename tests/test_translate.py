@@ -73,8 +73,8 @@ def test_kapp_get_set_shapes():
 
 def test_clone_headers_emitted():
     cs = load((EXAMPLES / "tworead.hmc").read_text())
-    cloned, cm = clone(cs)
-    p = translate_set_of_constraints(cloned, cm)
+    cloned, clones = clone(cs)
+    p = translate_set_of_constraints(cloned, clones)
     text = print_imp(p)
     assert ";; clone k.1 of k" in text and ";; clone k.2 of k" in text
     assert set(dict(p.blocks)) == {"c1#1", "c1#2", "c2"}
@@ -88,8 +88,8 @@ def test_translation_parses_back():
     rng = random.Random(3)
     sets += [gen_constraint_set(rng) for _ in range(150)]
     for cs in sets:
-        for cloned, cm in [(cs, None), clone(cs)]:
-            p = translate_set_of_constraints(cloned, cm)
+        for cloned, clones in [(cs, None), clone(cs)]:
+            p = translate_set_of_constraints(cloned, clones)
             for q in (p, simplify(p)):
                 assert print_imp(parse_imp(print_imp(q))) == print_imp(q)
 
