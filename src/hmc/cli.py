@@ -292,7 +292,7 @@ def cmd_exec(args, out):
         _emit(args, out, report, "SAFE")
         return EXIT_SAFE
     report.verdict = "INCONCLUSIVE"
-    report.detail = "sampled interpretations only; no counterexample found"
+    report.detail = "\n".join(verdict.reasons)
     _emit(args, out, report, f"INCONCLUSIVE\n{report.detail}")
     return EXIT_INCONCLUSIVE
 

@@ -9,15 +9,20 @@ ground-truth semantics share that state and differ only in `set`:
 - Imperative: a relation holds at most one tuple, and bottom is the empty
   relation; `set` overwrites.
 
-A failing assert moves to the absorbing ERROR state. The reach computation
-enumerates a finite value domain and finite function tables.
+A failing assert moves to the absorbing ERROR state. The oracle,
+`exec_program`, works over a finite value domain and finite function
+tables. When every block writes each base variable before it reads it, as
+every translated program does, a block's runs depend only on the tuples its
+gets pick; under the relational semantics relations only grow, so the
+blocks are Horn clauses, and `least_model` evaluates them semi-naively to
+their least model. Otherwise `reach` searches the states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, product
+from itertools import groupby
 
 from . import sexpr
 from .logic import (
@@ -234,10 +239,6 @@ class ReachResult:
     error_trace: list | None  # block labels leading to ERROR
     exhausted: bool  # False when the fuel cap stopped the fixpoint
 
-    @property
-    def safe(self):
-        return self.error_trace is None
-
 
 def reach(p, ctx, semantics="relational", fuel=10_000, stop_on_error=False):
     """All states reachable from the initial state by any block sequence under
@@ -278,9 +279,158 @@ def reach(p, ctx, semantics="relational", fuel=10_000, stop_on_error=False):
     return ReachResult(states, error_trace, True)
 
 
+# ---------------------------------------------------------------------------
+# Least model
+
+
+@dataclass
+class ModelResult:
+    model: dict  # relvar -> frozenset of tuples; partial unless `exhausted`
+    error_trace: list | None  # block labels leading to ERROR
+    exhausted: bool  # False when the fuel cap stopped the fixpoint
+
+
+def least_model(p, ctx, fuel=10_000, stop_on_error=True):
+    """The least model of `p` under one fixed interpretation, for a program
+    whose every block writes each base variable before it reads it (see
+    `reads_before_writing`). Such a block is a Horn clause: its runs depend
+    only on the tuples its gets pick, so an error is reachable iff an
+    assert fails on some run whose gets pick from the least model.
+
+    Semi-naive evaluation: each round runs every block over the tuples
+    found before it, and after the first round only the runs that read a
+    tuple new in the last round; the tuples their sets write are added at
+    the end of the round, until a round adds none. Each tuple keeps its
+    first derivation, the block and the tuples that run read, and the trace
+    to ERROR lists the derivations of the failing run's reads depth first,
+    each once, then the failing block. The fixpoint stops unexhausted once
+    the model holds more than `fuel` tuples. With `stop_on_error` it stops
+    at the first failing run (the model is then partial)."""
+    model = {k: {} for k in p.relvar_sigs}  # relvar -> {tuple: derivation index}
+    derivations = []  # (block label, the (relvar, tuple) facts its run read)
+    error_trace = None
+    delta = None  # the tuples new in the last round; None in the first
+    size = 0
+    while True:
+        fresh = {k: {} for k in model}
+        for label, block in p.blocks:
+            for reads, sets in _block_runs(block.instrs, ctx, model, delta, stop_on_error):
+                if sets is None:
+                    if error_trace is None:
+                        error_trace = _derivation_trace(model, derivations, reads) + [label]
+                        if stop_on_error:
+                            return ModelResult(_relations(model), error_trace, False)
+                    continue
+                d = None
+                for k, tup in sets:
+                    if tup not in model[k] and tup not in fresh[k]:
+                        if d is None:
+                            d = len(derivations)
+                            derivations.append((label, reads))
+                        fresh[k][tup] = d
+        for k, new in fresh.items():
+            model[k].update(new)
+            size += len(new)
+        if not any(fresh.values()):
+            return ModelResult(_relations(model), error_trace, True)
+        if size > fuel:
+            return ModelResult(_relations(model), error_trace, False)
+        delta = fresh
+
+
+def _relations(model):
+    return {k: frozenset(tuples) for k, tuples in model.items()}
+
+
+def _block_runs(instrs, ctx, model, delta, stop_on_error):
+    """The runs of one block whose gets pick from `model`, or from the
+    tuples the run itself set before: a list of (reads, sets), where
+    `reads` are the (relvar, tuple) facts taken from `model` and `sets` the
+    facts the run writes, or None when an assert failed. With `delta`, only
+    the runs that read one of its tuples. With `stop_on_error`, the list
+    ends at the first failing run."""
+    last_get = max((j for j, i in enumerate(instrs) if isinstance(i, Get)), default=-1)
+    runs = []
+
+    def run(j, base, reads, sets, fresh):
+        # returns True to stop the whole enumeration
+        while j < len(instrs):
+            i = instrs[j]
+            j += 1
+            if isinstance(i, Assign):
+                base[i.var] = eval_expr(ctx.interp(base), i.expr)
+            elif isinstance(i, Assume):
+                if not eval_pred(ctx.interp(base), i.pred):
+                    return False
+            elif isinstance(i, Assert):
+                if not eval_pred(ctx.interp(base), i.pred):
+                    if fresh:
+                        runs.append((reads, None))
+                        return stop_on_error
+                    return False
+            elif isinstance(i, Set):
+                sets += ((i.relvar, tuple(base[x] for x in i.args)),)
+            elif isinstance(i, Havoc):
+                for val in ctx.domain.values(ctx.program.base_types[i.var]):
+                    if run(j, {**base, i.var: val}, reads, sets, fresh):
+                        return True
+                return False
+            elif isinstance(i, Get):
+                own = dict.fromkeys(t for k, t in sets if k == i.relvar)
+                if not fresh and j - 1 == last_get:
+                    # the last chance to read a new tuple; a tuple the run
+                    # set itself is not one
+                    picks = [t for t in delta[i.relvar] if t not in own]
+                else:
+                    picks = [*model[i.relvar], *(t for t in own if t not in model[i.relvar])]
+                for tup in picks:
+                    b = dict(base)
+                    b.update(zip(i.targets, tup))
+                    if tup in own:
+                        stop = run(j, b, reads, sets, fresh)
+                    else:
+                        stop = run(j, b, reads + ((i.relvar, tup),), sets,
+                                   fresh or tup in delta[i.relvar])
+                    if stop:
+                        return True
+                return False
+            else:
+                raise ImpError(f"bad instruction {i!r}")
+        if fresh:
+            runs.append((reads, sets))
+        return False
+
+    run(0, {}, (), (), delta is None)
+    return runs
+
+
+def _derivation_trace(model, derivations, reads):
+    """The labels of the derivations of `reads`, depth first in dependency
+    order, each derivation once."""
+    trace, seen = [], set()
+    stack = [(None, iter(reads))]  # (derivation index, its reads left to visit)
+    while stack:
+        d, todo = stack[-1]
+        fact = next(todo, None)
+        if fact is None:
+            stack.pop()
+            if d is not None:
+                trace.append(derivations[d][0])
+            continue
+        first = model[fact[0]][fact[1]]
+        if first not in seen:
+            seen.add(first)
+            stack.append((first, iter(derivations[first][1])))
+    return trace
+
+
 SAFE = "safe"
 UNSAFE = "unsafe"
 INCONCLUSIVE = "inconclusive"
+
+# why a run without a counterexample is INCONCLUSIVE
+SAMPLED = "sampled interpretations only; no counterexample found"
+FUEL_OUT = "ran out of fuel before a fixpoint; no counterexample found"
 
 
 @dataclass
@@ -288,81 +438,60 @@ class ExecVerdict:
     status: str
     trace: list | None = None
     tables: dict | None = None
+    reasons: tuple = ()  # SAMPLED and/or FUEL_OUT when INCONCLUSIVE
 
 
 def exec_program(p, domain, semantics="relational", table_budget=256, seed=0, fuel=10_000):
-    """Safety over every interpretation of the uninterpreted functions. With
-    sampled tables a clean run is INCONCLUSIVE rather than SAFE."""
-    sigs = list(p.func_sigs.values())
-    choices = enumerate_func_tables(sigs, domain, table_budget, seed)
-    exhaustive = all(ex for _, ex in choices)
+    """Safety over every interpretation of the uninterpreted functions: one
+    search per table choice, the first error trace found wins. Under the
+    relational semantics a program whose blocks write each base variable
+    before they read it gets its least model (`least_model`); any other
+    program, and any under the imperative semantics, gets the state search
+    (`reach`). A clean run is INCONCLUSIVE rather than SAFE when the tables
+    were sampled or a search ran out of `fuel`, with those reasons."""
+    choices = enumerate_func_tables(list(p.func_sigs.values()), domain, table_budget, seed)
+    horn = semantics == "relational" and not any(
+        reads_before_writing(block) for _, block in p.blocks
+    )
+    reasons = [] if all(ex for _, ex in choices) else [SAMPLED]
     for tables, _ in choices:
-        r = reach(p, ExecContext(p, domain, tables), semantics, fuel, stop_on_error=True)
+        ctx = ExecContext(p, domain, tables)
+        if horn:
+            r = least_model(p, ctx, fuel)
+        else:
+            r = reach(p, ctx, semantics, fuel, stop_on_error=True)
         if r.error_trace is not None:
             return ExecVerdict(UNSAFE, r.error_trace, tables)
-        if not r.exhausted:
-            exhaustive = False
-    return ExecVerdict(SAFE if exhaustive else INCONCLUSIVE)
+        if not r.exhausted and FUEL_OUT not in reasons:
+            reasons.append(FUEL_OUT)
+    return ExecVerdict(INCONCLUSIVE if reasons else SAFE, reasons=tuple(reasons))
 
 
 # ---------------------------------------------------------------------------
-# Structure checks and the Relational/Imperative correspondence maps
+# Variables read and written
 
 
-@dataclass(frozen=True)
-class Violation:
-    label: str
-    relvar: str
-    kind: str  # "READS" | "WRITES"
-    count: int
+def _reads_writes(i):
+    """The variables instruction `i` reads, and those it writes."""
+    if isinstance(i, Get):
+        return (), i.targets
+    if isinstance(i, Havoc):
+        return (), (i.var,)
+    if isinstance(i, Set):
+        return i.args, ()
+    if isinstance(i, Assign):
+        return free_vars(i.expr), (i.var,)
+    return free_vars(i.pred), ()
 
 
-def is_rwo(p):
-    """OK (None) or the first per-block read/write-once violation."""
-    for label, block in p.blocks:
-        reads, writes = {}, {}
-        for i in block.instrs:
-            if isinstance(i, Get):
-                reads[i.relvar] = reads.get(i.relvar, 0) + 1
-            elif isinstance(i, Set):
-                writes[i.relvar] = writes.get(i.relvar, 0) + 1
-        for k, n in sorted(reads.items()):
-            if n > 1:
-                return Violation(label, k, "READS", n)
-        for k, n in sorted(writes.items()):
-            if n > 1:
-                return Violation(label, k, "WRITES", n)
-    return None
-
-
-def alpha(states):
-    """Per-relvar union of relation contents over non-error Relational
-    states: a dict from relvar to a frozenset of tuples."""
-    out = {}
-    for s in states:
-        if s is ERROR:
-            continue
-        for k, tuples in s.rels:
-            out.setdefault(k, set()).update(tuples)
-    return {k: frozenset(v) for k, v in out.items()}
-
-
-def expand(state):
-    """All imperative states covered by a relational state: each relation
-    independently keeps one of its tuples as a singleton, and an empty
-    relation stays empty (bottom)."""
-    if state is ERROR:
-        return {ERROR}
-    names = [k for k, _ in state.rels]
-    options = [[frozenset({t}) for t in tuples] or [frozenset()] for _, tuples in state.rels]
-    return {State(state.base, tuple(zip(names, pick))) for pick in product(*options)}
-
-
-def expand_all(states):
-    out = set()
-    for s in states:
-        out |= expand(s)
-    return out
+def reads_before_writing(block):
+    """The set of the variables `block` reads before it writes them."""
+    read_first, written = set(), set()
+    for i in block.instrs:
+        reads, writes = _reads_writes(i)
+        read_first.update(x for x in reads if x not in written)
+        written.update(writes)
+    return read_first
 
 
 # ---------------------------------------------------------------------------
@@ -609,23 +738,11 @@ def _check_program(p):
     retyped = {}  # variable -> (the first block that leaves it retyped, its type)
     read_first = {}  # variable -> the first block that reads it before writing it
     for label, block in p.blocks:
-        types, written = dict(p.base_types), set()
+        types = dict(p.base_types)
         for i in block.instrs:
             type_instr(p, label, i, types)
-            if isinstance(i, Get):
-                reads, writes = (), i.targets
-            elif isinstance(i, Havoc):
-                reads, writes = (), (i.var,)
-            elif isinstance(i, Set):
-                reads, writes = i.args, ()
-            elif isinstance(i, Assign):
-                reads, writes = free_vars(i.expr), (i.var,)
-            else:
-                reads, writes = free_vars(i.pred), ()
-            for x in reads:
-                if x not in written:
-                    read_first.setdefault(x, label)
-            written.update(writes)
+        for x in reads_before_writing(block):
+            read_first.setdefault(x, label)
         for x, t in types.items():
             if t != p.base_types[x]:
                 retyped.setdefault(x, (label, t))

@@ -146,7 +146,7 @@ class Script:
     def __init__(self):
         self.consts = {}  # name -> sort (0-ary declarations)
         self.funcs = {}  # name -> (arg sorts, ret sort)
-        self.asserts = []
+        self.asserts = []  # `logic` formulas
         self.want_model = False
 
 
@@ -157,29 +157,57 @@ def _symbol(x):
 
 def script_of(commands):
     """The Script of a sequence of SMT-LIB commands given as sexpr forms. A
-    declaration must name a symbol and give symbols for sorts, those of a
-    function's arguments in a list, and an assert must have one formula."""
+    declaration must name a symbol not declared before and give its sorts,
+    those of a function's arguments in a list: `Int`, `Bool` or a sort of a
+    `declare-sort` before it. An assert must have one formula, read into
+    `logic` (`formula_of`), which must typecheck over the declarations."""
     script = Script()
+    sorts = {"Int": logic.INT, "Bool": logic.BOOL}
+    consts, sigs = {}, {}  # the declarations as `logic` types and FuncSigs
+
+    def sort(name):
+        if name not in sorts:
+            raise SmtError(f"unknown sort {name}")
+        return sorts[name]
+
     for form in commands:
         head, *rest = form if isinstance(form, list) and form else [None]
-        if head in ("set-logic", "set-option", "set-info", "declare-sort", "check-sat", "exit"):
+        if head in ("set-logic", "set-option", "set-info", "check-sat", "exit"):
             continue
         if head == "get-model":
             script.want_model = True
+            continue
+        if head == "declare-sort" and len(rest) == 2 and _symbol(rest[0]) and rest[1] == 0:
+            if rest[0] in sorts:
+                raise SmtError(f"sort {rest[0]} declared twice")
+            sorts[rest[0]] = logic.ui(rest[0])
+            continue
+        if head == "declare-const" and len(rest) == 2 and all(map(_symbol, rest)):
+            name, args, ret = rest[0], [], rest[1]
         elif head == "declare-fun" and len(rest) == 3 and isinstance(rest[1], list) and all(
             map(_symbol, [rest[0], *rest[1], rest[2]])
         ):
             name, args, ret = rest
-            if args:
-                script.funcs[name] = (args, ret)
-            else:
-                script.consts[name] = ret
-        elif head == "declare-const" and len(rest) == 2 and all(map(_symbol, rest)):
-            script.consts[rest[0]] = rest[1]
         elif head == "assert" and len(rest) == 1:
-            script.asserts.append(rest[0])
+            formula = formula_of(rest[0], script.funcs)
+            try:
+                logic.typecheck_pred(consts, formula, sigs)
+            except logic.LogicError as exc:
+                raise SmtError(
+                    f"ill-typed assert {sexpr.to_str(rest[0])}: {type(exc).__name__}: {exc}"
+                ) from exc
+            script.asserts.append(formula)
+            continue
         else:
             raise SmtError(f"bad command {sexpr.to_str(form)}")
+        if name in consts or name in sigs:
+            raise SmtError(f"{name} declared twice")
+        if args:
+            sigs[name] = logic.FuncSig(name, tuple(map(sort, args)), sort(ret))
+            script.funcs[name] = (args, ret)
+        else:
+            consts[name] = sort(ret)
+            script.consts[name] = ret
     return script
 
 
@@ -872,12 +900,11 @@ class Context:
 
 def solve(script):
     """A model of the script's asserts, as a dict from variables to values,
-    or None when they are unsatisfiable: the asserts are read into `logic`,
-    and a context with no hypothesis decides their conjunction. A variable
-    the dict leaves out is 0; a declared constant the asserts leave free may
-    take any value."""
-    asserts = [formula_of(f, script.funcs) for f in script.asserts]
-    model = Context(script.funcs, []).decide(logic.mk_and(*asserts))
+    or None when they are unsatisfiable: a context with no hypothesis
+    decides the conjunction of the asserts, which `script_of` read into
+    `logic`. A variable the dict leaves out is 0; a declared constant the
+    asserts leave free may take any value."""
+    model = Context(script.funcs, []).decide(logic.mk_and(*script.asserts))
     return model and model[0]
 
 

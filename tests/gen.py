@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from hmc.constraints import (
     Concrete,
@@ -15,6 +16,7 @@ from hmc.constraints import (
     normalize,
 )
 from hmc.imp import (
+    ERROR,
     Assert,
     Assign,
     Assume,
@@ -23,6 +25,8 @@ from hmc.imp import (
     ImpProgram,
     Set,
     State,
+    initial_state,
+    post,
     seq_of,
 )
 from hmc.logic import (
@@ -127,6 +131,76 @@ def gen_rel_state(rng, p, domain=DOMAIN01):
             t for t in universe if rng.random() < 0.4
         )
     return State.make(base, rels)
+
+
+# ---------------------------------------------------------------------------
+# Structure checks and the Relational/Imperative correspondence maps
+
+
+@dataclass(frozen=True)
+class Violation:
+    label: str
+    relvar: str
+    kind: str  # "READS" | "WRITES"
+    count: int
+
+
+def is_rwo(p):
+    """OK (None) or the first per-block read/write-once violation."""
+    for label, block in p.blocks:
+        reads, writes = {}, {}
+        for i in block.instrs:
+            if isinstance(i, Get):
+                reads[i.relvar] = reads.get(i.relvar, 0) + 1
+            elif isinstance(i, Set):
+                writes[i.relvar] = writes.get(i.relvar, 0) + 1
+        for k, n in sorted(reads.items()):
+            if n > 1:
+                return Violation(label, k, "READS", n)
+        for k, n in sorted(writes.items()):
+            if n > 1:
+                return Violation(label, k, "WRITES", n)
+    return None
+
+
+def alpha(states):
+    """Per-relvar union of relation contents over non-error Relational
+    states: a dict from relvar to a frozenset of tuples."""
+    out = {}
+    for s in states:
+        if s is ERROR:
+            continue
+        for k, tuples in s.rels:
+            out.setdefault(k, set()).update(tuples)
+    return {k: frozenset(v) for k, v in out.items()}
+
+
+def expand(state):
+    """All imperative states covered by a relational state: each relation
+    independently keeps one of its tuples as a singleton, and an empty
+    relation stays empty (bottom)."""
+    if state is ERROR:
+        return {ERROR}
+    names = [k for k, _ in state.rels]
+    options = [[frozenset({t}) for t in tuples] or [frozenset()] for _, tuples in state.rels]
+    return {State(state.base, tuple(zip(names, pick))) for pick in itertools.product(*options)}
+
+
+def expand_all(states):
+    out = set()
+    for s in states:
+        out |= expand(s)
+    return out
+
+
+def replays_to_error(p, ctx, trace):
+    """Whether running the blocks of `trace` in turn from the initial state
+    under the relational semantics can reach ERROR."""
+    blocks = dict(p.blocks)
+    states = {initial_state(p, ctx.domain)}
+    for label in trace:
+        states = set().union(*(post(s, blocks[label], ctx, "relational") for s in states))
+    return ERROR in states
 
 
 # ---------------------------------------------------------------------------

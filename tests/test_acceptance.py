@@ -16,9 +16,13 @@ import pytest
 
 from gen import (
     DOMAIN01,
+    alpha,
+    expand,
+    expand_all,
     gen_constraint_set,
     gen_rel_state,
     gen_rwo_program,
+    is_rwo,
     satisfies,
     satisfying_solutions,
 )
@@ -33,11 +37,7 @@ from hmc.constraints import (
 from hmc.imp import (
     ExecContext,
     State,
-    alpha,
     exec_program,
-    expand,
-    expand_all,
-    is_rwo,
     parse_imp,
     post,
     reach,

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from gen import gen_constraint_set
-from hmc import cli, constraints, logic
+from gen import gen_constraint_set, replays_to_error
+from hmc import cli, constraints, imp, logic
+from hmc.clone import clone
 from hmc.cli import build_parser, main
 from hmc.sexpr import parse_one, to_str
+from hmc.translate import translate_set_of_constraints
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 ITERI = str(EXAMPLES / "iteri_mask.hmc")
@@ -70,6 +72,56 @@ def test_exec_imp_dichotomy():
         "exec", TWOREAD_IMP, "--int-range", "-1..1", "--semantics", "imperative"
     )
     assert code == 0 and text.startswith("SAFE")
+
+
+SAMPLED_IMP = """\
+;; uninterp f (int int) int
+;; basevar x int
+loop {
+  /*b*/
+    havoc x;
+    assert (= (f x x) (f x x))
+}
+"""
+
+# k holds 0, 1, 2, ...: neither oracle reaches a fixpoint
+COUNTER_IMP = """\
+;; relvar k arity 1 types int
+;; basevar x int
+loop {
+  /*b1*/
+    x := 0;
+    set k (x)
+[]
+  /*b2*/
+    get k (x);
+    x := (+ x 1);
+    set k (x)
+}
+"""
+
+SAMPLED_TEXT = "INCONCLUSIVE\nsampled interpretations only; no counterexample found\n"
+FUEL_TEXT = "INCONCLUSIVE\nran out of fuel before a fixpoint; no counterexample found\n"
+
+
+def test_exec_inconclusive_names_its_reason(tmp_path):
+    # sampled tables and a search out of fuel each print their own line:
+    # the least model of COUNTER_IMP and the state search under the
+    # imperative semantics both run out
+    sampled, counter = tmp_path / "sampled.imp", tmp_path / "counter.imp"
+    sampled.write_text(SAMPLED_IMP)
+    counter.write_text(COUNTER_IMP)
+    assert run("exec", str(sampled), "--table-budget", "4") == (2, SAMPLED_TEXT)
+    assert run("exec", str(counter), "--fuel", "20") == (2, FUEL_TEXT)
+    assert run("exec", str(counter), "--fuel", "20", "--semantics", "imperative") == (2, FUEL_TEXT)
+    code, text = run("exec", str(counter), "--fuel", "20", "--json")
+    assert code == 2 and json.loads(text)["detail"] == FUEL_TEXT.split("\n")[1]
+
+
+def test_exec_finishes_on_sampled_tables():
+    # retyped.hmc has 5**10 choices of tables for `len` and `tl`, so 256 are
+    # sampled; the least model under each is small
+    assert run_process("exec", RETYPED, timeout=60) == (2, SAMPLED_TEXT, "")
 
 
 def test_exec_hmc_clones_first():
@@ -320,6 +372,7 @@ GOLDEN_CHECKS = {
     "boolfun": (0, []),
     "retyped": (0, ["--preds", RETYPED_PREDS]),
     "clonefold": (0, []),
+    "deeperr": (1, ["--oracle"]),
 }
 
 
@@ -580,6 +633,16 @@ def test_unsafe_trace_independent_of_string_hashing(tmp_path):
     for seed in ("1", "3"):
         code, text, _ = run_process("check", str(f), "--oracle", hash_seed=seed)
         assert code == 1 and text.splitlines()[-1] == "trace: c0 -> c1", seed
+
+
+def test_deep_counterexample_replays():
+    # the golden trace of deeperr.hmc, four blocks deep, reaches ERROR when
+    # its blocks run in turn under the relational semantics
+    trace = (EXAMPLES / "deeperr.check.txt").read_text().splitlines()[1]
+    cs = constraints.normalize(constraints.parse_constraints((EXAMPLES / "deeperr.hmc").read_text()))
+    p = translate_set_of_constraints(*clone(cs))
+    c = imp.ExecContext(p, logic.ValueDomain(), {})
+    assert replays_to_error(p, c, trace.removeprefix("trace: ").split(" -> "))
 
 
 def test_check_output_independent_of_string_hashing(tmp_path):

@@ -3,31 +3,43 @@ from pathlib import Path
 
 import pytest
 
+from gen import (
+    DOMAIN01,
+    alpha,
+    expand,
+    expand_all,
+    gen_constraint_set,
+    gen_rwo_program,
+    is_rwo,
+    replays_to_error,
+)
 from hmc.imp import (
     ERROR,
     Assert,
     Assume,
     ExecContext,
+    FUEL_OUT,
     Get,
     Havoc,
     ParseError,
     SAFE,
+    SAMPLED,
     Set,
     State,
     UNSAFE,
-    alpha,
     exec_program,
-    expand,
-    expand_all,
     initial_state,
-    is_rwo,
+    least_model,
     parse_imp,
     post,
     print_imp,
     reach,
+    reads_before_writing,
     seq_of,
 )
 from hmc.logic import Cmp, IntLit, TRUE, ValueDomain, Var
+from hmc.clone import clone
+from hmc.translate import translate_set_of_constraints
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 D11 = ValueDomain((-1, 1))
@@ -164,11 +176,6 @@ def test_exec_inconclusive_when_sampled():
 
 
 def test_random_programs_run(capsys):
-    import sys
-
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from gen import DOMAIN01, gen_rwo_program
-
     rng = random.Random(1)
     for _ in range(20):
         p = gen_rwo_program(rng)
@@ -208,3 +215,139 @@ def test_typecheck_follows_values_through_a_block():
         with pytest.raises(ParseError) as exc:
             parse_imp(text)
         assert str(exc.value) == error
+
+
+COUNTER = """\
+;; relvar k arity 1 types int
+;; basevar x int
+;; basevar y int
+loop {
+  /*b1*/
+    x := 0;
+    set k (x)
+[]
+  /*b2*/
+    get k (x);
+    y := (+ x 1);
+    set k (y)
+}
+"""
+
+
+def test_reads_before_writing():
+    p = parse_imp(SMALL)
+    assert [reads_before_writing(b) for _, b in p.blocks] == [set(), set()]
+    x_le_y = Cmp("<=", Var("x"), Var("y"))
+    block = seq_of([Havoc("y"), Assume(x_le_y), Havoc("x"), Set("k", ("x",)), Set("k", ("z",))])
+    assert reads_before_writing(block) == {"x", "z"}
+
+
+def _closed(p):
+    """`p` with each block first havocking the variables it reads before it
+    writes them, so that its least model is defined."""
+    for n, (label, block) in enumerate(p.blocks):
+        p.blocks[n] = (label, seq_of([*map(Havoc, sorted(reads_before_writing(block))), block]))
+    return p
+
+
+def test_least_model_matches_state_search():
+    # closed random programs and translated random constraint sets over
+    # {0, 1}: wherever the state search is exhaustive, the same verdict, a
+    # least model equal to the union of the relations of the reachable
+    # states, and error traces that replay
+    rng = random.Random(21)
+    programs = [_closed(gen_rwo_program(rng)) for _ in range(120)]
+    programs += [translate_set_of_constraints(gen_constraint_set(rng)) for _ in range(120)]
+    compared = unsafe = 0
+    for p in programs:
+        assert not any(reads_before_writing(b) for _, b in p.blocks)
+        c = ctx(p, DOMAIN01)
+        r = reach(p, c, "relational", fuel=3000)
+        if not r.exhausted:
+            continue
+        m = least_model(p, c, stop_on_error=False)
+        assert m.exhausted
+        assert (m.error_trace is None) == (r.error_trace is None)
+        assert m.model == alpha(r.states)
+        assert exec_program(p, DOMAIN01).status == (SAFE if r.error_trace is None else UNSAFE)
+        if m.error_trace is not None:
+            assert replays_to_error(p, c, m.error_trace)
+            assert least_model(p, c).error_trace == m.error_trace
+            unsafe += 1
+        compared += 1
+    assert compared >= 200 and unsafe >= 40, (compared, unsafe)
+
+
+def test_exec_traces_replay():
+    # every UNSAFE trace of the oracle on cloned translations of random
+    # constraint sets replays to ERROR, under the tables it was found with
+    rng = random.Random(5)
+    unsafe = 0
+    for _ in range(300):
+        p = translate_set_of_constraints(*clone(gen_constraint_set(rng)))
+        v = exec_program(p, D11)
+        if v.status == UNSAFE:
+            assert replays_to_error(p, ExecContext(p, D11, v.tables), v.trace)
+            unsafe += 1
+    assert unsafe >= 15, unsafe
+
+
+CHAIN = """\
+;; relvar k1 arity 1 types int
+;; relvar k2 arity 1 types int
+;; basevar x int
+loop {
+  /*b3*/
+    get k2 (x);
+    assert (<= x 0)
+[]
+  /*b2*/
+    get k1 (x);
+    x := (+ x 1);
+    set k2 (x)
+[]
+  /*b1*/
+    x := 0;
+    set k1 (x)
+}
+"""
+
+
+def test_least_model_trace_lists_dependencies_first():
+    # b3 fails on the tuple b2 derives from b1's: the trace lists each
+    # derivation after those of the tuples its run read
+    p = parse_imp(CHAIN)
+    m = least_model(p, ctx(p))
+    assert m.error_trace == ["b1", "b2", "b3"]
+    assert replays_to_error(p, ctx(p), m.error_trace)
+    assert reach(p, ctx(p), stop_on_error=True).error_trace == ["b1", "b2", "b3"]
+
+
+def test_least_model_get_sees_its_own_run_sets():
+    # the run sets k(0), then its get picks that tuple: the error needs no
+    # earlier block, and the trace is the block alone
+    p = parse_imp(CHAIN.replace(
+        "    set k1 (x)\n", "    set k1 (x);\n    get k1 (x);\n    assert (<= 1 x)\n"
+    ))
+    assert least_model(p, ctx(p)).error_trace == ["b1"]
+    assert exec_program(p, D11).trace == ["b1"]
+
+
+def test_least_model_runs_out_of_fuel():
+    # k holds 0, 1, 2, ...: the least model is infinite
+    p = parse_imp(COUNTER)
+    m = least_model(p, ctx(p), fuel=20)
+    assert not m.exhausted and m.error_trace is None
+    assert m.model["k"] >= {(n,) for n in range(20)}
+    v = exec_program(p, D11, fuel=20)
+    assert (v.status, v.reasons) == ("inconclusive", (FUEL_OUT,))
+
+
+def test_exec_reasons():
+    # sampled tables and a fuel-out are named apart, and both can hold
+    text = ";; uninterp f (int int) int\n" + COUNTER.replace(
+        "    set k (y)\n}",
+        "    set k (y)\n[]\n  /*b3*/\n    havoc x;\n    assert (= (f x x) (f x x))\n}",
+    )
+    v = exec_program(parse_imp(text), ValueDomain((-2, 2)), table_budget=4, fuel=20)
+    assert (v.status, v.reasons) == ("inconclusive", (SAMPLED, FUEL_OUT))

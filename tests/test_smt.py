@@ -167,6 +167,10 @@ FILTER_SYNTAX = [
     ("(declare-fun f Int Int) (assert (= (f 1 2 3) 0))", "error"),
     ("(declare-fun 3 () Int)", "error"),
     (X + "(assert (= x 1.5))", "error"),
+    # sorts and declarations are checked
+    ("(declare-const b Bool) (assert (= b 5))", "error"),
+    ("(assert (= z 1))", "error"),
+    (X + "(declare-const x Int) (assert (= x 1))", "error"),
 ]
 
 
