@@ -38,8 +38,10 @@ pool with that one's witnesses. This state lives on the engine, one per
 The fixpoint runs the blocks round-robin, but runs a block again only when
 a kvar it gets has gained a cube since the block last ran: the invariant
 reaches a block only through its gets, so that run would change nothing.
-Each block's assert statuses are those of its last run. The result either
-proves every assert or reports the first one that may fail.
+Each loop turn runs the next stale block, so a pass costs the blocks it
+runs, not every block. Each block's assert statuses are those of its last
+run. The result either proves every assert or reports the first one that
+may fail.
 
 Predicates come from two deterministic sources: harvesting (atomic
 comparisons from any block whose variables a write passes, substituted by
@@ -48,13 +50,19 @@ write, the block's linear path constraints projected onto the written
 fields by Fourier-Motzkin elimination, plus pairwise sums), which reads the
 path through the solver's one linearization, `smt.lin_of`. The projection
 drops the empty forms (`0 <= 0`) that elimination leaves, which would offer
-no predicate or one the basis already offers. Each candidate is typechecked
-once, in its kvar's field environment, and kept if new.
+no predicate or one the basis already offers. Chain links and the clones
+of a kvar are blocks that often share a path and write other kvars, so
+mining projects each distinct path, its conjuncts and the SSA names its set
+writes, once per check. That is exact: the projection is a function of
+those alone, and only its rendering over each kvar's fields is done per
+write. Each candidate is typechecked once, in its kvar's field
+environment, and kept if new.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from bisect import insort
 from itertools import combinations
 
 from .logic import (
@@ -88,7 +96,7 @@ from .logic import (
 )
 from .constraints import ConstraintError, parse_solution
 from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set, type_instr
-from .smt import Apps, lin_add, lin_const, lin_of, lin_scale, lin_sub, lin_vars, norm_le
+from .smt import Apps, _add_scaled, lin_add, lin_const, lin_of, lin_scale, lin_vars, norm_le
 
 MAX_PREDS_PER_KVAR = 14
 MAX_MINED_INEQS = 64
@@ -269,31 +277,36 @@ _LE = {
 }
 
 
-def _path_ineqs(items, upto, apps):
+def _path_ineqs(conjs, apps):
     """Linear inequalities (lin <= 0) from the top-level comparisons of the
-    conjuncts before item `upto` (under-approximating the path), each side
-    lowered by `smt.lin_of` through the Ackermann table `apps`."""
+    path conjuncts `conjs` (under-approximating the path), each side lowered
+    by `smt.lin_of` through the Ackermann table `apps`, and each difference
+    built in one dict."""
     les = []
-    for item in items[:upto]:
-        if item.kind != "conj":
-            continue
-        for atom in _flatten_and(item.payload, []):
+    for conj in conjs:
+        for atom in _flatten_and(conj, []):
             if isinstance(atom, Cmp) and atom.op in _LE:
                 sides = (lin_of(atom.left, apps), lin_of(atom.right, apps))
                 for l, r, c in _LE[atom.op]:
-                    les.append(lin_add(lin_sub(sides[l], sides[r]), lin_const(c)))
+                    lin = dict(sides[l])
+                    _add_scaled(lin, sides[r], -1)
+                    _add_scaled(lin, lin_const(c), 1)
+                    les.append(lin)
     return les
 
 
 def _project(les, keep):
-    """Fourier-Motzkin elimination of every key not in `keep`. It keeps at
+    """Fourier-Motzkin elimination of every key not in `keep`, each
+    combination of a lower and an upper bound built in one dict. It keeps at
     most `MAX_MINED_INEQS` inequalities of its input and after each step, so
     a long path cannot grow the basis, and its pairwise sums, without bound.
     The empty forms (`0 <= 0`) that elimination leaves are dropped at the
-    end: one gives no predicate, and its sum with a form is that form."""
+    end: one gives no predicate, and its sum with a form is that form. The
+    result depends on `les` and `keep` alone, so `mined_predicates` projects
+    each distinct path once."""
     les = [l for l in les if l][:MAX_MINED_INEQS]
     while True:
-        drop = next((k for lin in les for k in lin_vars(lin) if k not in keep), None)
+        drop = next((k for lin in les for k in lin if k is not None and k not in keep), None)
         if drop is None:
             return [lin for lin in les if lin]
         lowers, uppers, rest = [], [], []
@@ -307,7 +320,9 @@ def _project(les, keep):
                 rest.append(lin)
         for lo in lowers:
             for up in uppers:
-                rest.append(lin_add(lin_scale(up, -lo[drop]), lin_scale(lo, up[drop])))
+                lin = lin_scale(up, -lo[drop])
+                _add_scaled(lin, lo, up[drop])
+                rest.append(lin)
         les = rest[:MAX_MINED_INEQS]
 
 
@@ -355,31 +370,53 @@ def mined_predicates(p, runs):
     Every application on the path, nullary ones included, is lowered to its
     Ackermann constant; one whose arguments are all literals or written
     variables maps back to the application over the fields, and the
-    projection eliminates the others."""
+    projection eliminates the others. Each distinct path, its conjuncts
+    and the SSA names its set writes, is projected once per call
+    (`_mine_path`): the projection is a function of these alone, so every
+    write gets the forms, in order, that a projection of its own would
+    give, rendered over its kvar's fields."""
     out = []
+    mined = {}  # (path conjuncts, written SSA names) -> `_mine_path` of them
     for _, block in p.blocks:
-        items = runs[block][0]
-        for idx, item in enumerate(items):
-            if item.kind != "set":
-                continue
-            kvar, syms = item.payload
-            apps = Apps(p.func_sigs)
-            les = _path_ineqs(items, idx, apps)
-            fields = {}
-            for i, s in enumerate(syms):
-                fields.setdefault(s, Var(field_var(kvar, i)))
-            terms = {s: (s, f) for s, f in fields.items()}  # see `_lin_to_pred`
-            for const, func, args in apps.table.values():
-                app = App(func, tuple(map(_term_of, args)))
-                if None not in app.args and free_vars(app) <= fields.keys():
-                    terms[const] = (to_text(app), subst(app, fields))
-            basis = _project(les, terms)
-            sums = [lin_add(a, b) for a, b in combinations(basis, 2)]
-            for lin in basis + sums:
-                q = _lin_to_pred(lin, terms)
-                if q is not None:
-                    out.append((kvar, q))
+        conjs = []
+        for item in runs[block][0]:
+            if item.kind == "conj":
+                conjs.append(item.payload)
+            elif item.kind == "set":
+                kvar, syms = item.payload
+                key = (tuple(conjs), syms)
+                found = mined.get(key)
+                if found is None:
+                    found = mined[key] = _mine_path(conjs, syms, p.func_sigs)
+                forms, apps = found
+                fields = {}
+                for i, s in enumerate(syms):
+                    fields.setdefault(s, Var(field_var(kvar, i)))
+                terms = {s: (s, f) for s, f in fields.items()}  # see `_lin_to_pred`
+                for const, text, app in apps:
+                    terms[const] = (text, subst(app, fields))
+                for lin in forms:
+                    q = _lin_to_pred(lin, terms)
+                    if q is not None:
+                        out.append((kvar, q))
     return out
+
+
+def _mine_path(conjs, syms, funcs):
+    """The projection of the path `conjs` onto the SSA names `syms` and the
+    applications over them: the basis and its pairwise sums as linear
+    forms, and each kept application as (its constant, its text, the
+    application over SSA names). Nothing in it names a kvar."""
+    table = Apps(funcs)
+    les = _path_ineqs(conjs, table)
+    keep = set(syms)
+    apps = []
+    for const, func, args in table.table.values():
+        app = App(func, tuple(map(_term_of, args)))
+        if None not in app.args and free_vars(app) <= keep:
+            apps.append((const, to_text(app), app))
+    basis = _project(les, keep | {const for const, _, _ in apps})
+    return basis + [lin_add(a, b) for a, b in combinations(basis, 2)], apps
 
 
 def parse_preds(text, p):
@@ -434,6 +471,7 @@ class Engine:
         self.mode = mode
         self.memo = {}  # (tenv, hypothesis) -> Hypothesis
         self.last = {}  # (block, item index) -> the Hypothesis its last run used
+        self.goals = {}  # (block, item index) -> its set's predicates over SSA names
 
     def hypothesis(self, tenv, path, at):
         """The one `Hypothesis` of the conjunction of `path` under `tenv`,
@@ -487,10 +525,13 @@ class Engine:
                 hyp = self.hypothesis(tenv, path, (block, at))
                 if path and self.valid(hyp, FALSE) == VALID:
                     continue  # the write is unreachable on this path
-                rename = _fields(kvar, syms)
+                goals = self.goals.get((block, at))
+                if goals is None:
+                    rename = _fields(kvar, syms)
+                    goals = [rename_pred(fq, rename) for fq in self.preds[kvar]]
+                    self.goals[block, at] = goals
                 cube = []
-                for fq in self.preds[kvar]:
-                    q = rename_pred(fq, rename)
+                for q in goals:
                     if self.valid(hyp, q) == VALID:
                         cube.append(True)
                     elif self.valid(hyp, Not(q)) == VALID:
@@ -575,7 +616,10 @@ def solve(p, runs, preds, mode):
     """Round-robin over the blocks until no kvar gains a cube, running only
     the blocks that get a kvar grown since their last run. The order stays
     round-robin: a set adds one cube for the whole disjunction its block
-    read, so another order could end with other cubes."""
+    read, so another order could end with other cubes. The stale blocks
+    wait in a list sorted on (pass, index), so each turn of the loop runs
+    one block: a block that turns stale after the current one runs later
+    in this pass, any other in the next."""
     engine = Engine(p, runs, preds, mode)
     inv = AbstractInvariant({k: set() for k in p.relvar_sigs})
     readers = {k: set() for k in p.relvar_sigs}  # kvar -> indices of blocks that get it
@@ -585,16 +629,18 @@ def solve(p, runs, preds, mode):
                 readers[item.payload[0]].add(i)
     last = [[] for _ in p.blocks]  # each block's statuses from its last run
     stale = set(range(len(p.blocks)))
-    while stale:
-        for i, (label, block) in enumerate(p.blocks):
-            if i not in stale:
-                continue
-            stale.discard(i)
-            last[i], new = engine.abstract_post(label, block, inv)
-            for kvar, cube in new:
-                if cube not in inv.cubes[kvar]:
-                    inv.cubes[kvar].add(cube)
-                    stale |= readers[kvar]
+    queue = [(0, i) for i in range(len(p.blocks))]  # (pass, index) of each stale block, sorted
+    while queue:
+        turn, i = queue.pop(0)
+        stale.discard(i)
+        label, block = p.blocks[i]
+        last[i], new = engine.abstract_post(label, block, inv)
+        for kvar, cube in new:
+            if cube not in inv.cubes[kvar]:
+                inv.cubes[kvar].add(cube)
+                for j in readers[kvar] - stale:
+                    stale.add(j)
+                    insort(queue, (turn + (j <= i), j))
     statuses = [st for sts in last for st in sts]
     failing = next((st for st in statuses if st.status != HOLDS), None)
     return SolveResult(PROVED if failing is None else INCONCLUSIVE, inv, statuses, failing)

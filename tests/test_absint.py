@@ -29,17 +29,22 @@ from hmc.constraints import (
 )
 from hmc.imp import Assert, Get, Havoc, ImpProgram, ParseError, Set, parse_imp, seq_of
 from hmc.logic import (
+    App,
     BOOL,
+    Cmp,
     INT,
     OracleMode,
     SolverMode,
     TypeEnv,
     VALID,
     ValueDomain,
+    Var,
     check_valid,
     eval_pred,
+    free_vars,
     implies,
     pred_from_sexpr,
+    subst,
     to_text,
 )
 from hmc.translate import translate_set_of_constraints
@@ -63,20 +68,24 @@ def program_of(cs):
     return translate_set_of_constraints(cloned, clones)
 
 
-def chain_text(n):
+def chain_text(n, rng=None):
     """A chain of n kvars listed last link first: link 0 writes v = 0, link
     i passes v = x + 1 on from link i - 1, and a last constraint asserts
-    0 <= v of link n - 1. Plain round-robin needs one pass per link."""
-    lines = [f"(kvar k{i} (v int))" for i in range(n)]
+    0 <= v of link n - 1. Plain round-robin needs one pass per link. With
+    `rng`, the kvar names are shuffled over the links."""
+    k = [f"k{i}" for i in range(n)]
+    if rng is not None:
+        rng.shuffle(k)
+    lines = [f"(kvar {name} (v int))" for name in k]
     lines.append(
-        f"(sub c{n} (env (x int (kapp k{n - 1}))) (lhs int (= v x)) (rhs int (<= 0 v)))"
+        f"(sub c{n} (env (x int (kapp {k[n - 1]}))) (lhs int (= v x)) (rhs int (<= 0 v)))"
     )
     for i in range(n - 1, 0, -1):
         lines.append(
-            f"(sub c{i} (env (x int (kapp k{i - 1}))) (lhs int (= v (+ x 1)))"
-            f" (rhs int (kapp k{i})))"
+            f"(sub c{i} (env (x int (kapp {k[i - 1]}))) (lhs int (= v (+ x 1)))"
+            f" (rhs int (kapp {k[i]})))"
         )
-    lines.append("(sub c0 (lhs int (= v 0)) (rhs int (kapp k0)))")
+    lines.append(f"(sub c0 (lhs int (= v 0)) (rhs int (kapp {k[0]})))")
     return "\n".join(lines) + "\n"
 
 
@@ -345,6 +354,178 @@ def test_solve_matches_round_robin():
         assert got == round_robin(p, runs, preds, SolverMode())
         outcomes.add(res.status)
     assert outcomes == {PROVED, "inconclusive"}
+
+
+def scanned_order(p, runs, preds, mode):
+    """Reference schedule: the labels of the blocks the fixpoint runs when
+    each pass scans every block in order and runs the stale ones."""
+    engine = Engine(p, runs, preds, mode)
+    inv = AbstractInvariant({k: set() for k in p.relvar_sigs})
+    readers = {k: set() for k in p.relvar_sigs}
+    for i, (_, block) in enumerate(p.blocks):
+        for item in runs[block][0]:
+            if item.kind == "get":
+                readers[item.payload[0]].add(i)
+    order = []
+    stale = set(range(len(p.blocks)))
+    while stale:
+        for i, (label, block) in enumerate(p.blocks):
+            if i not in stale:
+                continue
+            stale.discard(i)
+            order.append(label)
+            _, new = engine.abstract_post(label, block, inv)
+            for kvar, cube in new:
+                if cube not in inv.cubes[kvar]:
+                    inv.cubes[kvar].add(cube)
+                    stale |= readers[kvar]
+    return order
+
+
+def test_solve_posts_blocks_in_round_robin_order(monkeypatch):
+    # `solve` jumps to the next stale block instead of scanning every block
+    # on each pass; the blocks it runs, and their order, stay the same
+    rng = random.Random(23)
+    programs = [program_of(load(chain_text(n, rng))) for n in (1, 2, 8, 16, 24)]
+    programs += [program_of(gen_constraint_set(random.Random(seed))) for seed in range(100)]
+    posted = []
+    post = Engine.abstract_post
+
+    def recorded(self, label, block, inv):
+        posted.append(label)
+        return post(self, label, block, inv)
+
+    for p in programs:
+        runs = run_blocks(p)
+        preds = harvest_predicates(p, runs)
+        want = scanned_order(p, runs, preds, SolverMode())
+        posted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Engine, "abstract_post", recorded)
+            solve(p, runs, preds, SolverMode())
+        assert posted == want
+
+
+# the references of `test_mining_matches_reference`: the miner that lowers
+# and projects the path of every write again, each combination and each
+# difference through three dicts
+
+
+def _ref_path_ineqs(items, upto, apps):
+    les = []
+    for item in items[:upto]:
+        if item.kind != "conj":
+            continue
+        for atom in absint._flatten_and(item.payload, []):
+            if isinstance(atom, Cmp) and atom.op in absint._LE:
+                sides = (smt.lin_of(atom.left, apps), smt.lin_of(atom.right, apps))
+                for l, r, c in absint._LE[atom.op]:
+                    les.append(smt.lin_add(smt.lin_sub(sides[l], sides[r]), smt.lin_const(c)))
+    return les
+
+
+def _ref_project(les, keep):
+    les = [l for l in les if l][:absint.MAX_MINED_INEQS]
+    while True:
+        drop = next((k for lin in les for k in smt.lin_vars(lin) if k not in keep), None)
+        if drop is None:
+            return [lin for lin in les if lin]
+        lowers, uppers, rest = [], [], []
+        for lin in les:
+            c = lin.get(drop, 0)
+            if c > 0:
+                uppers.append(lin)
+            elif c < 0:
+                lowers.append(lin)
+            else:
+                rest.append(lin)
+        for lo in lowers:
+            for up in uppers:
+                rest.append(smt.lin_add(smt.lin_scale(up, -lo[drop]), smt.lin_scale(lo, up[drop])))
+        les = rest[:absint.MAX_MINED_INEQS]
+
+
+def _ref_mined_predicates(p, runs):
+    out = []
+    for _, block in p.blocks:
+        items = runs[block][0]
+        for idx, item in enumerate(items):
+            if item.kind != "set":
+                continue
+            kvar, syms = item.payload
+            apps = smt.Apps(p.func_sigs)
+            les = _ref_path_ineqs(items, idx, apps)
+            fields = {}
+            for i, s in enumerate(syms):
+                fields.setdefault(s, Var(field_var(kvar, i)))
+            terms = {s: (s, f) for s, f in fields.items()}
+            for const, func, args in apps.table.values():
+                app = App(func, tuple(map(absint._term_of, args)))
+                if None not in app.args and free_vars(app) <= fields.keys():
+                    terms[const] = (to_text(app), subst(app, fields))
+            basis = _ref_project(les, terms)
+            sums = [smt.lin_add(a, b) for a, b in itertools.combinations(basis, 2)]
+            for lin in basis + sums:
+                q = absint._lin_to_pred(lin, terms)
+                if q is not None:
+                    out.append((kvar, q))
+    return out
+
+
+# c0 and c1 have one path and write k from other variables, so they share
+# no projection
+SAME_PATH_OTHER_ARGS = """\
+(kvar k (v int) (p int))
+(sub c0 (env (x int (<= 0 v)) (y int (<= x v))) (lhs int (= v (+ x 1))) (rhs int (kapp k x)))
+(sub c1 (env (x int (<= 0 v)) (y int (<= x v))) (lhs int (= v (+ x 1))) (rhs int (kapp k y)))
+"""
+
+
+def test_mining_matches_reference(monkeypatch):
+    # projecting each distinct path once gives every write the candidates,
+    # in order, that projecting its own path gives; so every kvar's
+    # predicate list is the same, truncations included
+    sets = [load(f.read_text()) for f in sorted(EXAMPLES.glob("*.hmc"))]
+    sets.append(load(SAME_PATH_OTHER_ARGS))
+    rng = random.Random(29)
+    sets += [load(chain_text(n, rng)) for n in range(1, 21)]
+    gen_rng = random.Random(5)
+    sets += [gen_constraint_set(gen_rng) for _ in range(300)]
+    programs = [program_of(cs) for cs in sets]
+    programs += [translate_set_of_constraints(cs) for cs in sets]
+    for p in programs:
+        runs = run_blocks(p)
+        want = _ref_mined_predicates(p, runs)
+        assert mined_predicates(p, runs) == want
+        with monkeypatch.context() as m:
+            m.setattr(absint, "mined_predicates", _ref_mined_predicates)
+            want = harvest_predicates(p, runs)
+        assert harvest_predicates(p, runs) == want
+
+
+def _projections(monkeypatch, p):
+    calls = []
+    project = absint._project
+
+    def counted(les, keep):
+        calls.append(keep)
+        return project(les, keep)
+
+    monkeypatch.setattr(absint, "_project", counted)
+    mined_predicates(p, run_blocks(p))
+    return len(calls)
+
+
+def test_mining_projects_each_distinct_path_once(monkeypatch):
+    # a 16-link chain has two paths: the first link's `v = 0` and the one
+    # that every later link shares, `v = x + 1` from the link before; both
+    # clones of clonefold's kvar get the one path of c1
+    p = program_of(load(chain_text(16)))
+    assert sum(isinstance(i, Set) for _, b in p.blocks for i in b.instrs) == 16
+    assert _projections(monkeypatch, p) == 2
+    _, clones, p = program_for("clonefold.hmc")
+    assert len(clones) == 2
+    assert _projections(monkeypatch, p) == 1
 
 
 def test_hypothesis_matches_check_valid(monkeypatch):

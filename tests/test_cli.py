@@ -373,6 +373,7 @@ GOLDEN_CHECKS = {
     "retyped": (0, ["--preds", RETYPED_PREDS]),
     "clonefold": (0, []),
     "deeperr": (1, ["--oracle"]),
+    "chain8": (0, []),
 }
 
 
