@@ -111,10 +111,7 @@ def _load_constraints(path):
 
 def _pipeline_program(args, cs):
     cloned, clones = (cs, {}) if args.no_clone else clone_mod.clone(cs)
-    p = trans.translate_set_of_constraints(cloned, clones)
-    if getattr(args, "simplify", False):
-        p = trans.simplify(p)
-    return p, cloned, clones
+    return trans.translate_set_of_constraints(cloned, clones), cloned, clones
 
 
 def _add_domain_flags(sp):
@@ -122,7 +119,6 @@ def _add_domain_flags(sp):
     sp.add_argument("--ui-range", action="append", metavar="NAME=LO..HI")
     sp.add_argument("--table-budget", type=int, default=256)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--fuel", type=int, default=10_000)
 
 
 def _add_solver_flags(sp):
@@ -142,14 +138,13 @@ def build_parser():
     sp.add_argument("--preds", metavar="FILE", help="extra abstraction predicates")
     sp.add_argument("--emit-imp", metavar="PATH")
     sp.add_argument("--json", action="store_true")
+    sp.add_argument("--fuel", type=int, default=10_000)
     _add_domain_flags(sp)
     _add_solver_flags(sp)
 
     sp = sub.add_parser("translate", help="print the IMP translation")
     sp.add_argument("file")
     sp.add_argument("--no-clone", action="store_true")
-    sp.add_argument("--simplify", action="store_true")
-    sp.add_argument("--emit-imp", metavar="PATH")
 
     sp = sub.add_parser("clone", help="print the read-write-once cloning")
     sp.add_argument("file")
@@ -159,6 +154,7 @@ def build_parser():
     sp.add_argument("--semantics", choices=["relational", "imperative"], default="relational")
     sp.add_argument("--no-clone", action="store_true")
     sp.add_argument("--json", action="store_true")
+    sp.add_argument("--fuel", type=int, default=10_000)
     _add_domain_flags(sp)
 
     sp = sub.add_parser("validate", help="check a solution against constraints")
@@ -253,11 +249,7 @@ def _render_safe(report):
 def cmd_translate(args, out):
     cs = _load_constraints(args.file)
     p, _, _ = _pipeline_program(args, cs)
-    text = imp.print_imp(p)
-    if args.emit_imp:
-        with open(args.emit_imp, "w") as fh:
-            fh.write(text)
-    out.write(text)
+    out.write(imp.print_imp(p))
     return EXIT_SAFE
 
 

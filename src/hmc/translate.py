@@ -9,26 +9,23 @@ The value variable is typed: `v` carries int refinements, `v_bool` bool ones
 and `v_<sort>` each uninterpreted sort, so havoc enumerates the right domain.
 Temps are per-block and deterministic: t0,t1,... for get tuples in order,
 u0,u1,... for non-variable set arguments.
+
+One naming rule keeps the translation capture-free: no name it introduces
+(a value variable or a temp) equals a binder of the set, nor does one
+type's value variable equal another's (as `v_bool` would for a sort named
+bool); a name that would is suffixed with `_` until it is free (`'` is no
+SMT-LIB symbol character). In a kvar application's arguments `v` is the
+value the application refines: the value read (`t0`) on a get, and the
+typed value variable on a set. So every block writes each variable before
+it reads it, and the first type a name is declared at is as good as any
+other: a block that holds another type in it has written it first.
 """
 
 from __future__ import annotations
 
 from .constraints import Concrete
 from .imp import Assert, Assign, Assume, Get, Havoc, ImpProgram, SKIP, Set, seq_of
-from .logic import (
-    BOOL,
-    Cmp,
-    INT,
-    TrueLit,
-    VALUE_VAR,
-    Var,
-    free_vars,
-    subst,
-)
-
-
-class TranslateError(Exception):
-    pass
+from .logic import BOOL, Cmp, INT, VALUE_VAR, Var, subst
 
 
 def value_var(t):
@@ -39,95 +36,97 @@ def value_var(t):
     return f"{VALUE_VAR}_{t.ui_name}"
 
 
-class TempGen:
-    def __init__(self):
-        self.t = 0
-        self.u = 0
-
-    def get_tuple(self, n):
-        names = tuple(f"t{self.t + i}" for i in range(n))
-        self.t += n
-        return names
-
-    def set_arg(self):
-        name = f"u{self.u}"
-        self.u += 1
-        return name
+def _rename_v(x, name):
+    """`x` with the value `v` renamed to `name`."""
+    return x if name == VALUE_VAR else subst(x, {VALUE_VAR: Var(name)})
 
 
 class _Block:
-    """Accumulates a block's instructions and the variable types they need."""
+    """Accumulates a block's instructions and the variable types they need,
+    and names what the translation introduces: no such name is a binder."""
 
-    def __init__(self, cs):
+    def __init__(self, cs, binders, value_vars):
         self.cs = cs
+        self.binders = binders
+        self.value_vars = value_vars  # BaseType -> its value variable, set-wide
         self.instrs = []
         self.types = {}  # var -> BaseType, first occurrence wins
-        self.temps = TempGen()
+        self.t = 0  # next get temp
+        self.u = 0  # next set temp
 
     def declare(self, name, t):
         self.types.setdefault(name, t)
+
+    def fresh(self, name, t):
+        """`name`, suffixed with `_` until it is no binder, declared at `t`."""
+        while name in self.binders:
+            name += "_"
+        self.declare(name, t)
+        return name
+
+    def value_var(self, t):
+        """The value variable of type `t`, declared: one name per type."""
+        vv = self.value_vars.get(t)
+        if vv is None:
+            vv = value_var(t)
+            while vv in self.binders or vv in self.value_vars.values():
+                vv += "_"
+            self.value_vars[t] = vv
+        self.declare(vv, t)
+        return vv
 
     def emit(self, i):
         self.instrs.append(i)
 
 
 def translate_get(rt, blk):
-    """Read a refinement into its value variable."""
-    vv = value_var(rt.base)
-    blk.declare(vv, rt.base)
+    """Read a refinement into its value variable, and return that."""
+    vv = blk.value_var(rt.base)
     if isinstance(rt.ref, Concrete):
         blk.emit(Havoc(vv))
-        pred = subst(rt.ref.pred, {VALUE_VAR: Var(vv)})
-        blk.emit(Assume(pred))
-        return
+        blk.emit(Assume(_rename_v(rt.ref.pred, vv)))
+        return vv
     sig = blk.cs.kvars[rt.ref.kvar]
-    temps = blk.temps.get_tuple(len(sig.field_types))
-    for name, t in zip(temps, sig.field_types):
-        blk.declare(name, t)
+    temps = tuple(blk.fresh(f"t{blk.t + i}", t) for i, t in enumerate(sig.field_types))
+    blk.t += len(temps)
     blk.emit(Get(rt.ref.kvar, temps))
     for tname, arg in zip(temps[1:], rt.ref.args):
-        blk.emit(Assume(Cmp("=", Var(tname), arg)))
+        blk.emit(Assume(Cmp("=", Var(tname), _rename_v(arg, temps[0]))))
     blk.emit(Assign(vv, Var(temps[0])))
+    return vv
 
 
 def translate_set(rt, blk):
     """Write a refinement from its value variable."""
-    vv = value_var(rt.base)
-    blk.declare(vv, rt.base)
+    vv = blk.value_var(rt.base)
     if isinstance(rt.ref, Concrete):
-        pred = subst(rt.ref.pred, {VALUE_VAR: Var(vv)})
-        blk.emit(Assert(pred))
+        blk.emit(Assert(_rename_v(rt.ref.pred, vv)))
         return
     sig = blk.cs.kvars[rt.ref.kvar]
     names = [vv]
     for arg, (_, ptype) in zip(rt.ref.args, sig.params):
+        arg = _rename_v(arg, vv)
         if isinstance(arg, Var):
             names.append(arg.name)
         else:
-            u = blk.temps.set_arg()
-            blk.declare(u, ptype)
+            u = blk.fresh(f"u{blk.u}", ptype)
+            blk.u += 1
             blk.emit(Assign(u, arg))
             names.append(u)
     blk.emit(Set(rt.ref.kvar, tuple(names)))
 
 
-def translate_env(env, blk):
-    if not env:
-        blk.emit(SKIP)
-        return
-    for name, rt in env:
-        translate_get(rt, blk)
-        prev = blk.types.get(name)
-        if prev is not None and prev != rt.base:
-            raise TranslateError(f"binder {name} has conflicting types")
+def translate_constraint(cs, c, binders, value_vars):
+    """One constraint to one (label, block, var types) triple; `binders` are
+    the names bound anywhere in `cs`, and `value_vars` the value variable of
+    each type so far."""
+    blk = _Block(cs, binders, value_vars)
+    for name, rt in c.env:
+        vv = translate_get(rt, blk)
         blk.declare(name, rt.base)
-        blk.emit(Assign(name, Var(value_var(rt.base))))
-
-
-def translate_constraint(cs, c):
-    """One constraint to one (label, block, var types) triple."""
-    blk = _Block(cs)
-    translate_env(c.env, blk)
+        blk.emit(Assign(name, Var(vv)))
+    if not c.env:
+        blk.emit(SKIP)
     translate_get(c.lhs, blk)
     translate_set(c.rhs, blk)
     return c.label, seq_of(blk.instrs), blk.types
@@ -140,113 +139,11 @@ def translate_set_of_constraints(cs, clones=None):
     for name, sig in cs.kvars.items():
         p.relvar_sigs[name] = sig.field_types
     p.clones = dict(clones or {})
+    binders = {name for c in cs.constraints for name, _ in c.env}
+    value_vars = {}
     for c in cs.constraints:
-        label, block, types = translate_constraint(cs, c)
+        label, block, types = translate_constraint(cs, c, binders, value_vars)
         for name, t in types.items():
-            prev = p.base_types.get(name)
-            if prev is not None and prev != t:
-                if name.startswith(("t", "u")) and name[1:].isdigit():
-                    continue  # temp seeding type; first one is as good as any
-                raise TranslateError(f"variable {name} has conflicting types")
-            p.base_types[name] = t
+            p.base_types.setdefault(name, t)
         p.blocks.append((label, block))
     return p
-
-
-def simplify(p):
-    """Drop trivial substitution assumes `assume (= ti x)` by renaming the
-    get temp to the variable, when the variable's only earlier role was an
-    unconstrained havoc binding. Purely cosmetic; semantics-preserving."""
-    out = ImpProgram(
-        dict(p.relvar_sigs), dict(p.base_types), dict(p.func_sigs), [], dict(p.clones)
-    )
-    for label, block in p.blocks:
-        instrs = list(block.instrs)
-        changed = True
-        while changed:
-            changed = False
-            for idx, ins in enumerate(instrs):
-                if not (
-                    isinstance(ins, Assume)
-                    and isinstance(ins.pred, Cmp)
-                    and ins.pred.op == "="
-                    and isinstance(ins.pred.left, Var)
-                    and isinstance(ins.pred.right, Var)
-                ):
-                    continue
-                t, x = ins.pred.left.name, ins.pred.right.name
-                if not _is_get_temp(instrs, idx, t) or not _unconstrained_before(
-                    instrs, idx, x
-                ):
-                    continue
-                instrs = [_rename_instr(i, t, x) for i in instrs[:idx] + instrs[idx + 1 :]]
-                changed = True
-                break
-        out.blocks.append((label, seq_of(instrs)))
-    return out
-
-
-def _is_get_temp(instrs, idx, t):
-    for i in instrs[:idx]:
-        if isinstance(i, Get) and t in i.targets:
-            return True
-    return False
-
-
-def _unconstrained_before(instrs, idx, x):
-    definition = None
-    for i in instrs[:idx]:
-        if isinstance(i, Assign) and i.var == x:
-            definition = i
-        elif isinstance(i, (Get,)) and x in i.targets:
-            return False
-        elif isinstance(i, Assume) and isinstance(i.pred, TrueLit):
-            continue
-    if definition is None:
-        return False
-    # the defining value variable must come straight from a havoc with only a
-    # trivial assume in between
-    if not isinstance(definition.expr, Var):
-        return False
-    vv = definition.expr.name
-    pos = instrs.index(definition)
-    k = pos - 1
-    while k >= 0 and isinstance(instrs[k], Assume) and isinstance(
-        instrs[k].pred, TrueLit
-    ):
-        k -= 1
-    if k < 0 or not (isinstance(instrs[k], Havoc) and instrs[k].var == vv):
-        return False
-    # x must not be read between its definition and the dropped assume
-    for i in instrs[pos + 1 : idx]:
-        if x in _reads(i):
-            return False
-    return True
-
-
-def _reads(i):
-    if isinstance(i, Assign):
-        return free_vars(i.expr)
-    if isinstance(i, (Assume, Assert)):
-        return free_vars(i.pred)
-    if isinstance(i, Set):
-        return set(i.args)
-    return set()
-
-
-def _rename_instr(i, old, new):
-    m = {old: Var(new)}
-    if isinstance(i, Assign):
-        var = new if i.var == old else i.var
-        return Assign(var, subst(i.expr, m))
-    if isinstance(i, Havoc):
-        return Havoc(new if i.var == old else i.var)
-    if isinstance(i, Get):
-        return Get(i.relvar, tuple(new if x == old else x for x in i.targets))
-    if isinstance(i, Set):
-        return Set(i.relvar, tuple(new if x == old else x for x in i.args))
-    if isinstance(i, Assume):
-        return Assume(subst(i.pred, m))
-    if isinstance(i, Assert):
-        return Assert(subst(i.pred, m))
-    return i

@@ -219,13 +219,19 @@ def _gen_kapp(rng, cs, scope):
     return KApp(name, args)
 
 
-def _gen_ref(rng, cs, scope, p_kapp):
+def _gen_ref(rng, cs, scope, p_kapp, v_args):
     if rng.random() < p_kapp:
-        return _gen_kapp(rng, cs, scope)
+        return _gen_kapp(rng, cs, scope + ["v"] if v_args else scope)
     return Concrete(gen_pred(rng, scope + ["v"]))
 
 
-def gen_constraint_set(rng, max_kvars=2, max_params=1, max_constraints=3):
+def gen_constraint_set(
+    rng, max_kvars=2, max_params=1, max_constraints=3, binders=None, v_args=False
+):
+    """A random function-free set over int. Each constraint binds up to two
+    names: x0, x1 in turn, or, given `binders`, a draw of distinct names from
+    it (such as the translation's temps t0, t1). With `v_args`, a kvar
+    application's arguments may read `v`, the value it refines."""
     cs = ConstraintSet()
     for i in range(rng.randint(1, max_kvars)):
         nparams = rng.randint(0, max_params)
@@ -235,12 +241,13 @@ def gen_constraint_set(rng, max_kvars=2, max_params=1, max_constraints=3):
     for ci in range(rng.randint(1, max_constraints)):
         env = []
         scope = []
-        for bi in range(rng.randint(0, 2)):
-            name = f"x{bi}"
-            env.append((name, RefType(INT, _gen_ref(rng, cs, scope, 0.5))))
+        n = rng.randint(0, 2)
+        names = [f"x{bi}" for bi in range(n)] if binders is None else rng.sample(binders, n)
+        for name in names:
+            env.append((name, RefType(INT, _gen_ref(rng, cs, scope, 0.5, v_args))))
             scope.append(name)
-        lhs = RefType(INT, _gen_ref(rng, cs, scope, 0.4))
-        rhs = RefType(INT, _gen_ref(rng, cs, scope, 0.7))
+        lhs = RefType(INT, _gen_ref(rng, cs, scope, 0.4, v_args))
+        rhs = RefType(INT, _gen_ref(rng, cs, scope, 0.7, v_args))
         cs.constraints.append(SubConstraint(f"c{ci}", tuple(env), lhs, rhs))
     return normalize(cs)
 

@@ -51,10 +51,13 @@ def test_translate_matches_golden():
     assert text == (EXAMPLES / "iteri_mask.golden.imp").read_text()
 
 
-def test_translate_emit_imp(tmp_path):
+def test_check_emit_imp(tmp_path):
+    # the program `check` proves is the one `translate` prints, and saving
+    # it leaves the verdict alone
     dest = tmp_path / "out.imp"
-    code, text = run("translate", ITERI, "--no-clone", "--emit-imp", str(dest))
-    assert code == 0
+    plain = run("check", ITERI, "--no-clone")
+    assert run("check", ITERI, "--no-clone", "--emit-imp", str(dest)) == plain
+    assert plain[0] == 0
     assert dest.read_text() == (EXAMPLES / "iteri_mask.golden.imp").read_text()
 
 
@@ -364,6 +367,64 @@ def test_check_preds_apply_to_each_clone(tmp_path):
     assert "(<= 11 k.1.0)" in text and "(<= 11 k.2.0)" in text
 
 
+# Sets whose translation once captured a variable: a name the translation
+# introduces that equals a binder or another type's value variable, or `v`
+# in a kvar application's arguments left to mean whatever `v` held before.
+# Each row: the set, the extra `check --oracle` flags, the exit code and how
+# the output starts.
+CAPTURE_ROWS = {
+    "v_in_kapp_argument": (
+        "(kvar k (v int) (n int))"
+        "(sub c1 (env (x int true)) (lhs int (= v x)) (rhs int (kapp k (+ v 1))))"
+        "(sub c2 (lhs int (kapp k v)) (rhs int false))",
+        [], 0, "SAFE\n",
+    ),
+    "binder_t0_as_get_temp": (
+        "(kvar k (v int))"
+        "(sub c1 (lhs int (= v 0)) (rhs int (kapp k)))"
+        "(sub c2 (env (t0 int (= v 5))) (lhs int (kapp k)) (rhs int (= t0 5)))",
+        ["--int-range", "-1..6"], 0, "SAFE\n",
+    ),
+    "binder_v_bool_as_value_variable": (
+        "(sub c (env (v_bool bool v)) (lhs bool true) (rhs bool v_bool))",
+        [], 0, "SAFE\n",
+    ),
+    "binder_at_two_types": (
+        "(sub c1 (env (x int (= v 0))) (lhs int (= v x)) (rhs int (= v 1)))"
+        "(sub c2 (env (x bool v)) (lhs int true) (rhs int true))",
+        [], 1, "UNSAFE\ntrace: c1\n",
+    ),
+    "binder_v_bool_at_int": (
+        "(sub c1 (lhs bool true) (rhs bool true))"
+        "(sub c2 (env (v_bool int (= v 0))) (lhs int true) (rhs int (= v_bool 1)))",
+        [], 1, "UNSAFE\ntrace: c2\n",
+    ),
+    "bool_v_in_kapp_argument": (
+        "(kvar k (v bool) (n bool))"
+        "(sub c1 (lhs bool true) (rhs bool (kapp k v)))"
+        "(sub c2 (lhs bool (kapp k v)) (rhs bool false))",
+        [], 1, "UNSAFE\ntrace: c1 -> c2\n",
+    ),
+    "sort_named_bool": (
+        "(sub c1 (env (y (ui bool) true)) (lhs bool true) (rhs bool (not v)))",
+        [], 1, "UNSAFE\ntrace: c1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CAPTURE_ROWS)
+def test_check_translation_captures_nothing(tmp_path, name):
+    text, flags, want, start = CAPTURE_ROWS[name]
+    f = tmp_path / f"{name}.hmc"
+    f.write_text(text)
+    code, out = run("check", str(f), "--oracle", *flags)
+    assert code == want and out.startswith(start), out
+    cs = constraints.normalize(constraints.parse_constraints(text))
+    for cloned, clones in [(cs, None), clone(cs)]:
+        p = translate_set_of_constraints(cloned, clones)
+        assert not any(imp.reads_before_writing(b) for _, b in p.blocks)
+
+
 # example -> the exit code of `hmc check` on it, and its flags
 GOLDEN_CHECKS = {
     "iteri_mask": (0, []),
@@ -374,6 +435,7 @@ GOLDEN_CHECKS = {
     "clonefold": (0, []),
     "deeperr": (1, ["--oracle"]),
     "chain8": (0, []),
+    "capture": (0, []),
 }
 
 
@@ -438,6 +500,10 @@ def test_usage_errors():
     assert code == 3
     code, _ = run("frobnicate")
     assert code == 3
+    # flags no command reads are not accepted
+    for argv in (["translate", ITERI, "--simplify"], ["translate", ITERI, "--emit-imp", "x.imp"],
+                 ["validate", ITERI, "--solution", ITERI, "--fuel", "5"]):
+        assert run(*argv)[0] == 3, argv
 
 
 def test_solver_failure_exit_code(tmp_path):

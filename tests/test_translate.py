@@ -4,9 +4,9 @@ from pathlib import Path
 
 from hmc.clone import clone
 from hmc.constraints import normalize, parse_constraints
-from hmc.imp import Assume, Get, Havoc, Set, parse_imp, print_imp
+from hmc.imp import Assume, Get, Havoc, Set, parse_imp, print_imp, reads_before_writing
 from hmc.logic import to_text
-from hmc.translate import simplify, translate_set_of_constraints, value_var
+from hmc.translate import translate_set_of_constraints, value_var
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -83,37 +83,47 @@ def test_clone_headers_emitted():
 def test_translation_parses_back():
     # `parse_imp` typechecks, so every translated program must be well typed
     # as printed, where a temp such as iteri's `t1` is declared at one type
-    # (int) and holds another ((ui obj), from `get k2 (t0, t1)`) in a block
-    sets = [load((EXAMPLES / name).read_text()) for name in ["iteri_mask.hmc", "tworead.hmc"]]
+    # (int) and holds another ((ui obj), from `get k2 (t0, t1)`) in a block.
+    # Every block writes each variable before it reads it, so no block sees
+    # a value another block left behind, whatever its type
+    sets = [load(path.read_text()) for path in sorted(EXAMPLES.glob("*.hmc"))]
     rng = random.Random(3)
     sets += [gen_constraint_set(rng) for _ in range(150)]
+    sets += [
+        gen_constraint_set(rng, binders=("t0", "t1", "u0"), v_args=True) for _ in range(150)
+    ]
     for cs in sets:
         for cloned, clones in [(cs, None), clone(cs)]:
             p = translate_set_of_constraints(cloned, clones)
-            for q in (p, simplify(p)):
-                assert print_imp(parse_imp(print_imp(q))) == print_imp(q)
+            assert print_imp(parse_imp(print_imp(p))) == print_imp(p)
+            assert not any(reads_before_writing(b) for _, b in p.blocks)
 
 
-def test_simplify_preserves_text_validity():
-    cs = load((EXAMPLES / "tworead.hmc").read_text())
+def test_introduced_names_avoid_binders():
+    # get temps t0, t1 and the bool value variable are renamed away from
+    # the binders of the whole set, not just of their own block
+    cs = load(
+        "(kvar k (v int) (n int))"
+        "(sub c1 (env (t0 int (= v 5))) (lhs int (= v 0)) (rhs int (kapp k t0)))"
+        "(sub c2 (env (v_bool int true) (t0_ int true)) (lhs int (kapp k t0_)) (rhs int true))"
+        "(sub c3 (lhs bool true) (rhs bool true))"
+    )
+    text = print_imp(translate_set_of_constraints(cs))
+    assert "get k (t0__, t1)" in text and "v := t0__" in text
+    assert "havoc v_bool_;" in text and "v_bool := v;" in text
+    assert ";; basevar v_bool int\n" in text and ";; basevar v_bool_ bool\n" in text
+
+
+def test_v_in_kapp_arguments_is_the_value():
+    # `v` is the value read (`t0`) on a get and the typed value variable on
+    # a set
+    cs = load(
+        "(kvar k (v bool) (n bool))"
+        "(sub c1 (lhs bool true) (rhs bool (kapp k v)))"
+        "(sub c2 (lhs bool (kapp k v)) (rhs bool false))"
+    )
     p = translate_set_of_constraints(cs)
-    q = simplify(p)
-    text = print_imp(q)
-    assert print_imp(parse_imp(text)) == text
-    # the binder-equating assumes are folded away
-    assert "assume (= t" not in text
-
-
-def test_simplify_preserves_verdict():
-    from hmc.imp import exec_program
-    from hmc.logic import ValueDomain
-
-    d = ValueDomain((-1, 1))
-    for name in ["tworead.hmc"]:
-        cs = load((EXAMPLES / name).read_text())
-        p = translate_set_of_constraints(cs)
-        q = simplify(p)
-        for sem in ("relational", "imperative"):
-            assert (
-                exec_program(p, d, sem).status == exec_program(q, d, sem).status
-            )
+    c1, c2 = instrs(blocks(p)["c1"]), instrs(blocks(p)["c2"])
+    assert c1[-1] == Set("k", ("v_bool", "v_bool"))
+    assert to_text(c2[2].pred) == "(= t1 t0)"
+    assert "v" not in p.base_types
