@@ -2,12 +2,16 @@
 
 Programs are `loop { I1 [] ... [] In }`. Instructions act on base variables
 and relation variables. A state maps each relation variable to a set of
-tuples; `get` picks any member (halting on an empty relation). Two
-ground-truth semantics share that state and differ only in `set`:
+tuples; `get` picks any member (halting on an empty relation). `runs`
+gives the instructions their meaning, following a block's runs depth first.
+Two ground-truth semantics share it and differ only in where a `get` picks
+and how a `set` lands:
 
-- Relational: a relation grows; `set` inserts.
+- Relational: relations grow; `get` picks from the relation or the run's
+  own sets, and `set` inserts.
 - Imperative: a relation holds at most one tuple, and bottom is the empty
-  relation; `set` overwrites.
+  relation; `get` picks the run's last own set, else the relation, and
+  `set` overwrites.
 
 A failing assert moves to the absorbing ERROR state. The oracle,
 `exec_program`, works over a finite value domain and finite function
@@ -162,12 +166,6 @@ class State:
             tuple(sorted((k, frozenset(v)) for k, v in rels.items())),
         )
 
-    def base_map(self):
-        return dict(self.base)
-
-    def rel_map(self):
-        return dict(self.rels)
-
 
 def initial_state(p, domain):
     base = {x: domain.min_value(t) for x, t in p.base_types.items()}
@@ -184,49 +182,75 @@ class ExecContext:
     domain: ValueDomain
     tables: dict = field(default_factory=dict)  # function name -> finite map
 
-    def interp(self, base_map):
-        return Interpretation(base_map, self.tables)
+
+def runs(instrs, ctx, base, picks):
+    """The runs of the straight-line `instrs` from the valuation `base`,
+    depth first: a havoc tries each value of its variable's domain in
+    order, and the get at index j each tuple that `picks(j, relvar, sets,
+    reads)` lists, given the run's sets and reads so far. Yields (end
+    valuation, or None where an assert fails, reads, sets): `sets` are the
+    (relvar, tuple) facts the run's sets write, in order, and `reads` the
+    facts its gets take, but for a tuple the run set itself. A failing
+    assume, or a get with nothing to pick, ends its run without a yield."""
+    stack = [(0, dict(base), (), ())]
+    while stack:
+        j, base, reads, sets = stack.pop()
+        while j < len(instrs):
+            i = instrs[j]
+            j += 1
+            if isinstance(i, Assign):
+                base[i.var] = eval_expr(Interpretation(base, ctx.tables), i.expr)
+            elif isinstance(i, Set):
+                sets += ((i.relvar, tuple(base[x] for x in i.args)),)
+            elif isinstance(i, Havoc):
+                vals = ctx.domain.values(ctx.program.base_types[i.var])
+                stack += [(j, {**base, i.var: val}, reads, sets) for val in reversed(vals)]
+                break
+            elif isinstance(i, Get):
+                for tup in reversed([*picks(j - 1, i.relvar, sets, reads)]):
+                    b = dict(base)
+                    b.update(zip(i.targets, tup))
+                    fact = (i.relvar, tup)
+                    stack.append((j, b, reads if fact in sets else reads + (fact,), sets))
+                break
+            elif isinstance(i, (Assume, Assert)):
+                if not eval_pred(Interpretation(base, ctx.tables), i.pred):
+                    if isinstance(i, Assert):
+                        yield None, reads, sets
+                    break
+            else:
+                raise ImpError(f"bad instruction {i!r}")
+        else:
+            yield base, reads, sets
 
 
 def post(state, instr, ctx, semantics):
-    """Successors of one instruction under `semantics`. ERROR absorbs. Only
-    `set` reads the semantics: it inserts relationally and overwrites
-    imperatively."""
+    """The states that the runs of `instr`, one instruction or a block, end
+    in from `state` under `semantics`, and ERROR for a run whose assert
+    fails. ERROR absorbs."""
     if state is ERROR:
         return {ERROR}
-    if isinstance(instr, Seq):
-        states = {state}
-        for i in instr.instrs:
-            states = set().union(*(post(s, i, ctx, semantics) for s in states))
-        return states
-    base = dict(state.base)
-    if isinstance(instr, Assign):
-        base[instr.var] = eval_expr(ctx.interp(base), instr.expr)
-        return {State(tuple(sorted(base.items())), state.rels)}
-    if isinstance(instr, Havoc):
-        out = set()
-        for val in ctx.domain.values(ctx.program.base_types[instr.var]):
-            base[instr.var] = val
-            out.add(State(tuple(sorted(base.items())), state.rels))
-        return out
-    if isinstance(instr, Assume):
-        return {state} if eval_pred(ctx.interp(base), instr.pred) else set()
-    if isinstance(instr, Assert):
-        return {state} if eval_pred(ctx.interp(base), instr.pred) else {ERROR}
     rels = dict(state.rels)
-    if isinstance(instr, Get):
-        out = set()
-        for tup in rels[instr.relvar]:
-            base.update(zip(instr.targets, tup))
-            out.add(State(tuple(sorted(base.items())), state.rels))
-        return out
-    if isinstance(instr, Set):
-        rel = frozenset({tuple(base[x] for x in instr.args)})
-        if semantics == "relational":
-            rel |= rels[instr.relvar]
-        rels[instr.relvar] = rel
-        return {State(state.base, tuple(sorted(rels.items())))}
-    raise ImpError(f"bad instruction {instr!r}")
+    relational = semantics == "relational"
+
+    def picks(j, relvar, sets, reads):
+        own = [t for k, t in sets if k == relvar]
+        if relational:
+            return rels[relvar].union(own)
+        return own[-1:] or rels[relvar]
+
+    out = set()
+    instrs = instr.instrs if isinstance(instr, Seq) else (instr,)
+    for end, _, sets in runs(instrs, ctx, state.base, picks):
+        if end is None:
+            out.add(ERROR)
+            continue
+        after = dict(rels)
+        for k, t in sets:
+            after[k] = after[k] | {t} if relational else frozenset({t})
+        landed = tuple(sorted(after.items())) if sets else state.rels
+        out.add(State(tuple(sorted(end.items())), landed))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +323,15 @@ def least_model(p, ctx, fuel=10_000, stop_on_error=True):
 
     Semi-naive evaluation: each round runs every block over the tuples
     found before it, and after the first round only the runs that read a
-    tuple new in the last round; the tuples their sets write are added at
-    the end of the round, until a round adds none. Each tuple keeps its
-    first derivation, the block and the tuples that run read, and the trace
-    to ERROR lists the derivations of the failing run's reads depth first,
-    each once, then the failing block. The fixpoint stops unexhausted once
-    the model holds more than `fuel` tuples. With `stop_on_error` it stops
-    at the first failing run (the model is then partial)."""
+    tuple new in the last round: the last get of a run that has read none
+    picks from those alone, and a block without a get is not run again.
+    The tuples their sets write are added at the end of the round, until a
+    round adds none. Each tuple keeps its first derivation, the block and
+    the tuples that run read, and the trace to ERROR lists the derivations
+    of the failing run's reads depth first, each once, then the failing
+    block. The fixpoint stops unexhausted once the model holds more than
+    `fuel` tuples. With `stop_on_error` it stops at the first failing run
+    (the model is then partial)."""
     model = {k: {} for k in p.relvar_sigs}  # relvar -> {tuple: derivation index}
     derivations = []  # (block label, the (relvar, tuple) facts its run read)
     error_trace = None
@@ -314,8 +340,21 @@ def least_model(p, ctx, fuel=10_000, stop_on_error=True):
     while True:
         fresh = {k: {} for k in model}
         for label, block in p.blocks:
-            for reads, sets in _block_runs(block.instrs, ctx, model, delta, stop_on_error):
-                if sets is None:
+            gets = [j for j, i in enumerate(block.instrs) if isinstance(i, Get)]
+            if delta is not None and not gets:
+                continue  # a run that gets nothing reads no new tuple
+
+            def picks(j, relvar, sets, reads):
+                own = dict.fromkeys(t for k, t in sets if k == relvar)
+                if j == gets[-1] and delta is not None and not any(t in delta[k] for k, t in reads):
+                    # the last chance to read a new tuple; a tuple the run
+                    # set itself is not one
+                    return [t for t in delta[relvar] if t not in own]
+                return [*model[relvar], *(t for t in own if t not in model[relvar])]
+
+            for end, reads, sets in runs(block.instrs, ctx, {}, picks):
+                if end is None:
+                    # a failing run that read nothing new set the trace in an earlier round
                     if error_trace is None:
                         error_trace = _derivation_trace(model, derivations, reads) + [label]
                         if stop_on_error:
@@ -340,68 +379,6 @@ def least_model(p, ctx, fuel=10_000, stop_on_error=True):
 
 def _relations(model):
     return {k: frozenset(tuples) for k, tuples in model.items()}
-
-
-def _block_runs(instrs, ctx, model, delta, stop_on_error):
-    """The runs of one block whose gets pick from `model`, or from the
-    tuples the run itself set before: a list of (reads, sets), where
-    `reads` are the (relvar, tuple) facts taken from `model` and `sets` the
-    facts the run writes, or None when an assert failed. With `delta`, only
-    the runs that read one of its tuples. With `stop_on_error`, the list
-    ends at the first failing run."""
-    last_get = max((j for j, i in enumerate(instrs) if isinstance(i, Get)), default=-1)
-    runs = []
-
-    def run(j, base, reads, sets, fresh):
-        # returns True to stop the whole enumeration
-        while j < len(instrs):
-            i = instrs[j]
-            j += 1
-            if isinstance(i, Assign):
-                base[i.var] = eval_expr(ctx.interp(base), i.expr)
-            elif isinstance(i, Assume):
-                if not eval_pred(ctx.interp(base), i.pred):
-                    return False
-            elif isinstance(i, Assert):
-                if not eval_pred(ctx.interp(base), i.pred):
-                    if fresh:
-                        runs.append((reads, None))
-                        return stop_on_error
-                    return False
-            elif isinstance(i, Set):
-                sets += ((i.relvar, tuple(base[x] for x in i.args)),)
-            elif isinstance(i, Havoc):
-                for val in ctx.domain.values(ctx.program.base_types[i.var]):
-                    if run(j, {**base, i.var: val}, reads, sets, fresh):
-                        return True
-                return False
-            elif isinstance(i, Get):
-                own = dict.fromkeys(t for k, t in sets if k == i.relvar)
-                if not fresh and j - 1 == last_get:
-                    # the last chance to read a new tuple; a tuple the run
-                    # set itself is not one
-                    picks = [t for t in delta[i.relvar] if t not in own]
-                else:
-                    picks = [*model[i.relvar], *(t for t in own if t not in model[i.relvar])]
-                for tup in picks:
-                    b = dict(base)
-                    b.update(zip(i.targets, tup))
-                    if tup in own:
-                        stop = run(j, b, reads, sets, fresh)
-                    else:
-                        stop = run(j, b, reads + ((i.relvar, tup),), sets,
-                                   fresh or tup in delta[i.relvar])
-                    if stop:
-                        return True
-                return False
-            else:
-                raise ImpError(f"bad instruction {i!r}")
-        if fresh:
-            runs.append((reads, sets))
-        return False
-
-    run(0, {}, (), (), delta is None)
-    return runs
 
 
 def _derivation_trace(model, derivations, reads):
@@ -449,12 +426,12 @@ def exec_program(p, domain, semantics="relational", table_budget=256, seed=0, fu
     program, and any under the imperative semantics, gets the state search
     (`reach`). A clean run is INCONCLUSIVE rather than SAFE when the tables
     were sampled or a search ran out of `fuel`, with those reasons."""
-    choices = enumerate_func_tables(list(p.func_sigs.values()), domain, table_budget, seed)
+    choices, exhaustive = enumerate_func_tables(p.func_sigs.values(), domain, table_budget, seed)
     horn = semantics == "relational" and not any(
         reads_before_writing(block) for _, block in p.blocks
     )
-    reasons = [] if all(ex for _, ex in choices) else [SAMPLED]
-    for tables, _ in choices:
+    reasons = [] if exhaustive else [SAMPLED]
+    for tables in choices:
         ctx = ExecContext(p, domain, tables)
         if horn:
             r = least_model(p, ctx, fuel)
@@ -637,9 +614,7 @@ def _parse_instr(ts):
     if kind == "word":
         ts.expect("punct", ":=")
         k2, v2, l2 = ts.next()
-        if k2 == "int":
-            expr = expr_from_sexpr(v2)
-        elif k2 == "word":
+        if k2 in ("int", "word"):
             expr = expr_from_sexpr(v2)
         elif k2 == "group":
             expr = expr_from_sexpr(sexpr.parse_one(v2))

@@ -613,33 +613,27 @@ def count_tables(sigs, domain):
 
 
 def enumerate_func_tables(sigs, domain, table_budget=256, seed=0):
-    """Yield (tables, exhaustive). Tables assign each sig a total finite map.
-
-    When the exhaustive count exceeds the budget, draws `table_budget`
-    seeded uniform samples instead (exhaustive=False).
+    """(choices, exhaustive): each choice assigns each sig a total finite
+    map. When the exhaustive count exceeds the budget, the choices are
+    `table_budget` seeded uniform samples instead, and exhaustive is False.
     """
     sigs = sorted(sigs, key=lambda s: s.name)
     if not sigs:
-        return [({}, True)]
+        return [{}], True
     spaces = [table_space(s, domain) for s in sigs]
-    total = count_tables(sigs, domain)
-    out = []
-    if total <= table_budget:
-        per_sig = []
-        for sig, (keys, outs) in zip(sigs, spaces):
-            per_sig.append(
-                [dict(zip(keys, vals)) for vals in itertools.product(outs, repeat=len(keys))]
-            )
-        for combo in itertools.product(*per_sig):
-            out.append(({s.name: t for s, t in zip(sigs, combo)}, True))
-        return out
+    if count_tables(sigs, domain) <= table_budget:
+        per_sig = [
+            [dict(zip(keys, vals)) for vals in itertools.product(outs, repeat=len(keys))]
+            for keys, outs in spaces
+        ]
+        return [
+            {s.name: t for s, t in zip(sigs, combo)} for combo in itertools.product(*per_sig)
+        ], True
     rng = random.Random(seed)
-    for _ in range(table_budget):
-        tables = {}
-        for sig, (keys, outs) in zip(sigs, spaces):
-            tables[sig.name] = {k: rng.choice(outs) for k in keys}
-        out.append((tables, False))
-    return out
+    return [
+        {sig.name: {k: rng.choice(outs) for k in keys} for sig, (keys, outs) in zip(sigs, spaces)}
+        for _ in range(table_budget)
+    ], False
 
 
 # ---------------------------------------------------------------------------
@@ -793,9 +787,8 @@ class Hypothesis:
 
 def _check_valid_oracle(env, p, mode, sigs):
     active = [sigs[f] for f in sorted({a.func for a in applications(p)})]
-    tables = enumerate_func_tables(active, mode.domain, mode.table_budget, mode.seed)
-    exhaustive = all(ex for _, ex in tables)
-    for tab, _ in tables:
+    tables, exhaustive = enumerate_func_tables(active, mode.domain, mode.table_budget, mode.seed)
+    for tab in tables:
         for vals in enumerate_valuations(env, mode.domain):
             interp = Interpretation(vals, tab)
             if not eval_pred(interp, p):

@@ -193,6 +193,15 @@ def expand_all(states):
     return out
 
 
+def stepwise_post(state, block, ctx, semantics):
+    """`post` folded over the instructions of `block` one at a time: a
+    reference for `post` on a whole block, which follows whole runs."""
+    states = {state}
+    for i in block.instrs:
+        states = set().union(*(post(s, i, ctx, semantics) for s in states))
+    return states
+
+
 def replays_to_error(p, ctx, trace):
     """Whether running the blocks of `trace` in turn from the initial state
     under the relational semantics can reach ERROR."""

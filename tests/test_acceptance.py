@@ -249,7 +249,7 @@ def test_06_step_lemma_companions():
             assert via_imp <= via_rel, seed
             # on empty relations the two semantics cannot diverge yet
             s0 = State.make(
-                s.base_map(), {k: frozenset() for k in p.relvar_sigs}
+                dict(s.base), {k: frozenset() for k in p.relvar_sigs}
             )
             via_rel0, via_imp0 = _both_posts(p, block, s0)
             assert via_rel0 == via_imp0, seed

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ from gen import (
     gen_rwo_program,
     is_rwo,
     replays_to_error,
+    stepwise_post,
 )
+from hmc import imp
 from hmc.imp import (
     ERROR,
     Assert,
@@ -37,7 +40,8 @@ from hmc.imp import (
     reads_before_writing,
     seq_of,
 )
-from hmc.logic import Cmp, IntLit, TRUE, ValueDomain, Var
+from hmc.constraints import normalize, parse_constraints
+from hmc.logic import Cmp, IntLit, TRUE, ValueDomain, Var, enumerate_func_tables
 from hmc.clone import clone
 from hmc.translate import translate_set_of_constraints
 
@@ -75,7 +79,7 @@ def test_parse_print_roundtrip():
 def test_initial_states():
     p = parse_imp(SMALL)
     s = initial_state(p, D11)
-    assert s.base_map()["x"] == -1 and s.rel_map()["k"] == frozenset()
+    assert dict(s.base)["x"] == -1 and dict(s.rels)["k"] == frozenset()
 
 
 def test_post_rel_grow_and_pick():
@@ -84,7 +88,7 @@ def test_post_rel_grow_and_pick():
     s = initial_state(p, D11)
     # set inserts without erasing
     s1 = post(s, Set("k", ("x",)), c, "relational")
-    assert list(s1)[0].rel_map()["k"] == frozenset({(-1,)})
+    assert dict(list(s1)[0].rels)["k"] == frozenset({(-1,)})
     # havoc yields one successor per domain value
     assert len(post(s, Havoc("x"), c, "relational")) == 3
     # get on an empty relation halts (no successors)
@@ -98,13 +102,13 @@ def test_post_imp_overwrite_and_bottom():
     # get on bottom (the empty relation) halts
     assert post(t, Get("k", ("x",)), c, "imperative") == frozenset()
     (t1,) = post(t, Set("k", ("x",)), c, "imperative")
-    assert t1.rel_map()["k"] == frozenset({(-1,)})
+    assert dict(t1.rels)["k"] == frozenset({(-1,)})
     t2s = post(t1, seq_of([Havoc("x")]), c, "imperative")
     assert len(t2s) == 3
     for t2 in t2s:
         # set overwrites: only the tuple of this successor's x is left
         (t3,) = post(t2, Set("k", ("x",)), c, "imperative")
-        assert t3.rel_map()["k"] == frozenset({(t2.base_map()["x"],)})
+        assert dict(t3.rels)["k"] == frozenset({(dict(t2.base)["x"],)})
 
 
 def test_assume_assert_error():
@@ -134,6 +138,44 @@ def test_reach_traces_shortest():
     assert list(r.error_trace) == ["b1", "b2"]
 
 
+def test_block_post_matches_stepwise_reference():
+    # `post` of a whole block follows its runs; folding `post` over the
+    # block's instructions one at a time must give the same states, under
+    # both semantics, from every state a fuel-bounded search finds: on
+    # random programs, translated random sets (cloned and not) and the
+    # examples, under the first choice of function tables
+    rng = random.Random(25)
+    programs = []
+    for _ in range(40):
+        p = gen_rwo_program(rng)
+        # and with blocks that each run three of its blocks, where a get
+        # may follow two sets of its relvar
+        joined = []
+        for _ in range(4):
+            labels, blocks = zip(*rng.choices(p.blocks, k=3))
+            joined.append(("".join(labels), seq_of(blocks)))
+        programs += [(p, DOMAIN01), (replace(p, blocks=joined), DOMAIN01)]
+    for _ in range(40):
+        cs = gen_constraint_set(rng)
+        programs.append((translate_set_of_constraints(cs), DOMAIN01))
+        programs.append((translate_set_of_constraints(*clone(cs)), DOMAIN01))
+    for path in sorted(EXAMPLES.glob("*.hmc")):
+        cs = normalize(parse_constraints(path.read_text()))
+        programs.append((translate_set_of_constraints(cs), D11))
+        programs.append((translate_set_of_constraints(*clone(cs)), D11))
+    programs += [(parse_imp(path.read_text()), D11) for path in sorted(EXAMPLES.glob("*.imp"))]
+    compared = 0
+    for p, domain in programs:
+        tables, _ = enumerate_func_tables(p.func_sigs.values(), domain, 1)
+        c = ExecContext(p, domain, tables[0])
+        for semantics in ("relational", "imperative"):
+            for s in reach(p, c, semantics, fuel=30).states:
+                for _, block in p.blocks:
+                    assert post(s, block, c, semantics) == stepwise_post(s, block, c, semantics)
+                    compared += 1
+    assert compared >= 8_000, compared
+
+
 def test_is_rwo():
     assert is_rwo(parse_imp(SMALL)) is None
     p = parse_imp((EXAMPLES / "tworead.imp").read_text())
@@ -150,9 +192,9 @@ def test_alpha_and_expand():
     # expand of an empty-relation state is the single bottom state
     s0 = initial_state(p, D11)
     exp = expand(s0)
-    assert len(exp) == 1 and next(iter(exp)).rel_map()["k"] == frozenset()
+    assert len(exp) == 1 and dict(next(iter(exp)).rels)["k"] == frozenset()
     # expand of a two-tuple relation yields two imperative states
-    s2 = State.make(s0.base_map(), {"k": {(0,), (1,)}})
+    s2 = State.make(dict(s0.base), {"k": {(0,), (1,)}})
     assert len(expand(s2)) == 2
     assert expand_all({s0, s2, ERROR}) >= {ERROR}
 
@@ -331,6 +373,23 @@ def test_least_model_get_sees_its_own_run_sets():
     ))
     assert least_model(p, ctx(p)).error_trace == ["b1"]
     assert exec_program(p, D11).trace == ["b1"]
+
+
+def test_least_model_runs_get_free_blocks_once(monkeypatch):
+    # a run that gets nothing cannot read a tuple new in a later round, so
+    # b1 runs in the first round only, while b2 and b3 run again each round
+    p = parse_imp(CHAIN)
+    ran, real = [], imp.runs
+
+    def runs(instrs, *args):
+        ran.append(instrs)
+        return real(instrs, *args)
+
+    monkeypatch.setattr(imp, "runs", runs)
+    m = least_model(p, ctx(p), stop_on_error=False)
+    blocks = dict(p.blocks)
+    assert m.exhausted and m.error_trace == ["b1", "b2", "b3"]
+    assert [ran.count(blocks[b].instrs) for b in ("b1", "b2", "b3")] == [1, 3, 3]
 
 
 def test_least_model_runs_out_of_fuel():
