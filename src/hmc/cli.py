@@ -104,7 +104,7 @@ def _read(path):
 def _load_constraints(path):
     text = _read(path)
     try:
-        return constraints.normalize(constraints.parse_constraints(text))
+        return constraints.parse_constraints(text)
     except (SexprError, constraints.ConstraintError, LogicError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 

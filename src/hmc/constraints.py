@@ -91,63 +91,6 @@ class ConstraintSet:
 
 
 # ---------------------------------------------------------------------------
-# Normalization and well-formedness
-
-
-def normalize(cs):
-    """Fill omitted trailing kapp arguments with the identity substitution
-    and typecheck everything. Returns a new ConstraintSet."""
-    out = ConstraintSet(dict(cs.uninterps), dict(cs.kvars), [])
-    for c in cs.constraints:
-        env = []
-        seen = set()
-        scope = TypeEnv()
-        for name, rt in c.env:
-            if name in seen or name == VALUE_VAR:
-                raise ConstraintError(f"{c.label}: bad binder {name}")
-            seen.add(name)
-            ref = _norm_ref(out, c.label, scope, rt)
-            env.append((name, RefType(rt.base, ref)))
-            scope = scope.extend(name, rt.base)
-        if c.lhs.base != c.rhs.base:
-            raise ConstraintError(f"{c.label}: sides have different base types")
-        lhs = RefType(c.lhs.base, _norm_ref(out, c.label, scope, c.lhs))
-        rhs = RefType(c.rhs.base, _norm_ref(out, c.label, scope, c.rhs))
-        out.constraints.append(SubConstraint(c.label, tuple(env), lhs, rhs))
-    return out
-
-
-def _norm_ref(cs, label, scope, rt):
-    inner = scope.extend(VALUE_VAR, rt.base)
-    if isinstance(rt.ref, Concrete):
-        try:
-            typecheck_pred(inner, rt.ref.pred, cs.uninterps)
-        except LogicError as exc:
-            raise ConstraintError(f"{label}: {type(exc).__name__}: {exc}") from exc
-        return rt.ref
-    sig = cs.kvars.get(rt.ref.kvar)
-    if sig is None:
-        raise ConstraintError(f"{label}: unknown kvar {rt.ref.kvar}")
-    if sig.value_type != rt.base:
-        raise ConstraintError(f"{label}: {sig.name} refines {sig.value_type}")
-    args = list(rt.ref.args)
-    if len(args) > len(sig.params):
-        raise ConstraintError(f"{label}: too many arguments to {sig.name}")
-    for pname, _ in sig.params[len(args) :]:
-        args.append(Var(pname))
-    for arg, (pname, ptype) in zip(args, sig.params):
-        try:
-            got = typecheck_expr(inner, arg, cs.uninterps)
-        except LogicError as exc:
-            raise ConstraintError(f"{label}: {type(exc).__name__}: {exc}") from exc
-        if got != ptype:
-            raise ConstraintError(
-                f"{label}: argument for {sig.name}.{pname} has type {got}"
-            )
-    return KApp(rt.ref.kvar, tuple(args))
-
-
-# ---------------------------------------------------------------------------
 # Embedding
 
 
@@ -229,14 +172,6 @@ def ref_to_sexpr(ref):
     return ["kapp", ref.kvar] + [to_sexpr(a) for a in ref.args]
 
 
-def ref_from_sexpr(form):
-    if isinstance(form, list) and form and form[0] == "kapp":
-        if len(form) < 2 or not isinstance(form[1], str):
-            raise ConstraintError(f"bad kapp {sexpr.to_str(form)}")
-        return KApp(form[1], tuple(expr_from_sexpr(f) for f in form[2:]))
-    return Concrete(pred_from_sexpr(form))
-
-
 def _shape(form, n, what, more=False, names=1):
     """`form`, checked to be a list of `n` items (at least `n` if `more`)
     whose first `names` items are names."""
@@ -255,13 +190,87 @@ def _field(form):
     return name, type_from_sexpr(ty)
 
 
-def _ref_type(form, what):
-    _, ty, ref = _shape(form, 3, what)
-    return RefType(type_from_sexpr(ty), ref_from_sexpr(ref))
+def _typecheck(label, check, env, x, sigs):
+    """`check(env, x, sigs)`, with a typing error raised as a
+    ConstraintError that names `label` and the error's kind."""
+    try:
+        return check(env, x, sigs)
+    except LogicError as exc:
+        raise ConstraintError(f"{label}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_ref(cs, label, scope, base, form):
+    """The refinement `form` of a `base` value under `scope`: built, a
+    kapp's omitted trailing arguments filled with the identity
+    substitution, and typechecked."""
+    inner = scope.extend(VALUE_VAR, base)
+    if not (isinstance(form, list) and form and form[0] == "kapp"):
+        pred = pred_from_sexpr(form)
+        _typecheck(label, typecheck_pred, inner, pred, cs.uninterps)
+        return RefType(base, Concrete(pred))
+    if len(form) < 2 or not isinstance(form[1], str):
+        raise ConstraintError(f"bad kapp {sexpr.to_str(form)}")
+    args = [expr_from_sexpr(f) for f in form[2:]]
+    sig = cs.kvars.get(form[1])
+    if sig is None:
+        raise ConstraintError(f"{label}: unknown kvar {form[1]}")
+    if sig.value_type != base:
+        raise ConstraintError(f"{label}: {sig.name} refines {sig.value_type}")
+    if len(args) > len(sig.params):
+        raise ConstraintError(f"{label}: too many arguments to {sig.name}")
+    args += [Var(pname) for pname, _ in sig.params[len(args) :]]
+    for arg, (pname, ptype) in zip(args, sig.params):
+        got = _typecheck(label, typecheck_expr, inner, arg, cs.uninterps)
+        if got != ptype:
+            raise ConstraintError(f"{label}: argument for {sig.name}.{pname} has type {got}")
+    return RefType(base, KApp(sig.name, tuple(args)))
+
+
+def _read_sub(cs, form):
+    _, label, *rest = _shape(form, 2, "sub", more=True, names=2)
+    parts = {}
+    for part in rest:
+        kind = _shape(part, 1, "part", more=True)[0]
+        if kind not in ("env", "lhs", "rhs") or kind in parts:
+            raise ConstraintError(f"sub {label}: bad part {sexpr.to_str(part)}")
+        parts[kind] = part
+    if "lhs" not in parts or "rhs" not in parts:
+        raise ConstraintError(f"sub {label}: needs an lhs and an rhs")
+    env = []
+    scope = TypeEnv()
+    for binder in parts.get("env", ["env"])[1:]:
+        name, ty, ref = _shape(binder, 3, "binder")
+        if name == VALUE_VAR or scope.get(name):
+            raise ConstraintError(f"{label}: bad binder {name}")
+        if name in cs.uninterps:
+            raise ConstraintError(f"{label}: binder {name} names a function")
+        rt = _read_ref(cs, label, scope, type_from_sexpr(ty), ref)
+        env.append((name, rt))
+        scope = scope.extend(name, rt.base)
+    _, lty, lhs = _shape(parts["lhs"], 3, "lhs")
+    _, rty, rhs = _shape(parts["rhs"], 3, "rhs")
+    base = type_from_sexpr(lty)
+    if type_from_sexpr(rty) != base:
+        raise ConstraintError(f"{label}: sides have different base types")
+    lhs, rhs = (_read_ref(cs, label, scope, base, side) for side in (lhs, rhs))
+    return SubConstraint(label, tuple(env), lhs, rhs)
 
 
 def parse_constraints(text):
+    """Read and check a constraint set; this is the one checker of one.
+
+    The forms other than `sub` are read first, in file order, so that a
+    kvar or a function may be declared after the `sub` that uses it. Then
+    each `sub` is read in one walk, in file order: its parts, each binder
+    in turn, then its two sides. Each binder, lhs and rhs is built, a
+    kapp's omitted arguments filled and the whole typechecked as the walk
+    reaches it. Of several errors the first in this order is raised.
+
+    No variable may share a name with a function, since the solver reads a
+    nullary application `(c)` as the constant `c`: a binder may not name a
+    function, and no function may be named `v`."""
     cs = ConstraintSet()
+    subs = []
     for form in sexpr.parse_many(text):
         head = _shape(form, 1, "form", more=True)[0]
         if head == "uninterp":
@@ -276,6 +285,8 @@ def parse_constraints(text):
                 )
                 if name in cs.uninterps:
                     raise ConstraintError(f"duplicate function {name}")
+                if name == VALUE_VAR:
+                    raise ConstraintError(f"function {name}: {name} is the value variable")
                 cs.uninterps[name] = sig
         elif head == "kvar":
             _, name, *fields = _shape(form, 3, "kvar", more=True, names=2)
@@ -290,26 +301,10 @@ def parse_constraints(text):
                 raise ConstraintError(f"duplicate kvar {name}")
             cs.kvars[name] = KVarSig(name, vtype, tuple(params))
         elif head == "sub":
-            _, label, *rest = _shape(form, 2, "sub", more=True, names=2)
-            parts = {}
-            for part in rest:
-                kind = _shape(part, 1, "part", more=True)[0]
-                if kind not in ("env", "lhs", "rhs") or kind in parts:
-                    raise ConstraintError(f"sub {label}: bad part {sexpr.to_str(part)}")
-                parts[kind] = part
-            if "lhs" not in parts or "rhs" not in parts:
-                raise ConstraintError(f"sub {label}: needs an lhs and an rhs")
-            env = tuple(
-                (_shape(b, 3, "binder")[0], _ref_type(b, "binder"))
-                for b in parts.get("env", ["env"])[1:]
-            )
-            cs.constraints.append(
-                SubConstraint(
-                    label, env, _ref_type(parts["lhs"], "lhs"), _ref_type(parts["rhs"], "rhs")
-                )
-            )
+            subs.append(form)
         else:
             raise ConstraintError(f"unknown form {head}")
+    cs.constraints = [_read_sub(cs, form) for form in subs]
     return cs
 
 
@@ -345,6 +340,13 @@ def print_constraints(cs):
     return "\n".join(lines) + "\n"
 
 
+def normalize(cs):
+    """`cs`, a set built in code, printed and read back by
+    `parse_constraints`, which fills omitted kapp arguments and checks it.
+    On a set that `parse_constraints` gave, this is exact: an equal set."""
+    return parse_constraints(print_constraints(cs))
+
+
 def parse_solution(text):
     forms = sexpr.parse_many(text)
     if len(forms) != 1 or not isinstance(forms[0], list) or forms[0][:1] != ["solution"]:
@@ -371,11 +373,8 @@ def typecheck_solution(cs, sol):
         sig = cs.kvars.get(name)
         if sig is None:
             raise ConstraintError(f"unknown kvar {name}")
-        try:
-            env = TypeEnv(tuple(zip(sig.field_names, sig.field_types)))
-            typecheck_pred(env, pred, cs.uninterps)
-        except LogicError as exc:
-            raise ConstraintError(f"{name}: {type(exc).__name__}: {exc}") from exc
+        env = TypeEnv(tuple(zip(sig.field_names, sig.field_types)))
+        _typecheck(name, typecheck_pred, env, pred, cs.uninterps)
 
 
 def print_solution(sol):

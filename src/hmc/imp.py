@@ -724,13 +724,9 @@ def _check_program(p):
     for x, (label, t) in sorted(retyped.items()):
         if x in read_first:
             raise ParseError(
-                f"{label}: variable {x} of type {_type_text(p.base_types[x])} is left "
-                f"holding a {_type_text(t)}, and {read_first[x]} reads it before writing it"
+                f"{label}: variable {x} of type {p.base_types[x]} is left "
+                f"holding a {t}, and {read_first[x]} reads it before writing it"
             )
-
-
-def _type_text(t):
-    return sexpr.to_str(type_to_sexpr(t))
 
 
 def type_instr(p, label, i, types):
@@ -750,9 +746,7 @@ def type_instr(p, label, i, types):
             for x, t in zip(names, sig):
                 held = type_of(types, x)
                 if isinstance(i, Set) and held != t:
-                    raise TypeMismatch(
-                        f"{i.relvar} takes {_type_text(t)} where {x} holds {_type_text(held)}"
-                    )
+                    raise TypeMismatch(f"{i.relvar} takes {t} where {x} holds {held}")
             if isinstance(i, Get):
                 written = set(zip(names, sig))
                 if len(written) != len(set(names)):
@@ -800,12 +794,12 @@ def print_imp(p):
     lines = []
     for sig in p.func_sigs.values():
         args = sexpr.to_str([type_to_sexpr(t) for t in sig.arg_types])
-        lines.append(f";; uninterp {sig.name} {args} {sexpr.to_str(type_to_sexpr(sig.ret_type))}")
+        lines.append(f";; uninterp {sig.name} {args} {sig.ret_type}")
     for name, types in p.relvar_sigs.items():
-        ts = " ".join(sexpr.to_str(type_to_sexpr(t)) for t in types)
+        ts = " ".join(map(str, types))
         lines.append(f";; relvar {name} arity {len(types)} types {ts}")
     for name, t in p.base_types.items():
-        lines.append(f";; basevar {name} {sexpr.to_str(type_to_sexpr(t))}")
+        lines.append(f";; basevar {name} {t}")
     for clone, orig in p.clones.items():
         lines.append(f";; clone {clone} of {orig}")
     lines.append("loop {")

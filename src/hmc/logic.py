@@ -75,6 +75,10 @@ class BaseType:
         if (self.kind == "ui") != (self.ui_name is not None):
             raise TypeMismatch("ui types carry a name; int/bool do not")
 
+    def __str__(self):
+        """The type as written: `int`, `bool` or `(ui obj)`."""
+        return sexpr.to_str(type_to_sexpr(self))
+
 
 INT = BaseType("int")
 BOOL = BaseType("bool")
@@ -711,10 +715,10 @@ class Hypothesis:
     many goals.
 
     The hypothesis and every goal must be well typed under `env`; nothing
-    here typechecks them. Each boundary checks its input (`constraints.
-    normalize`, `typecheck_solution`, `absint.parse_preds`), the symbolic
-    run checks each path by `imp.type_instr`, and harvest keeps only the
-    candidates that typecheck.
+    here typechecks them. Each boundary checks its input
+    (`constraints.parse_constraints`, `typecheck_solution`,
+    `absint.parse_preds`), the symbolic run checks each path by
+    `imp.type_instr`, and harvest keeps only the candidates that typecheck.
 
     The hypothesis is handed as it is to an `smt.Context`, for the bundled
     solver, which lowers it once; each goal is handed over negated. Bools

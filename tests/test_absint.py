@@ -24,7 +24,6 @@ from hmc.absint import (
 from hmc.clone import clone
 from hmc.constraints import (
     check_satisfied,
-    normalize,
     parse_constraints,
 )
 from hmc.imp import Assert, Get, Havoc, ImpProgram, ParseError, Set, parse_imp, seq_of
@@ -53,7 +52,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def load(text):
-    return normalize(parse_constraints(text))
+    return parse_constraints(text)
 
 
 

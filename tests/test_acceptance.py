@@ -30,7 +30,6 @@ from hmc.cli import main
 from hmc.clone import clone, fold_solution
 from hmc.constraints import (
     check_satisfied,
-    normalize,
     parse_constraints,
     parse_solution,
 )
@@ -117,7 +116,7 @@ def test_02_tworead_dichotomy():
 
 def test_03_clone_restores_agreement():
     with budget(10):
-        cs = normalize(parse_constraints(TWOREAD_HMC.read_text()))
+        cs = parse_constraints(TWOREAD_HMC.read_text())
         cloned, clones = clone(cs)
         p = translate_set_of_constraints(cloned, clones)
         assert is_rwo(p) is None
@@ -286,7 +285,7 @@ CORRECTED_K1 = "(and (<= i v) (< v (+ i (len xs))))"
 
 
 def _check_iteri():
-    cs = normalize(parse_constraints(ITERI.read_text()))
+    cs = parse_constraints(ITERI.read_text())
     cloned, clones = clone(cs)
     p = translate_set_of_constraints(cloned, clones)
     from hmc import absint
@@ -350,7 +349,7 @@ def test_08_extracted_equals_handwritten():
 
 
 def _validate(k1, k2):
-    cs = normalize(parse_constraints(ITERI.read_text()))
+    cs = parse_constraints(ITERI.read_text())
     sol = parse_solution(f"(solution (k1 {k1}) (k2 {k2}))")
     return check_satisfied(cs, sol, SolverMode())
 

@@ -223,6 +223,19 @@ def test_check_bad_preds_is_usage_error(tmp_path, capsys, entries, error):
     assert capsys.readouterr().err.startswith(f"error: {preds}: {error}")
 
 
+NAME_CLASHES = [
+    (
+        "(uninterp (v () int)) (sub c1 (lhs int (= v 1)) (rhs int (= v (v))))",
+        "function v: v is the value variable",
+    ),
+    (
+        "(uninterp (c () int)) (sub c1 (env (c int (= v 0))) (lhs int (= v (c)))"
+        " (rhs int (= v 0)))",
+        "c1: binder c names a function",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -247,6 +260,24 @@ def test_check_bad_preds_is_usage_error(tmp_path, capsys, entries, error):
             "(sub c2 (env (x int (= v y))) (lhs int true) (rhs int true))",
             "c2: UnboundVariable: y",
         ),
+        # a type prints as written
+        ("(kvar k (v int)) (sub c1 (lhs bool true) (rhs bool (kapp k)))", "c1: k refines int"),
+        (
+            "(kvar k (v int) (n int)) (sub c1 (env (b (ui obj) true)) (lhs int true)"
+            " (rhs int (kapp k b)))",
+            "c1: argument for k.n has type (ui obj)",
+        ),
+        (
+            "(sub c1 (env (b bool true)) (lhs int (= v b)) (rhs int true))",
+            "c1: TypeMismatch: comparison between int and bool",
+        ),
+        # of several errors, the first in reading order: the forms other
+        # than `sub` first, then each `sub` in turn
+        ("(sub c1 (lhs int (= v y)) (rhs int true)) (sub c2)", "c1: UnboundVariable: y"),
+        ("(sub c1 (lhs int (= v y)) (rhs int true)) (kvar k)", "bad kvar (kvar k)"),
+        # the solver reads a nullary application `(c)` as the constant `c`,
+        # so no variable may share a name with a function
+        *NAME_CLASHES,
     ],
 )
 def test_check_malformed_form_is_usage_error(tmp_path, text, error):
@@ -256,6 +287,16 @@ def test_check_malformed_form_is_usage_error(tmp_path, text, error):
     assert code == 3 and stdout == ""
     assert stderr.startswith(f"error: {f}: {error}")
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("text, error", NAME_CLASHES)
+def test_validate_rejects_name_clash(tmp_path, text, error):
+    f = tmp_path / "clash.hmc"
+    f.write_text(text + "\n")
+    sol = tmp_path / "empty.sol"
+    sol.write_text("(solution)")
+    code, stdout, stderr = run_process("validate", str(f), "--solution", str(sol))
+    assert (code, stdout) == (3, "") and stderr.startswith(f"error: {f}: {error}")
 
 
 @pytest.mark.parametrize(
@@ -419,7 +460,7 @@ def test_check_translation_captures_nothing(tmp_path, name):
     f.write_text(text)
     code, out = run("check", str(f), "--oracle", *flags)
     assert code == want and out.startswith(start), out
-    cs = constraints.normalize(constraints.parse_constraints(text))
+    cs = constraints.parse_constraints(text)
     for cloned, clones in [(cs, None), clone(cs)]:
         p = translate_set_of_constraints(cloned, clones)
         assert not any(imp.reads_before_writing(b) for _, b in p.blocks)
@@ -706,7 +747,7 @@ def test_deep_counterexample_replays():
     # the golden trace of deeperr.hmc, four blocks deep, reaches ERROR when
     # its blocks run in turn under the relational semantics
     trace = (EXAMPLES / "deeperr.check.txt").read_text().splitlines()[1]
-    cs = constraints.normalize(constraints.parse_constraints((EXAMPLES / "deeperr.hmc").read_text()))
+    cs = constraints.parse_constraints((EXAMPLES / "deeperr.hmc").read_text())
     p = translate_set_of_constraints(*clone(cs))
     c = imp.ExecContext(p, logic.ValueDomain(), {})
     assert replays_to_error(p, c, trace.removeprefix("trace: ").split(" -> "))

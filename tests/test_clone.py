@@ -5,7 +5,6 @@ from gen import points_pred
 from hmc.clone import clone, fold_solution, read_occurrences
 from hmc.constraints import (
     check_satisfied,
-    normalize,
     parse_constraints,
     parse_solution,
 )
@@ -15,7 +14,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def load(text):
-    return normalize(parse_constraints(text))
+    return parse_constraints(text)
 
 
 TWOREAD = (EXAMPLES / "tworead.hmc").read_text()

@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from gen import gen_constraint_set, gen_pred, points_pred
 
 from hmc import constraints
+from hmc.clone import clone
 from hmc.constraints import (
     ConstraintError,
     KApp,
@@ -23,7 +25,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def load(text):
-    return normalize(parse_constraints(text))
+    return parse_constraints(text)
 
 
 SIMPLE = """
@@ -43,6 +45,23 @@ def test_parse_print_roundtrip():
     assert len(cs.constraints) == 4 and set(cs.kvars) == {"k1", "k2"}
 
 
+def test_print_then_read_is_exact():
+    # `normalize` prints a set and reads it back, so reading back what
+    # `print_constraints` prints must give an equal set: on each example and
+    # on 300 gen sets, as given and cloned (labels `c1#2`, kvars `k.1`)
+    sets = [(p.name, load(p.read_text())) for p in sorted(EXAMPLES.glob("*.hmc"))]
+    sets += [(f"gen {s}", gen_constraint_set(random.Random(s))) for s in range(300)]
+    for name, cs in sets:
+        for each in (cs, clone(cs)[0]):
+            assert parse_constraints(print_constraints(each)) == each, name
+
+
+def test_declarations_may_follow_their_use():
+    sub = "(sub c1 (env (x int (kapp k))) (lhs int (= v (f x))) (rhs int (kapp k)))"
+    decls = "(kvar k (v int)) (uninterp (f (int) int))"
+    assert load(f"{sub} {decls}") == load(f"{decls} {sub}")
+
+
 def test_normalize_fills_kapp_args():
     cs = load(
         "(kvar k (v int) (a int) (b int))\n"
@@ -54,6 +73,12 @@ def test_normalize_fills_kapp_args():
     from hmc.logic import Var
 
     assert rhs.args == (Var("a"), Var("b"))
+    # so does `normalize`, for a set built in code
+    c = cs.constraints[0]
+    built = constraints.ConstraintSet(
+        cs.uninterps, cs.kvars, [replace(c, rhs=replace(c.rhs, ref=KApp("k", ())))]
+    )
+    assert normalize(built) == cs
 
 
 def test_normalize_rejects_bad_binder():

@@ -40,7 +40,7 @@ from hmc.imp import (
     reads_before_writing,
     seq_of,
 )
-from hmc.constraints import normalize, parse_constraints
+from hmc.constraints import parse_constraints
 from hmc.logic import Cmp, IntLit, TRUE, ValueDomain, Var, enumerate_func_tables
 from hmc.clone import clone
 from hmc.translate import translate_set_of_constraints
@@ -160,7 +160,7 @@ def test_block_post_matches_stepwise_reference():
         programs.append((translate_set_of_constraints(cs), DOMAIN01))
         programs.append((translate_set_of_constraints(*clone(cs)), DOMAIN01))
     for path in sorted(EXAMPLES.glob("*.hmc")):
-        cs = normalize(parse_constraints(path.read_text()))
+        cs = parse_constraints(path.read_text())
         programs.append((translate_set_of_constraints(cs), D11))
         programs.append((translate_set_of_constraints(*clone(cs)), D11))
     programs += [(parse_imp(path.read_text()), D11) for path in sorted(EXAMPLES.glob("*.imp"))]

@@ -169,6 +169,11 @@ FILTER_SYNTAX = [
     (X + "(assert (= x 1.5))", "error"),
     # sorts and declarations are checked
     ("(declare-const b Bool) (assert (= b 5))", "error"),
+    # an error given in full is the filter's whole first line
+    (
+        X + "(declare-const b Bool) (assert (= x b))",
+        '(error "ill-typed assert (= x b): TypeMismatch: comparison between int and bool")',
+    ),
     ("(assert (= z 1))", "error"),
     (X + "(declare-const x Int) (assert (= x 1))", "error"),
 ]
@@ -179,6 +184,9 @@ def test_filter_syntax(text, answer, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text + " (check-sat) (get-model)"))
     code = smt.main()
     out = capsys.readouterr().out
+    if answer.startswith("(error"):
+        assert (out.splitlines()[0], code) == (answer, 1)
+        return
     assert (out.split()[0], code) == (("(error", 1) if answer == "error" else (answer, 0)), out
 
 

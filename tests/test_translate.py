@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 from hmc.clone import clone
-from hmc.constraints import normalize, parse_constraints
+from hmc.constraints import parse_constraints
 from hmc.imp import Assume, Get, Havoc, Set, parse_imp, print_imp, reads_before_writing
 from hmc.logic import to_text
 from hmc.translate import translate_set_of_constraints, value_var
@@ -14,7 +14,7 @@ from gen import gen_constraint_set  # noqa: E402
 
 
 def load(text):
-    return normalize(parse_constraints(text))
+    return parse_constraints(text)
 
 
 
