@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field
@@ -58,7 +57,6 @@ class RunReport:
     invariant: str = ""
     trace: list | None = None
     timings: dict = dc_field(default_factory=dict)
-    artifacts: list = dc_field(default_factory=list)
     detail: str = ""
 
     def to_json(self):
@@ -88,9 +86,7 @@ def _domain(args):
 
 
 def _solver_mode(args):
-    cmd = getattr(args, "smt_cmd", None) or os.environ.get("HMC_SMT_CMD") or None
-    emit = getattr(args, "emit_smt", None)
-    return SolverMode(cmd, QueryLog(emit) if emit else None)
+    return SolverMode(args.smt_cmd, QueryLog(args.emit_smt) if args.emit_smt else None)
 
 
 def _read(path):
@@ -136,7 +132,6 @@ def build_parser():
     sp.add_argument("--no-clone", action="store_true")
     sp.add_argument("--oracle", action="store_true", help="hunt counterexamples with the finite-domain oracle")
     sp.add_argument("--preds", metavar="FILE", help="extra abstraction predicates")
-    sp.add_argument("--emit-imp", metavar="PATH")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--fuel", type=int, default=10_000)
     _add_domain_flags(sp)
@@ -178,10 +173,6 @@ def cmd_check(args, out):
     cs = _load_constraints(args.file)
     p, cloned, clones = _pipeline_program(args, cs)
     report.timings["translate"] = time.monotonic() - t0
-    if args.emit_imp:
-        with open(args.emit_imp, "w") as fh:
-            fh.write(imp.print_imp(p))
-        report.artifacts.append(args.emit_imp)
     extra = None
     if args.preds:
         try:

@@ -5,8 +5,10 @@ its left-hand side, and writes it via a kapp on the right-hand side. When
 some constraint reads k a maximum of n >= 2 times, k is split into clones
 k.1 ... k.n: the i-th read occurrence in each constraint becomes k.i, and
 every constraint writing k is replicated once per clone (labels suffixed
-#i). Kvars read at most once are left untouched, so cloning is the identity
-on already-RWO constraint sets.
+#i). A clone's name is suffixed with `_` until it is no kvar of the set
+and no earlier clone, so a kvar the set names `k.1` stays apart. Kvars
+read at most once are left untouched, so cloning is the identity on
+already-RWO constraint sets.
 
 The clone relation is a dict {clone: original}, in clone order, and empty
 when nothing is split; it is the mapping `ImpProgram.clones` holds and
@@ -35,20 +37,20 @@ def read_occurrences(cs):
     return out
 
 
-def clone_name(orig, i):
-    return f"{orig}.{i}"
-
-
 def clone(cs):
     """Returns (cloned ConstraintSet, {clone: original})."""
     reads = read_occurrences(cs)  # a kvar read n >= 2 times has clones k.1 ... k.n
     clones = {}
+    names = {}  # (kvar, i) -> the name of its i-th clone
     kvars = {}
     for name, sig in cs.kvars.items():
         n = reads[name]
         if n >= 2:
             for i in range(1, n + 1):
-                cn = clone_name(name, i)
+                cn = f"{name}.{i}"
+                while cn in cs.kvars or cn in clones:
+                    cn += "_"
+                names[name, i] = cn
                 clones[cn] = name
                 kvars[cn] = KVarSig(cn, sig.value_type, sig.params)
         else:
@@ -65,14 +67,14 @@ def clone(cs):
             k = rt.ref.kvar
             i = seen.get(k, 0) + 1
             seen[k] = i
-            return RefType(rt.base, KApp(clone_name(k, i), rt.ref.args))
+            return RefType(rt.base, KApp(names[k, i], rt.ref.args))
 
         env = tuple((n, read_ref(rt)) for n, rt in c.env)
         lhs = read_ref(c.lhs)
         if isinstance(c.rhs.ref, KApp) and reads.get(c.rhs.ref.kvar, 0) >= 2:
             k = c.rhs.ref.kvar
             for i in range(1, reads[k] + 1):
-                rhs = RefType(c.rhs.base, KApp(clone_name(k, i), c.rhs.ref.args))
+                rhs = RefType(c.rhs.base, KApp(names[k, i], c.rhs.ref.args))
                 out.constraints.append(SubConstraint(f"{c.label}#{i}", env, lhs, rhs))
         else:
             out.constraints.append(SubConstraint(c.label, env, lhs, c.rhs))

@@ -190,6 +190,13 @@ def _field(form):
     return name, type_from_sexpr(ty)
 
 
+def _unreserved(name, what):
+    """Raise unless `name`, a `what`'s, is free of the `.` that starts the
+    solver's own names (`.ackN`, `.sigN`), which it could capture."""
+    if name.startswith("."):
+        raise ConstraintError(f"{what} {name}: a name that starts with . is reserved")
+
+
 def _typecheck(label, check, env, x, sigs):
     """`check(env, x, sigs)`, with a typing error raised as a
     ConstraintError that names `label` and the error's kind."""
@@ -240,6 +247,7 @@ def _read_sub(cs, form):
     scope = TypeEnv()
     for binder in parts.get("env", ["env"])[1:]:
         name, ty, ref = _shape(binder, 3, "binder")
+        _unreserved(name, f"{label}: binder")
         if name == VALUE_VAR or scope.get(name):
             raise ConstraintError(f"{label}: bad binder {name}")
         if name in cs.uninterps:
@@ -268,7 +276,8 @@ def parse_constraints(text):
 
     No variable may share a name with a function, since the solver reads a
     nullary application `(c)` as the constant `c`: a binder may not name a
-    function, and no function may be named `v`."""
+    function, and no function may be named `v`. No function, kvar, kvar
+    field or binder name may start with `.`, which the solver reserves."""
     cs = ConstraintSet()
     subs = []
     for form in sexpr.parse_many(text):
@@ -276,6 +285,7 @@ def parse_constraints(text):
         if head == "uninterp":
             for decl in form[1:]:
                 name, argtys, retty = _shape(decl, 3, "function declaration")
+                _unreserved(name, "function")
                 if not isinstance(argtys, list):
                     raise ConstraintError(f"function {name}: bad argument types")
                 sig = FuncSig(
@@ -290,11 +300,13 @@ def parse_constraints(text):
                 cs.uninterps[name] = sig
         elif head == "kvar":
             _, name, *fields = _shape(form, 3, "kvar", more=True, names=2)
+            _unreserved(name, "kvar")
             (vname, vtype), *params = [_field(f) for f in fields]
             if vname != VALUE_VAR:
                 raise ConstraintError(f"kvar {name}: first field must be v")
             names = [n for n, _ in params]
             for i, pname in enumerate(names):
+                _unreserved(pname, f"kvar {name}: field")
                 if pname in [VALUE_VAR] + names[:i]:
                     raise ConstraintError(f"kvar {name}: duplicate field {pname}")
             if name in cs.kvars:

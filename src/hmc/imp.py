@@ -24,6 +24,7 @@ their least model. Otherwise `reach` searches the states.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -488,215 +489,157 @@ def reads_before_writing(block):
 #   }
 
 
-def _scan(text):
-    """Tokens: ('label', s) ('word', s) ('int', n) ('group', raw) and
-    punctuation ('punct', one of {{ }} ; [] :=)."""
+# a token after any whitespace: a label (just `/*` when unterminated),
+# punctuation, the `(` that opens a group, a word or int, or a stray
+# character. `\s` matches exactly the characters `str.isspace()` accepts
+_TOKEN = re.compile(
+    r"\s*(?:(?P<label>/\*(?:.*?\*/)?)|(?P<punct>\[\]|:=|[{};])|(?P<group>\()"
+    r"|(?P<word>[\w.'#-]+)|(?P<stray>\S))",
+    re.S,
+)
+_PAREN = re.compile(r"[()]")
+
+
+class _At(Exception):
+    """A syntax error at an offset of the text; `parse_imp` names its line."""
+
+
+def _tokens(text):
+    """Tokens (kind, value, offset): ('label', s) ('word', s) ('int', n)
+    ('group', raw), and punctuation, whose kind is its text: `{ } ; [] :=`.
+    A group runs from a `(` to the `)` that balances it."""
     toks = []
-    i, n = 0, len(text)
-    line = 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise ParseError(f"line {line}: unterminated label")
-            toks.append(("label", text[i + 2 : j].strip(), line))
-            i = j + 2
-            continue
-        if text.startswith("[]", i):
-            toks.append(("punct", "[]", line))
-            i += 2
-            continue
-        if text.startswith(":=", i):
-            toks.append(("punct", ":=", line))
-            i += 2
-            continue
-        if c in "{};":
-            toks.append(("punct", c, line))
-            i += 1
-            continue
-        if c == "(":
+    pos = 0
+    while m := _TOKEN.match(text, pos):
+        kind = m.lastgroup
+        value, at, pos = m.group(kind), m.start(kind), m.end()
+        if kind == "label":
+            if value == "/*":
+                raise _At(at, "unterminated label")
+            value = value[2:-2].strip()
+        elif kind == "punct":
+            kind = value
+        elif kind == "group":
             depth = 0
-            j = i
-            while j < n:
-                if text[j] == "(":
-                    depth += 1
-                elif text[j] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif text[j] == "\n":
-                    line += 1
-                j += 1
-            if depth != 0:
-                raise ParseError(f"line {line}: unbalanced parentheses")
-            toks.append(("group", text[i : j + 1], line))
-            i = j + 1
-            continue
-        j = i
-        while j < n and (text[j].isalnum() or text[j] in "_.'-#"):
-            j += 1
-        if j == i:
-            raise ParseError(f"line {line}: stray character {c!r}")
-        word = text[i:j]
-        try:
-            toks.append(("int", int(word), line))
-        except ValueError:
-            toks.append(("word", word, line))
-        i = j
+            for paren in _PAREN.finditer(text, at):
+                depth += 1 if paren.group() == "(" else -1
+                if not depth:
+                    break
+            else:
+                raise _At(at, "unbalanced parentheses")
+            pos = paren.end()
+            value = text[at:pos]
+        elif kind == "word":
+            try:
+                kind, value = "int", int(value)
+            except ValueError:
+                pass
+        else:
+            raise _At(at, f"stray character {value!r}")
+        toks.append((kind, value, at))
     return toks
 
 
-def _group_pred(raw):
-    form = sexpr.parse_one(raw)
-    if isinstance(form, list) and len(form) == 1 and isinstance(form[0], str):
-        form = form[0]  # (true) and friends: grammar parens around an atom
-    return pred_from_sexpr(form)
-
-
-def _group_names(raw):
-    inner = raw[1:-1]
-    names = [part.strip() for part in inner.split(",")]
-    if names == [""]:
-        names = []
-    for x in names:
-        if not x or any(ch in x for ch in " ()"):
-            raise ParseError(f"bad tuple component {x!r}")
-    return tuple(names)
-
-
-class _Toks:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else ("eof", None, -1)
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def expect(self, kind, value=None):
-        k, v, line = self.next()
-        if k != kind or (value is not None and v != value):
-            raise ParseError(f"line {line}: expected {value or kind}, got {v!r}")
-        return v
+def _expect(ts, kind, value=None):
+    k, v, at = next(ts)
+    if k != kind or (value is not None and v != value):
+        raise _At(at, f"expected {value or kind}, got {v!r}")
+    return v
 
 
 def _parse_instr(ts):
-    kind, val, line = ts.next()
-    if kind == "word" and val == "havoc":
-        return Havoc(ts.expect("word"))
-    if kind == "word" and val in ("get", "set"):
-        relvar = ts.expect("word")
-        k2, raw, _ = ts.next()
-        if k2 != "group":
-            raise ParseError(f"line {line}: {val} needs a tuple")
-        names = _group_names(raw)
-        if not names:
-            raise ParseError(f"line {line}: {val} tuple must be non-empty")
+    kind, val, at = next(ts)
+    if kind != "word":
+        raise _At(at, f"bad instruction start {val!r}")
+    if val == "havoc":
+        return Havoc(_expect(ts, "word"))
+    if val in ("get", "set"):
+        relvar = _expect(ts, "word")
+        k, raw, _ = next(ts)
+        if k != "group":
+            raise _At(at, f"{val} needs a tuple")
+        names = tuple(x.strip() for x in raw[1:-1].split(","))
+        if names == ("",):
+            raise _At(at, f"{val} tuple must be non-empty")
+        for x in names:
+            if not x or any(ch in x for ch in " ()"):
+                raise _At(at, f"bad tuple component {x!r}")
         return Get(relvar, names) if val == "get" else Set(relvar, names)
-    if kind == "word" and val in ("assume", "assert"):
-        k2, raw, _ = ts.next()
-        if k2 != "group":
-            raise ParseError(f"line {line}: {val} needs a parenthesized predicate")
-        pred = _group_pred(raw)
+    if val in ("assume", "assert"):
+        k, raw, _ = next(ts)
+        if k != "group":
+            raise _At(at, f"{val} needs a parenthesized predicate")
+        form = sexpr.parse_one(raw)
+        if isinstance(form, list) and len(form) == 1 and isinstance(form[0], str):
+            form = form[0]  # (true) and friends: grammar parens around an atom
+        pred = pred_from_sexpr(form)
         return Assume(pred) if val == "assume" else Assert(pred)
-    if kind == "word":
-        ts.expect("punct", ":=")
-        k2, v2, l2 = ts.next()
-        if k2 in ("int", "word"):
-            expr = expr_from_sexpr(v2)
-        elif k2 == "group":
-            expr = expr_from_sexpr(sexpr.parse_one(v2))
-        else:
-            raise ParseError(f"line {l2}: bad assignment right-hand side")
-        return Assign(val, expr)
-    raise ParseError(f"line {line}: bad instruction start {val!r}")
+    _expect(ts, ":=")
+    k, v, at = next(ts)
+    if k in ("int", "word"):
+        return Assign(val, expr_from_sexpr(v))
+    if k == "group":
+        return Assign(val, expr_from_sexpr(sexpr.parse_one(v)))
+    raise _At(at, "bad assignment right-hand side")
 
 
 def parse_imp(text):
+    """Read and typecheck a program. The `;;` header lines are read first,
+    then blanked, so that an offset in the body is one in `text`: a syntax
+    error names the line of `text` it is on, worked out when it is raised."""
     p = ImpProgram()
-    body_lines = []
-    for raw_line in text.splitlines():
-        stripped = raw_line.strip()
-        if stripped.startswith(";;"):
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if (stripped := line.strip()).startswith(";;"):
             _parse_header(p, stripped[2:].strip())
-        else:
-            body_lines.append(raw_line)
-    ts = _Toks(_scan("\n".join(body_lines)))
-    ts.expect("word", "loop")
-    ts.expect("punct", "{")
-    if ts.peek()[:2] == ("punct", "}"):
-        ts.next()
-    else:
-        while True:
-            k, label, line = ts.next()
+            lines[i] = re.sub(r"\S", " ", line)
+    body = "".join(lines)
+    try:
+        ts = iter(_tokens(body) + [("eof", None, len(body.rstrip()))])
+        _expect(ts, "word", "loop")
+        _expect(ts, "{")
+        sep = next(ts)
+        while sep[0] != "}":  # `loop { }` has no block
+            # the first block's label is the token after `{`, a later one's
+            # the token after `[]`
+            k, label, at = next(ts) if p.blocks else sep
             if k != "label":
-                raise ParseError(f"line {line}: expected /*label*/")
+                raise _At(at, "expected /*label*/")
             instrs = [_parse_instr(ts)]
-            while ts.peek()[:2] == ("punct", ";"):
-                ts.next()
+            while (sep := next(ts))[0] == ";":
                 instrs.append(_parse_instr(ts))
             p.blocks.append((label, seq_of(instrs)))
-            k, v, line = ts.next()
-            if (k, v) == ("punct", "}"):
-                break
-            if (k, v) != ("punct", "[]"):
-                raise ParseError(f"line {line}: expected [] or }}")
-    if ts.peek()[0] != "eof":
-        raise ParseError("trailing input after program")
+            if sep[0] not in ("[]", "}"):
+                raise _At(sep[2], "expected [] or }")
+        k, _, at = next(ts)
+        if k != "eof":
+            raise _At(at, "trailing input after program")
+    except _At as exc:
+        at, msg = exc.args
+        lineno = body.count("\n", 0, at) + 1
+        raise ParseError(f"line {lineno}: {msg}") from None
     _check_program(p)
     return p
 
 
 def _parse_header(p, line):
-    parts = line.split(None, 1)
-    if not parts:
+    """Read one header, `line` after its `;;`; a line that starts with no
+    header word is a comment."""
+    head, rest = (line.split(None, 1) + ["", ""])[:2]
+    if head not in ("relvar", "basevar", "uninterp", "clone"):
         return
-    head = parts[0]
-    rest = parts[1] if len(parts) > 1 else ""
-    if head == "relvar":
-        forms = sexpr.parse_many(rest)
-        # NAME arity N types T0 ... Tn
-        if (
-            len(forms) < 4
-            or not isinstance(forms[0], str)
-            or forms[1:4:2] != ["arity", "types"]
-            or forms[2] != len(forms) - 4
-        ):
-            raise ParseError(f"bad relvar header {line!r}")
-        p.relvar_sigs[forms[0]] = tuple(type_from_sexpr(t) for t in forms[4:])
-    elif head == "basevar":
-        forms = sexpr.parse_many(rest)
-        if len(forms) != 2 or not isinstance(forms[0], str):
-            raise ParseError(f"bad basevar header {line!r}")
-        p.base_types[forms[0]] = type_from_sexpr(forms[1])
-    elif head == "uninterp":
-        forms = sexpr.parse_many(rest)
-        if len(forms) != 3 or not isinstance(forms[0], str) or not isinstance(forms[1], list):
-            raise ParseError(f"bad uninterp header {line!r}")
-        name, argtys, retty = forms
-        p.func_sigs[name] = FuncSig(
-            name,
-            tuple(type_from_sexpr(t) for t in argtys),
-            type_from_sexpr(retty),
-        )
-    elif head == "clone":
-        forms = rest.split()
-        if len(forms) != 3 or forms[1] != "of":
-            raise ParseError(f"bad clone header {line!r}")
-        p.clones[forms[0]] = forms[2]
-    # unknown ;; lines are plain comments
+    match [head, *sexpr.parse_many(rest)]:
+        case ["relvar", str(name), "arity", int(n), "types", *types] if n == len(types):
+            p.relvar_sigs[name] = tuple(type_from_sexpr(t) for t in types)
+        case ["basevar", str(name), t]:
+            p.base_types[name] = type_from_sexpr(t)
+        case ["uninterp", str(name), list(args), ret]:
+            args = tuple(type_from_sexpr(t) for t in args)
+            p.func_sigs[name] = FuncSig(name, args, type_from_sexpr(ret))
+        case ["clone", str(clone), "of", str(orig)]:
+            p.clones[clone] = orig
+        case _:
+            raise ParseError(f"bad {head} header {line!r}")
 
 
 def _check_program(p):

@@ -775,7 +775,8 @@ class Hypothesis:
             funcs = {name for name, sig in self.sigs.items() if sig.arg_types}
             bools = {name for name, sig in self.sigs.items() if sig.ret_type == BOOL}
             # a function without arguments is a constant of the context
-            ranges = _bool_ranges(self.env) + [_range(App(c, ())) for c in sorted(bools - funcs)]
+            ranges = _bool_ranges(self.env)
+            ranges += [bool_range(App(c, ())) for c in sorted(bools - funcs)]
             self._context = smt.Context(funcs, ranges + [self.hyp], bools)
         model = self._context.decide(Not(goal))
         if model is None:
@@ -825,7 +826,7 @@ def solver_query(env, p, sigs=None):
         args = [sort_name(t) for t in sig.arg_types]
         decls.append(["declare-fun", sig.name, args, sort_name(sig.ret_type)])
     ranges = _bool_ranges(env)
-    ranges += [_range(a) for a in apps if sigs[a.func].ret_type == BOOL]
+    ranges += [bool_range(a) for a in apps if sigs[a.func].ret_type == BOOL]
     return (
         [["set-logic", "QF_UFLIA"]]
         + [["declare-sort", s, 0] for s in sorts]
@@ -835,14 +836,14 @@ def solver_query(env, p, sigs=None):
     )
 
 
-def _range(e):
+def bool_range(e):
     """`0 <= e <= 1`: the bool-valued term `e` is 0 or 1."""
     return And((Cmp("<=", IntLit(0), e), Cmp("<=", e, IntLit(1))))
 
 
 def _bool_ranges(env):
     """The ranges that keep each bool variable of `env` in {0, 1}."""
-    return [_range(Var(name)) for name, t in env.bindings if t == BOOL]
+    return [bool_range(Var(name)) for name, t in env.bindings if t == BOOL]
 
 
 def emit_solver_query(env, p, sigs=None):

@@ -151,8 +151,10 @@ class Script:
 
 
 def _symbol(x):
-    """Whether `x` is a symbol: a name, which cannot start with a digit."""
-    return isinstance(x, str) and not x[0].isdigit()
+    """Whether `x` is a symbol a script may declare: a name, which cannot
+    start with a digit, nor with `.` or `@`, which SMT-LIB reserves for the
+    solver (this one names its own constants `.ackN` and `.sigN`)."""
+    return isinstance(x, str) and not x[0].isdigit() and x[0] not in ".@"
 
 
 def script_of(commands):
@@ -900,11 +902,14 @@ class Context:
 
 def solve(script):
     """A model of the script's asserts, as a dict from variables to values,
-    or None when they are unsatisfiable: a context with no hypothesis
-    decides the conjunction of the asserts, which `script_of` read into
-    `logic`. A variable the dict leaves out is 0; a declared constant the
-    asserts leave free may take any value."""
-    model = Context(script.funcs, []).decide(logic.mk_and(*script.asserts))
+    or None when they are unsatisfiable: a context whose hypothesis keeps
+    each `Bool` constant in {0, 1}, and that ranges each application of a
+    `Bool`-valued function, decides the conjunction of the asserts, which
+    `script_of` read into `logic`. A variable the dict leaves out is 0; a
+    declared constant the asserts leave free may take any value."""
+    bools = {f for f, (_, sort) in script.funcs.items() if sort == "Bool"}
+    ranges = [logic.bool_range(logic.Var(c)) for c, sort in script.consts.items() if sort == "Bool"]
+    model = Context(script.funcs, ranges, bools).decide(logic.mk_and(*script.asserts))
     return model and model[0]
 
 

@@ -1,12 +1,15 @@
+import io
 from pathlib import Path
 
 from gen import points_pred
 
+from hmc.cli import main
 from hmc.clone import clone, fold_solution, read_occurrences
 from hmc.constraints import (
     check_satisfied,
     parse_constraints,
     parse_solution,
+    print_constraints,
 )
 from hmc.logic import Interpretation, OracleMode, ValueDomain, eval_pred, to_text
 
@@ -30,6 +33,43 @@ def test_identity_when_single_read():
     cloned, clones = clone(cs)
     assert clones == {}
     assert cloned is cs
+
+
+# `k` is read twice by c2, and the set names a kvar `k.1` of its own
+CLONE_CAPTURE = """\
+(kvar k (v int)) (kvar k.1 (v int))
+(sub c0 (lhs int (= v 0)) (rhs int (kapp k)))
+(sub c1 (lhs int (= v 5)) (rhs int (kapp k.1)))
+(sub c2 (env (x int (kapp k)) (y int (kapp k))) (lhs int (= v (+ x y))) (rhs int (= v 0)))
+(sub c3 (env (z int (kapp k.1))) (lhs int (= v z)) (rhs int (= v 5)))
+"""
+
+
+def test_clone_names_avoid_kvars():
+    # k's first clone is not named `k.1`, which would merge it with the
+    # set's own `k.1` (k.1 = 5 and k = 0 would meet in one relation, and
+    # c3 fail): the clone is suffixed with `_` until its name is free
+    cs = load(CLONE_CAPTURE)
+    cloned, clones = clone(cs)
+    assert clones == {"k.1_": "k", "k.2": "k"}
+    assert list(cloned.kvars) == ["k.1_", "k.2", "k.1"]
+    assert [c.rhs.ref.kvar for c in cloned.constraints[:3]] == ["k.1_", "k.2", "k.1"]
+    assert load(print_constraints(cloned)) == cloned
+
+
+def test_clone_names_avoid_kvars_end_to_end(tmp_path):
+    # when k's first clone was named `k.1`, `check --oracle` and `exec` said
+    # UNSAFE and `check` INCONCLUSIVE, while `check --no-clone` proved it
+    f = tmp_path / "capture.hmc"
+    f.write_text(CLONE_CAPTURE)
+    for argv in (["check", str(f)], ["check", str(f), "--oracle"], ["exec", str(f)]):
+        out = io.StringIO()
+        assert (main(argv, out), out.getvalue().split("\n")[0]) == (0, "SAFE"), argv
+    out = io.StringIO()
+    assert main(["clone", str(f)], out) == 0
+    g = tmp_path / "cloned.hmc"
+    g.write_text(out.getvalue())
+    assert main(["check", str(g)], io.StringIO()) == 0
 
 
 def test_clone_tworead():

@@ -76,6 +76,36 @@ def test_parse_print_roundtrip():
     assert print_imp(parse_imp(golden)) == golden
 
 
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        ("assert (<= 0 x)", "assert (<= 0 x) @", "line 10: stray character '@'"),
+        ("/*b2*/", "/*b2", "line 8: unterminated label"),
+        # the line of the `(` that nothing closes
+        ("set k (x)", "set k (x", "line 6: unbalanced parentheses"),
+        # the line where the input ends
+        ("\n}\n", "\n", "line 10: expected [] or }"),
+        ("  /*b2*/\n", "", "line 8: expected /*label*/"),
+        ("set k (x)", "7 k (x)", "line 6: bad instruction start 7"),
+        ("get k (x)", "get k x", "line 9: get needs a tuple"),
+        ("set k (x)", "set k ( )", "line 6: set tuple must be non-empty"),
+        ("havoc x", "havoc (x)", "line 5: expected word, got '(x)'"),
+        ("get k (x)", "get k (x y)", "line 9: bad tuple component 'x y'"),
+        ("\n}\n", "\n}\n\nloop\n", "line 13: trailing input after program"),
+        (";; basevar x int", ";; basevar x", "bad basevar header 'basevar x'"),
+        (";; relvar k arity 1 types int", ";; relvar k arity 2 types int",
+         "bad relvar header 'relvar k arity 2 types int'"),
+    ],
+)
+def test_syntax_error_names_its_file_line(old, new, error):
+    # SMALL has two header lines before `loop {`: a line counts from the top
+    # of the file, headers included
+    assert old in SMALL
+    with pytest.raises(ParseError) as exc:
+        parse_imp(SMALL.replace(old, new))
+    assert str(exc.value) == error
+
+
 def test_initial_states():
     p = parse_imp(SMALL)
     s = initial_state(p, D11)

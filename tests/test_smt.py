@@ -176,6 +176,16 @@ FILTER_SYNTAX = [
     ),
     ("(assert (= z 1))", "error"),
     (X + "(declare-const x Int) (assert (= x 1))", "error"),
+    # SMT-LIB reserves symbols that start with `.` or `@` for the solver,
+    # which names its own constants `.ackN` and `.sigN`
+    ("(declare-const .ack0 Int) (assert (= .ack0 1))", "error"),
+    ("(declare-fun @f (Int) Int) (assert (= (@f 0) 1))", "error"),
+    # a Bool is 0 or 1: three distinct bools, or bool values, cannot exist
+    ("(declare-const b Bool) (declare-const c Bool) (assert (not b)) (assert (not c))"
+     " (assert (not (= b c)))", "unsat"),
+    ("(declare-fun f (Int) Bool) (assert (distinct (f 1) (f 2))) (assert (distinct (f 1) (f 3)))"
+     " (assert (distinct (f 2) (f 3)))", "unsat"),
+    ("(declare-fun f (Int) Bool) (assert (distinct (f 1) (f 2)))", "sat"),
 ]
 
 

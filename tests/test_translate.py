@@ -92,10 +92,14 @@ def test_translation_parses_back():
     sets += [
         gen_constraint_set(rng, binders=("t0", "t1", "u0"), v_args=True) for _ in range(150)
     ]
+    # The reader gives back the very program printed, and prints the same
+    # bytes again, for every example, cloned and not
     for cs in sets:
         for cloned, clones in [(cs, None), clone(cs)]:
             p = translate_set_of_constraints(cloned, clones)
-            assert print_imp(parse_imp(print_imp(p))) == print_imp(p)
+            text = print_imp(p)
+            assert parse_imp(text) == p
+            assert print_imp(parse_imp(text)) == text
             assert not any(reads_before_writing(b) for _, b in p.blocks)
 
 
