@@ -387,7 +387,7 @@ def mined_predicates(p, runs):
                 key = (tuple(conjs), syms)
                 found = mined.get(key)
                 if found is None:
-                    found = mined[key] = _mine_path(conjs, syms, p.func_sigs)
+                    found = mined[key] = _mine_path(conjs, syms)
                 forms, apps = found
                 fields = {}
                 for i, s in enumerate(syms):
@@ -402,12 +402,12 @@ def mined_predicates(p, runs):
     return out
 
 
-def _mine_path(conjs, syms, funcs):
+def _mine_path(conjs, syms):
     """The projection of the path `conjs` onto the SSA names `syms` and the
     applications over them: the basis and its pairwise sums as linear
     forms, and each kept application as (its constant, its text, the
     application over SSA names). Nothing in it names a kvar."""
-    table = Apps(funcs)
+    table = Apps()
     les = _path_ineqs(conjs, table)
     keep = set(syms)
     apps = []

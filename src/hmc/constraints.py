@@ -274,8 +274,8 @@ def parse_constraints(text):
     kapp's omitted arguments filled and the whole typechecked as the walk
     reaches it. Of several errors the first in this order is raised.
 
-    No variable may share a name with a function, since the solver reads a
-    nullary application `(c)` as the constant `c`: a binder may not name a
+    No variable may share a name with a function, since in the SMT-LIB
+    text of a query the two share one namespace: a binder may not name a
     function, and no function may be named `v`. No function, kvar, kvar
     field or binder name may start with `.`, which the solver reserves."""
     cs = ConstraintSet()

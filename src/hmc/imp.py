@@ -566,32 +566,41 @@ def _parse_instr(ts):
                 raise _At(at, f"bad tuple component {x!r}")
         return Get(relvar, names) if val == "get" else Set(relvar, names)
     if val in ("assume", "assert"):
-        k, raw, _ = next(ts)
+        k, raw, group_at = next(ts)
         if k != "group":
             raise _At(at, f"{val} needs a parenthesized predicate")
+    else:
+        _expect(ts, ":=")
+        k, raw, group_at = next(ts)
+        if k in ("int", "word"):
+            return Assign(val, expr_from_sexpr(raw))
+        if k != "group":
+            raise _At(group_at, "bad assignment right-hand side")
+    try:  # an error inside the group is one at its `(`
         form = sexpr.parse_one(raw)
+        if val not in ("assume", "assert"):
+            return Assign(val, expr_from_sexpr(form))
         if isinstance(form, list) and len(form) == 1 and isinstance(form[0], str):
             form = form[0]  # (true) and friends: grammar parens around an atom
         pred = pred_from_sexpr(form)
-        return Assume(pred) if val == "assume" else Assert(pred)
-    _expect(ts, ":=")
-    k, v, at = next(ts)
-    if k in ("int", "word"):
-        return Assign(val, expr_from_sexpr(v))
-    if k == "group":
-        return Assign(val, expr_from_sexpr(sexpr.parse_one(v)))
-    raise _At(at, "bad assignment right-hand side")
+    except (sexpr.SexprError, LogicError) as exc:
+        raise _At(group_at, str(exc)) from None
+    return Assume(pred) if val == "assume" else Assert(pred)
 
 
 def parse_imp(text):
     """Read and typecheck a program. The `;;` header lines are read first,
     then blanked, so that an offset in the body is one in `text`: a syntax
-    error names the line of `text` it is on, worked out when it is raised."""
+    error, in a header or in the body, names the line of `text` it is on,
+    worked out when it is raised."""
     p = ImpProgram()
     lines = text.splitlines(keepends=True)
     for i, line in enumerate(lines):
         if (stripped := line.strip()).startswith(";;"):
-            _parse_header(p, stripped[2:].strip())
+            try:
+                _parse_header(p, stripped[2:].strip())
+            except (ParseError, sexpr.SexprError, LogicError) as exc:
+                raise ParseError(f"line {i + 1}: {exc}") from None
             lines[i] = re.sub(r"\S", " ", line)
     body = "".join(lines)
     try:

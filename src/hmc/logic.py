@@ -699,9 +699,10 @@ def check_valid(env, p, mode, sigs=None):
     ORACLE mode enumerates the finite domain (function tables may be
     sampled, in which case a would-be VALID result degrades to UNKNOWN).
     SOLVER mode asks the decision procedure for a model of the negation.
-    The bundled solver runs in process on an `smt.Context`, which lowers
-    `p` itself, with no SMT-LIB text or form on the way, and the witness
-    comes straight from its model, function tables included. The query is
+    The bundled solver runs in process on an `smt.Context` over the
+    declarations of `env` and `sigs`, which lowers `p` itself, with no
+    SMT-LIB text or form on the way, and the witness comes straight from its
+    model, with a table for each function the query applies. The query is
     printed as SMT-LIB text by `solver_query` only for `mode.emit` and for
     an external solver `mode.cmd`, whose printed model `_parse_model` reads
     back without tables. A witness lists the variables of `env` in binding
@@ -720,17 +721,16 @@ class Hypothesis:
     `absint.parse_preds`), the symbolic run checks each path by
     `imp.type_instr`, and harvest keeps only the candidates that typecheck.
 
-    The hypothesis is handed as it is to an `smt.Context`, for the bundled
-    solver, which lowers it once; each goal is handed over negated. Bools
-    are 0 or 1: the context gets the ranges of the bool variables of `env`
-    and of the bool-valued functions without arguments, and ranges each
-    application of a bool-valued function itself. Each goal's verdict is
-    cached. The witnesses of the INVALID
-    verdicts are pooled: each one satisfies the hypothesis, so a goal that
-    one of them falsifies is INVALID with no search. A witness that cannot
-    evaluate a goal (`MissingBinding`: an application outside its tables,
-    or a variable an external solver left out) decides nothing, and the
-    goal goes to the search.
+    The hypothesis is handed as it is to an `smt.Context` over the
+    bindings of `env` and the `sigs`, for the bundled solver, which lowers
+    it once; each goal is handed over negated. The context ranges the bools
+    from these declarations and makes every application, nullary ones
+    included, its Ackermann constant. Each goal's verdict is cached. The
+    witnesses of the INVALID verdicts are pooled: each one satisfies the
+    hypothesis, so a goal that one of them falsifies is INVALID with no
+    search. A witness that cannot evaluate a goal (`MissingBinding`: an
+    application outside its tables, or a variable an external solver left
+    out) decides nothing, and the goal goes to the search.
     """
 
     def __init__(self, env, hyp, mode, sigs=None):
@@ -772,20 +772,11 @@ class Hypothesis:
             if mode.cmd:
                 return _check_valid_external(mode.cmd, text, self.env)
         if self._context is None:
-            funcs = {name for name, sig in self.sigs.items() if sig.arg_types}
-            bools = {name for name, sig in self.sigs.items() if sig.ret_type == BOOL}
-            # a function without arguments is a constant of the context
-            ranges = _bool_ranges(self.env)
-            ranges += [bool_range(App(c, ())) for c in sorted(bools - funcs)]
-            self._context = smt.Context(funcs, ranges + [self.hyp], bools)
+            self._context = smt.Context(self.env.bindings, self.sigs, [self.hyp])
         model = self._context.decide(Not(goal))
         if model is None:
             return Verdict(VALID)
         values, tables = model
-        # a function without arguments is a constant of the context
-        for name, sig in self.sigs.items():
-            if not sig.arg_types:
-                tables[name] = {(): values.get(name, 0)}
         values = {name: values.get(name, 0) for name, _ in self.env.bindings}
         return Verdict(INVALID, Interpretation(values, tables))
 
@@ -805,8 +796,8 @@ def solver_query(env, p, sigs=None):
     """The SMT-LIB commands, as sexpr forms, that ask the solver for a model
     of the negation of `p` under `env`. Sorts are declared in order of first
     use, then the variables, then the functions `p` applies, by name, bools
-    as Int. Each bool variable, and then each distinct application in `p`
-    of a bool-valued function, is asserted to lie in {0, 1}."""
+    as Int; so each bool variable, and then each distinct application in
+    `p` of a bool-valued function, is asserted to lie in {0, 1}."""
     sigs = sigs or {}
     sorts = []
 
@@ -825,7 +816,7 @@ def solver_query(env, p, sigs=None):
             raise UnknownFunction(fname)
         args = [sort_name(t) for t in sig.arg_types]
         decls.append(["declare-fun", sig.name, args, sort_name(sig.ret_type)])
-    ranges = _bool_ranges(env)
+    ranges = [bool_range(Var(name)) for name, t in env.bindings if t == BOOL]
     ranges += [bool_range(a) for a in apps if sigs[a.func].ret_type == BOOL]
     return (
         [["set-logic", "QF_UFLIA"]]
@@ -839,11 +830,6 @@ def solver_query(env, p, sigs=None):
 def bool_range(e):
     """`0 <= e <= 1`: the bool-valued term `e` is 0 or 1."""
     return And((Cmp("<=", IntLit(0), e), Cmp("<=", e, IntLit(1))))
-
-
-def _bool_ranges(env):
-    """The ranges that keep each bool variable of `env` in {0, 1}."""
-    return [bool_range(Var(name)) for name, t in env.bindings if t == BOOL]
 
 
 def emit_solver_query(env, p, sigs=None):

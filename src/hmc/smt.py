@@ -16,8 +16,9 @@ and the linear forms of its arguments, not on printed text. After the
 presolve, applications whose arguments are equal once the definitions are
 substituted share one constant, and congruence axioms are built only
 between the applications left, whose arguments differ; a goal merges and
-adds only what its own definitions and applications bring. `solve` is a
-context with no hypothesis, so every query goes through this one lowering.
+adds only what its own definitions and applications bring. The filter
+decides a script on a context with no hypothesis, so every query goes
+through this one lowering.
 
 The negation normal form folds a variable-free atom such as `(<= 1 0)` to
 true or false, drops true from a conjunction and false from a disjunction,
@@ -53,16 +54,16 @@ coefficient, so the order fixes the models.
 
 Uninterpreted sorts are modeled as Int; that preserves quantifier-free
 satisfiability because any model over an infinite carrier injects into Int.
-Bools are the integers 0 and 1: a bool variable b stands for b = 1, and the
-Ackermann constant of each application of a bool-valued function is kept
-in {0, 1} by its own range atoms.
+Bools are the integers 0 and 1: a bool variable b stands for b = 1. A
+`Context` is built from the typed declarations, and ranges from them each
+bool variable and the Ackermann constant of each application of a
+bool-valued function in {0, 1}.
 
 Exposed as a library and as a filter. `Context.decide` returns a model with
-a table for each function, which `hmc.logic` turns into a witness; `solve`
-takes a `Script` of already-parsed forms and returns a model dict or None;
-a variable the model leaves out is 0. The text form, `solve_script`, is
-for the filter only: `python -m hmc.smt` and the `hmc-smt` executable read
-a script on stdin and print `sat`/`unsat` plus a model.
+a table for each function, which `hmc.logic` turns into a witness; a
+variable the model leaves out is 0. The text form, `solve_script`, is for
+the filter only: `python -m hmc.smt` and the `hmc-smt` executable read a
+script on stdin and print `sat`/`unsat` plus a model.
 """
 
 from __future__ import annotations
@@ -143,9 +144,12 @@ def eval_lin(lin, model):
 
 
 class Script:
+    """A script's declarations as `logic` types, the one copy that both the
+    typechecking of its asserts and the solver read, and its asserts."""
+
     def __init__(self):
-        self.consts = {}  # name -> sort (0-ary declarations)
-        self.funcs = {}  # name -> (arg sorts, ret sort)
+        self.consts = {}  # name -> `logic` type (0-ary declarations)
+        self.sigs = {}  # name -> FuncSig (declarations with arguments)
         self.asserts = []  # `logic` formulas
         self.want_model = False
 
@@ -165,7 +169,7 @@ def script_of(commands):
     `logic` (`formula_of`), which must typecheck over the declarations."""
     script = Script()
     sorts = {"Int": logic.INT, "Bool": logic.BOOL}
-    consts, sigs = {}, {}  # the declarations as `logic` types and FuncSigs
+    consts, sigs = script.consts, script.sigs
 
     def sort(name):
         if name not in sorts:
@@ -191,7 +195,7 @@ def script_of(commands):
         ):
             name, args, ret = rest
         elif head == "assert" and len(rest) == 1:
-            formula = formula_of(rest[0], script.funcs)
+            formula = formula_of(rest[0], sigs)
             try:
                 logic.typecheck_pred(consts, formula, sigs)
             except logic.LogicError as exc:
@@ -206,10 +210,8 @@ def script_of(commands):
             raise SmtError(f"{name} declared twice")
         if args:
             sigs[name] = logic.FuncSig(name, tuple(map(sort, args)), sort(ret))
-            script.funcs[name] = (args, ret)
         else:
             consts[name] = sort(ret)
-            script.consts[name] = ret
     return script
 
 
@@ -230,18 +232,18 @@ def parse_script(text):
 
 
 class Apps:
-    """The Ackermann table of a query: each distinct application, keyed on
-    its function and the linear forms of its arguments as written, with the
-    constant `.ackN` that stands for it. A copy extends an earlier table.
-    Applications whose arguments become equal only under the presolve's
-    definitions get two constants here; `Context` merges them.
+    """The Ackermann table of a query: each distinct application, nullary
+    ones included, keyed on its function and the linear forms of its
+    arguments as written, with the constant `.ackN` that stands for it. A
+    copy extends an earlier table. Applications whose arguments become
+    equal only under the presolve's definitions get two constants here;
+    `Context` merges them.
 
     The values of the functions in `bools` are bools: each constant the
     table gains for one of them adds the atoms of `0 <= c <= 1` to
     `ranges`."""
 
-    def __init__(self, funcs, bools=frozenset(), table=None):
-        self.funcs = funcs  # the names of the functions that take arguments
+    def __init__(self, bools=frozenset(), table=None):
         self.bools = bools
         self.table = dict(table or {})  # key -> (constant, function, arg lins)
         self.ranges = []
@@ -285,9 +287,8 @@ def congruence(entries, start=0):
 
 
 def lin_of(e, apps):
-    """The linear form of the `logic` expression `e`, with each application
-    of a function in `apps.funcs` replaced by its Ackermann constant. Any
-    other function without arguments is a constant of its own name."""
+    """The linear form of the `logic` expression `e`, with each application,
+    nullary ones included, replaced by its Ackermann constant in `apps`."""
     if isinstance(e, logic.Var):
         return {e.name: 1}
     if isinstance(e, logic.Add):
@@ -300,10 +301,7 @@ def lin_of(e, apps):
     if isinstance(e, logic.ScalarMul):
         return lin_scale(lin_of(e.arg, apps), e.coeff)
     if isinstance(e, logic.App):
-        if e.func in apps.funcs:
-            return {apps.const(e.func, [lin_of(a, apps) for a in e.args]): 1}
-        if not e.args:
-            return {e.func: 1}
+        return {apps.const(e.func, [lin_of(a, apps) for a in e.args]): 1}
     raise SmtError(f"bad term {logic.to_text(e)}")
 
 
@@ -388,11 +386,11 @@ def lower(p, positive, apps):
 _RELATIONS = {"<=": "<=", "<": "<", ">=": ">=", ">": ">", "=": "=", "distinct": "/="}
 
 
-def formula_of(form, funcs):
-    """The `logic` predicate of an SMT-LIB formula, where `funcs` maps each
-    function that takes arguments to its declaration, (arg sorts, sort). A
-    bare symbol is a bool variable; `or` and `=>` become implications and
-    `distinct` a disequality."""
+def formula_of(form, sigs):
+    """The `logic` predicate of an SMT-LIB formula, where `sigs` maps each
+    function that takes arguments to its `FuncSig`. A bare symbol is a bool
+    variable; `or` and `=>` become implications and `distinct` a
+    disequality."""
     if form in ("true", "false"):
         return logic.TRUE if form == "true" else logic.FALSE
     if _symbol(form):
@@ -403,12 +401,12 @@ def formula_of(form, funcs):
     if head in _RELATIONS:
         if len(args) != 2:
             raise SmtError(f"{head} takes two arguments")
-        return logic.Cmp(_RELATIONS[head], term_of(args[0], funcs), term_of(args[1], funcs))
+        return logic.Cmp(_RELATIONS[head], term_of(args[0], sigs), term_of(args[1], sigs))
     if head == "not" and len(args) == 1:
-        return logic.Not(formula_of(args[0], funcs))
+        return logic.Not(formula_of(args[0], sigs))
     if head not in ("and", "or", "=>") or (head == "=>" and not args):
         raise SmtError(f"bad formula head {head}")
-    kids = [formula_of(f, funcs) for f in args]
+    kids = [formula_of(f, sigs) for f in args]
     if head == "and":
         return logic.mk_and(*kids)
     if head == "or":
@@ -419,19 +417,19 @@ def formula_of(form, funcs):
     return out
 
 
-def term_of(form, funcs):
+def term_of(form, sigs):
     """The `logic` expression of an SMT-LIB term (see `formula_of`): a sum
     or a difference is one `Add`, as written. All factors of a product but
     one must be constant, and an application must have the arity of its
-    declaration."""
+    `FuncSig`."""
     if isinstance(form, int):
         return logic.IntLit(form)
     if _symbol(form):
         return logic.Var(form)
     if not (isinstance(form, list) and form and isinstance(form[0], str)
-            and (form[0] in ("+", "-", "*") or form[0] in funcs)):
+            and (form[0] in ("+", "-", "*") or form[0] in sigs)):
         raise SmtError(f"bad term {sexpr.to_str(form)}")
-    head, args = form[0], [term_of(f, funcs) for f in form[1:]]
+    head, args = form[0], [term_of(f, sigs) for f in form[1:]]
     if head == "+":
         if len(args) < 2:
             return args[0] if args else logic.IntLit(0)
@@ -445,7 +443,7 @@ def term_of(form, funcs):
     if head == "*":
         coeff, term = 1, None
         for arg in args:
-            lin = lin_of(arg, Apps(funcs))
+            lin = lin_of(arg, Apps())
             if not lin_vars(lin):
                 coeff *= lin.get(None, 0)
             elif term is not None and coeff:
@@ -453,8 +451,9 @@ def term_of(form, funcs):
             else:
                 term = arg
         return logic.IntLit(coeff) if term is None else logic.ScalarMul(coeff, term)
-    if len(args) != len(funcs[head][0]):
-        raise SmtError(f"{head} expects {len(funcs[head][0])} args, got {len(args)}")
+    arity = len(sigs[head].arg_types)
+    if len(args) != arity:
+        raise SmtError(f"{head} expects {arity} args, got {len(args)}")
     return logic.App(head, tuple(args))
 
 
@@ -830,17 +829,25 @@ def _merge(tree, sub, reps, outer=None):
 
 class Context:
     """A hypothesis lowered once, then decided together with one goal at a
-    time.
+    time: the one entry into the solver.
 
-    Building the context lowers the hypothesis's asserts, `logic`
-    predicates, to one NNF tree and presolves it. Then it merges every
-    application whose arguments, after the presolve's definitions are
-    substituted, equal an earlier one's: their constants are equated and
-    the tree presolved again, until the applications left all differ in their arguments (see
-    `_merge`). Congruence axioms are built only between those: an axiom
-    between two applications with equal arguments is a plain equality, and
-    the merge has already substituted it away. The range atoms of the
-    applications of the functions in `bools` join the axioms.
+    `consts` holds (name, `logic` type) pairs, a `TypeEnv`'s bindings or a
+    script's constants, and `sigs` maps each function to its `FuncSig`.
+    From these the context ranges each bool variable in {0, 1}, as
+    `logic.bool_range` ahead of the asserts, and each application of a
+    bool-valued function by its range atoms (see `Apps`). Every
+    application, nullary ones included, is its Ackermann constant.
+
+    Building the context lowers the ranges and the hypothesis's asserts,
+    `logic` predicates, to one NNF tree and presolves it. Then it merges
+    every application whose arguments, after the presolve's definitions
+    are substituted, equal an earlier one's: their constants are equated
+    and the tree presolved again, until the applications left all differ
+    in their arguments (see `_merge`). Congruence axioms are built only
+    between those: an axiom between two applications with equal arguments
+    is a plain equality, and the merge has already substituted it away. The
+    range atoms of the applications of the bool-valued functions join the
+    axioms.
 
     `decide` lowers only the goal and substitutes the hypothesis's
     definitions into it, folding the atoms that become variable-free, and
@@ -852,11 +859,12 @@ class Context:
     hypothesis, then the goal, then the axioms: the hypothesis's first and
     the goal's after them."""
 
-    def __init__(self, funcs, asserts, bools=frozenset()):
-        self.apps = Apps(funcs, bools)
-        tree, sub = presolve(_join("and", [lower(f, True, self.apps) for f in asserts]))
+    def __init__(self, consts, sigs, asserts):
+        self.apps = Apps({name for name, sig in sigs.items() if sig.ret_type == logic.BOOL})
+        ranges = [logic.bool_range(logic.Var(x)) for x, t in consts if t == logic.BOOL]
+        tree, sub = presolve(_join("and", [lower(f, True, self.apps) for f in ranges + asserts]))
         self.tree, self.sub, self.reps = _merge(tree, sub, list(self.apps.table.values()))
-        self.consts = {const for const, _, _ in self.reps}
+        self.hyp_acks = {const for const, _, _ in self.reps}
         axioms = self.apps.ranges + congruence(self.reps)
         self.axioms = [_subst_tree(a, self.sub) for a in axioms]
 
@@ -866,7 +874,7 @@ class Context:
         dict from the variables to their values, where one left out is 0,
         and a dict from each function the hypothesis or the goal applies to
         its table, which maps argument values to the result."""
-        apps = Apps(self.apps.funcs, self.apps.bools, self.apps.table)
+        apps = Apps(self.apps.bools, self.apps.table)
         tree, sub = presolve(_subst_tree(lower(goal, True, apps), self.sub))
         entries = list(apps.table.values())
         reps = self.reps + [(const, func, [lin_subst(a, self.sub) for a in args])
@@ -879,7 +887,7 @@ class Context:
             # the hypothesis's applications left come first, so the pairs
             # with a goal application are those whose later member is past
             # them
-            start = sum(const in self.consts for const, _, _ in reps)
+            start = sum(const in self.hyp_acks for const, _, _ in reps)
             axioms = axioms + [_subst_tree(a, self.sub) for a in congruence(reps, start)]
         hyp = self.tree
         if sub:
@@ -900,32 +908,26 @@ class Context:
         return values, tables
 
 
-def solve(script):
-    """A model of the script's asserts, as a dict from variables to values,
-    or None when they are unsatisfiable: a context whose hypothesis keeps
-    each `Bool` constant in {0, 1}, and that ranges each application of a
-    `Bool`-valued function, decides the conjunction of the asserts, which
-    `script_of` read into `logic`. A variable the dict leaves out is 0; a
-    declared constant the asserts leave free may take any value."""
-    bools = {f for f, (_, sort) in script.funcs.items() if sort == "Bool"}
-    ranges = [logic.bool_range(logic.Var(c)) for c, sort in script.consts.items() if sort == "Bool"]
-    model = Context(script.funcs, ranges, bools).decide(logic.mk_and(*script.asserts))
-    return model and model[0]
-
-
 def solve_script(text):
     """The filter's answer to an SMT-LIB script: `unsat`, or `sat` and, when
-    the script asks for it, the value of every declared constant."""
+    the script asks for it, the value of every declared constant, a `Bool`
+    one as `true` or `false`. A context over the script's declarations, with
+    no hypothesis of its own, decides the conjunction of the asserts, which
+    `script_of` read into `logic`; a constant the asserts leave free may
+    take any value."""
     script = parse_script(text)
-    model = solve(script)
+    model = Context(script.consts.items(), script.sigs, []).decide(logic.mk_and(*script.asserts))
     if model is None:
         return "unsat\n"
     lines = ["sat"]
     if script.want_model:
         lines.append("(model")
-        for name, sort in script.consts.items():
-            val = model.get(name, 0)
-            txt = str(val) if val >= 0 else f"(- {-val})"
+        for name, t in script.consts.items():
+            val = model[0].get(name, 0)
+            if t == logic.BOOL:
+                sort, txt = "Bool", "true" if val == 1 else "false"
+            else:
+                sort, txt = t.ui_name or "Int", str(val) if val >= 0 else f"(- {-val})"
             lines.append(f"  (define-fun {name} () {sort} {txt})")
         lines.append(")")
     return "\n".join(lines) + "\n"

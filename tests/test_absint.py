@@ -452,7 +452,7 @@ def _ref_mined_predicates(p, runs):
             if item.kind != "set":
                 continue
             kvar, syms = item.payload
-            apps = smt.Apps(p.func_sigs)
+            apps = smt.Apps()
             les = _ref_path_ineqs(items, idx, apps)
             fields = {}
             for i, s in enumerate(syms):

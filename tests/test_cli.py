@@ -286,8 +286,8 @@ RESERVED_NAMES = [
         # than `sub` first, then each `sub` in turn
         ("(sub c1 (lhs int (= v y)) (rhs int true)) (sub c2)", "c1: UnboundVariable: y"),
         ("(sub c1 (lhs int (= v y)) (rhs int true)) (kvar k)", "bad kvar (kvar k)"),
-        # the solver reads a nullary application `(c)` as the constant `c`,
-        # so no variable may share a name with a function
+        # a variable and a function share one namespace in the SMT-LIB
+        # text of a query, so no variable may share a name with a function
         *NAME_CLASHES,
         *RESERVED_NAMES,
     ],
@@ -314,7 +314,7 @@ def test_validate_rejects_name_clash(tmp_path, text, error):
 @pytest.mark.parametrize(
     "header, pred, error",
     [
-        (";; relvar k arity", "(= x 0)", "bad relvar header 'relvar k arity'"),
+        (";; relvar k arity", "(= x 0)", "line 1: bad relvar header 'relvar k arity'"),
         ("", "(< x y)", "b1: undeclared variable y"),
         ("", "(< (f x) 0)", "b1: undeclared function f"),
         ("", "(x)", "b1: NonBoolAtom: x"),

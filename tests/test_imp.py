@@ -92,9 +92,17 @@ def test_parse_print_roundtrip():
         ("havoc x", "havoc (x)", "line 5: expected word, got '(x)'"),
         ("get k (x)", "get k (x y)", "line 9: bad tuple component 'x y'"),
         ("\n}\n", "\n}\n\nloop\n", "line 13: trailing input after program"),
-        (";; basevar x int", ";; basevar x", "bad basevar header 'basevar x'"),
+        # a header, or a parenthesized group, that does not read
+        (";; basevar x int", ";; basevar x", "line 2: bad basevar header 'basevar x'"),
         (";; relvar k arity 1 types int", ";; relvar k arity 2 types int",
-         "bad relvar header 'relvar k arity 2 types int'"),
+         "line 1: bad relvar header 'relvar k arity 2 types int'"),
+        (";; relvar k arity 1 types int", ";; relvar k arity 1 types (ui",
+         "line 1: unclosed '('"),
+        (";; basevar x int", ";; basevar x float", "line 2: bad type syntax float"),
+        ("assert (<= 0 x)", "assert (<= x (+ 1 2 3) 4)", "line 10: <= takes two arguments"),
+        # the line of the group, not of its instruction
+        ("assert (<= 0 x)", "assert\n    (<= x 1 2)", "line 11: <= takes two arguments"),
+        ("havoc x", "x := (- x 1 2)", "line 5: - takes one or two arguments"),
     ],
 )
 def test_syntax_error_names_its_file_line(old, new, error):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hmc import cli, sexpr, smt
+from hmc import cli, logic, sexpr, smt
 from hmc.smt import SmtError, eval_lin, omega, parse_script, solve_script
 
 ITERI = str(Path(__file__).resolve().parent.parent / "examples" / "iteri_mask.hmc")
@@ -113,6 +113,24 @@ def test_model_satisfies_all_asserts():
     assert m["y"] == 4 or m["z"] < 10
 
 
+def test_model_prints_each_constant_at_its_sort():
+    # a Bool prints as true or false, an Int as a number, a negative one
+    # as a negation, and a constant of a declared sort as a number
+    text = (
+        "(declare-sort obj 0) (declare-const b Bool) (declare-const x Int)"
+        " (declare-const o obj) (assert (not b)) (assert (< x (- 2)))"
+        " (check-sat) (get-model)"
+    )
+    assert solve_script(text) == (
+        "sat\n(model\n"
+        "  (define-fun b () Bool false)\n"
+        "  (define-fun x () Int (- 3))\n"
+        "  (define-fun o () obj 0)\n"
+        ")\n"
+    )
+    assert "(define-fun b () Bool true)" in solve_script(text.replace("(not b)", "b"))
+
+
 def test_nonlinear_rejected():
     with pytest.raises(SmtError):
         solve_script(
@@ -202,7 +220,7 @@ def test_filter_syntax(text, answer, monkeypatch, capsys):
 
 def test_lin_helpers():
     script = parse_script("(declare-const x Int) (assert (<= (+ x 1) (* 2 x)))")
-    lin = smt.lin_of(smt.term_of(["+", "x", ["*", 3, "x"]], {}), smt.Apps({}))
+    lin = smt.lin_of(smt.term_of(["+", "x", ["*", 3, "x"]], {}), smt.Apps())
     assert eval_lin(lin, {"x": 2}) == 8
     assert eval_lin(lin, {}) == 0
     assert script.asserts
@@ -294,7 +312,7 @@ def test_omega_calls_on_iteri(monkeypatch):
 
 
 def _nnf(form):
-    return smt.lower(smt.formula_of(form, {}), True, smt.Apps({}))
+    return smt.lower(smt.formula_of(form, {}), True, smt.Apps())
 
 
 def test_ground_atoms_fold():
@@ -603,6 +621,7 @@ def test_kernels_match_reference(monkeypatch):
 # variables and every application of `f` are boxed to -1..1, so the brute
 # force only has to choose the value of `f` at each argument it evaluates.
 FBOX = range(-1, 2)
+F_SIGS = {"f": logic.FuncSig("f", (logic.INT,), logic.INT)}
 
 
 class _Unset(Exception):
@@ -713,7 +732,7 @@ def _fbox(terms):
 
 def test_uninterpreted_function_matches_brute_force(seed=5, cases=240):
     # two cases in three decide the goal in a context of the hypothesis,
-    # the third the whole script as one goal, as `solve` does. The
+    # the third the whole script as one goal, as the filter does. The
     # hypothesis boxes the variables and its own applications, the goal the
     # applications only it makes, so that a goal adds applications to a
     # context; a goal equality between two arguments of the hypothesis's
@@ -725,10 +744,10 @@ def test_uninterpreted_function_matches_brute_force(seed=5, cases=240):
         hyp_box = _fbox([*NAMES, *hyp_apps.values()])
         goal_box = _fbox([a for k, a in goal_apps.items() if k not in hyp_apps])
         if case % 3 == 2:
-            context = smt.Context({"f"}, [])
+            context = smt.Context((), F_SIGS, [])
             query = _logic(["and", *hyp_box, *hyp, *goal_box, *goal])
         else:
-            context = smt.Context({"f"}, [_logic(f) for f in hyp_box + hyp])
+            context = smt.Context((), F_SIGS, [_logic(f) for f in hyp_box + hyp])
             query = _logic(["and", *goal_box, *goal])
         model = context.decide(query)
         brute = _fbrute(hyp + goal)
@@ -747,7 +766,7 @@ def _assert_one_value_per_argument(context, goal, model):
     """Every application the hypothesis or the goal makes, evaluated in the
     model, takes the value its function's table gives its arguments."""
     values, tables = model
-    apps = smt.Apps(context.apps.funcs, table=context.apps.table)
+    apps = smt.Apps(table=context.apps.table)
     smt.lower(goal, True, apps)
     for const, func, args in apps.table.values():
         key = tuple(eval_lin(a, values) for a in args)
@@ -755,7 +774,7 @@ def _assert_one_value_per_argument(context, goal, model):
 
 
 def _logic(form):
-    return smt.formula_of(form, {"f": (["Int"], "Int")})
+    return smt.formula_of(form, F_SIGS)
 
 
 def _form(text):
@@ -764,7 +783,7 @@ def _form(text):
 
 
 def _context(hyp):
-    return smt.Context({"f"}, [_form(f) for f in hyp])
+    return smt.Context((), F_SIGS, [_form(f) for f in hyp])
 
 
 def test_goal_equality_merges_hypothesis_applications():
