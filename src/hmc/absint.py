@@ -9,13 +9,15 @@ hypothesis and for an extracted solution alike; it merges the cubes
 exactly first (`merge_cubes`), while the invariant keeps the cubes as
 reached, so the fixpoint's growth test and termination do not change.
 
-Blocks are executed symbolically: havoc/assume/assign build an SSA path
-formula; a get conjoins the source invariant with fields renamed to the
-tuple temps; an assert is checked as path => assertion; a set classifies
-each target predicate as forced true, forced false or unknown and records
-the resulting cube. The symbolic run does not depend on the invariant, so
-each block is executed symbolically once. It types each SSA name by
-`imp.type_instr`, which it checks, so no query needs a typecheck of its own.
+Each block is read in SSA form (`run_blocks`): its `imp` instructions
+over fresh names, an assignment as an assume of an equation, a havoc as a
+fresh name alone. The assumes build the path formula; a get conjoins the
+source invariant with fields renamed to the tuple's names; an assert's
+status is the `logic` status of path => assertion; a set classifies each
+target predicate as forced true, forced false or unknown and records the
+resulting cube. The SSA form does not depend on the invariant, so each
+block is put in it once. It types each SSA name by `imp.type_instr`, which
+it checks, so no query needs a typecheck of its own.
 
 All the queries at one set or assert share its path as their hypothesis:
 `path => false`, then `path => q` and `path => not q` for each predicate q.
@@ -31,17 +33,17 @@ only weakens, and a block's path at a given set or assert on a later run is
 implied by its path there on an earlier run. Every witness found at that
 position still satisfies the new path, so it is still a countermodel of
 each goal it falsifies. The engine keeps the last Hypothesis at each
-position, (block, item index), and a new Hypothesis there starts its model
-pool with that one's witnesses. This state lives on the engine, one per
-`solve`.
+position, (block, instruction index), and a new Hypothesis there starts its
+model pool with that one's witnesses. This state lives on the engine, one
+per `solve`.
 
 The fixpoint runs the blocks round-robin, but runs a block again only when
 a kvar it gets has gained a cube since the block last ran: the invariant
 reaches a block only through its gets, so that run would change nothing.
 Each loop turn runs the next stale block, so a pass costs the blocks it
 runs, not every block. Each block's assert statuses are those of its last
-run. The result either proves every assert or reports the first one that
-may fail.
+run. The result either proves every assert VALID or reports the first one
+that is not.
 
 Predicates come from two deterministic sources: harvesting (atomic
 comparisons from any block whose variables a write passes, substituted by
@@ -95,14 +97,11 @@ from .logic import (
     typecheck_pred,
 )
 from .constraints import ConstraintError, parse_solution
-from .imp import INCONCLUSIVE, Assert, Assign, Assume, Get, Havoc, Set, type_instr
+from .imp import Assert, Assign, Assume, Get, Havoc, Set, type_instr
 from .smt import Apps, _add_scaled, lin_add, lin_const, lin_of, lin_scale, lin_vars, norm_le
 
 MAX_PREDS_PER_KVAR = 14
 MAX_MINED_INEQS = 64
-
-HOLDS = "holds"
-MAY_FAIL = "may-fail"
 
 
 def field_var(kvar, i):
@@ -115,77 +114,56 @@ class AbstractInvariant:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic execution of a block
-
-
-@dataclass
-class SymItem:
-    kind: str  # "conj" | "assert" | "get" | "set"
-    payload: object
+# A block in SSA form
 
 
 def run_blocks(p):
-    """block -> (symbolic run, type environment of its SSA names), keyed by
-    the block itself, so two blocks with one label cannot share a run. The
-    run does not depend on the invariant, so a check computes it once and
-    hands it to both the miner and the fixpoint. Raises `imp.ParseError`
-    for an ill-typed block."""
-    runs = {}
-    for label, block in p.blocks:
-        trace = SymExec(p).run(label, block)
-        runs[block] = (trace.items, TypeEnv(tuple(sorted(trace.types.items()))))
-    return runs
+    """block -> (the block in SSA form, the type environment of its SSA
+    names), keyed by the block itself, so two blocks with one label cannot
+    share an entry. The SSA form does not depend on the invariant, so a
+    check builds it once and hands it to both the miner and the fixpoint.
+    Raises `imp.ParseError` for an ill-typed block."""
+    return {block: _ssa(p, label, block) for label, block in p.blocks}
 
 
-class SymExec:
-    """The symbolic run of one block: its path over SSA names, and their
-    types. Each instruction is checked by `imp.type_instr` as the run
-    reaches it, and an SSA name takes the type its variable holds there, so
-    an ill-typed block raises `imp.ParseError` before any query is built."""
+def _ssa(p, label, block):
+    """Block `label` as `imp` instructions over SSA names `{var}%{n}`, one
+    counter per block: an assignment becomes `assume (= x%n e)`, a havoc
+    only a fresh name, and assume, assert, get and set keep their kinds.
+    Each instruction is checked by `imp.type_instr` as the walk reaches it,
+    and an SSA name takes the type its variable holds there, so an
+    ill-typed block raises `imp.ParseError` before any query is built."""
+    held = dict(p.base_types)  # variable -> the type it holds now
+    names = {}  # variable -> its current SSA name
+    types = {}  # SSA name -> type; its size is the block's counter
+    out = []
 
-    def __init__(self, p):
-        self.p = p
-        self.held = dict(p.base_types)  # variable -> the type it holds now
-        self.env = {}  # variable -> its current SSA name
-        self.types = {}  # SSA name -> type
-        self.counter = 0
-        self.items = []
-
-    def fresh(self, var):
-        s = f"{var}%{self.counter}"
-        self.counter += 1
-        self.env[var] = s
-        self.types[s] = self.held[var]
+    def fresh(var):
+        s = names[var] = f"{var}%{len(types)}"
+        types[s] = held[var]
         return s
 
-    def sym_of(self, var):
-        if var not in self.env:
-            self.fresh(var)
-        return self.env[var]
+    def name(var):
+        return names[var] if var in names else fresh(var)
 
-    def rename(self, x):
-        return subst(x, {name: Var(self.sym_of(name)) for name in free_vars(x)})
+    def rename(x):
+        return subst(x, {v: Var(name(v)) for v in free_vars(x)})
 
-    def run(self, label, block):
-        for i in block.instrs:
-            if isinstance(i, Assign):
-                e = self.rename(i.expr)  # read at the types held before `i`
-            type_instr(self.p, label, i, self.held)
-            if isinstance(i, Havoc):
-                self.fresh(i.var)
-            elif isinstance(i, Assign):
-                self.items.append(SymItem("conj", Cmp("=", Var(self.fresh(i.var)), e)))
-            elif isinstance(i, Assume):
-                self.items.append(SymItem("conj", self.rename(i.pred)))
-            elif isinstance(i, Assert):
-                self.items.append(SymItem("assert", self.rename(i.pred)))
-            elif isinstance(i, Get):
-                syms = tuple(self.fresh(x) for x in i.targets)
-                self.items.append(SymItem("get", (i.relvar, syms)))
-            elif isinstance(i, Set):
-                syms = tuple(self.sym_of(x) for x in i.args)
-                self.items.append(SymItem("set", (i.relvar, syms)))
-        return self
+    for i in block.instrs:
+        if isinstance(i, Assign):
+            e = rename(i.expr)  # read at the types held before `i`
+        type_instr(p, label, i, held)
+        if isinstance(i, Havoc):
+            fresh(i.var)
+        elif isinstance(i, Assign):
+            out.append(Assume(Cmp("=", Var(fresh(i.var)), e)))
+        elif isinstance(i, (Assume, Assert)):
+            out.append(type(i)(rename(i.pred)))
+        elif isinstance(i, Get):
+            out.append(Get(i.relvar, tuple(fresh(x) for x in i.targets)))
+        elif isinstance(i, Set):
+            out.append(Set(i.relvar, tuple(name(x) for x in i.args)))
+    return tuple(out), TypeEnv(tuple(sorted(types.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +357,11 @@ def mined_predicates(p, runs):
     mined = {}  # (path conjuncts, written SSA names) -> `_mine_path` of them
     for _, block in p.blocks:
         conjs = []
-        for item in runs[block][0]:
-            if item.kind == "conj":
-                conjs.append(item.payload)
-            elif item.kind == "set":
-                kvar, syms = item.payload
+        for i in runs[block][0]:
+            if isinstance(i, Assume):
+                conjs.append(i.pred)
+            elif isinstance(i, Set):
+                kvar, syms = i.relvar, i.args
                 key = (tuple(conjs), syms)
                 found = mined.get(key)
                 if found is None:
@@ -459,8 +437,8 @@ def _flatten_and(q, out):
 @dataclass
 class AssertStatus:
     label: str
-    status: str  # HOLDS | MAY_FAIL
-    query: object | None = None  # the unproven implication, on MAY_FAIL
+    status: str  # the `logic` status of its query: VALID, INVALID or UNKNOWN
+    query: object | None = None  # the query, path => assertion, unless VALID
 
 
 class Engine:
@@ -470,15 +448,15 @@ class Engine:
         self.preds = preds
         self.mode = mode
         self.memo = {}  # (tenv, hypothesis) -> Hypothesis
-        self.last = {}  # (block, item index) -> the Hypothesis its last run used
-        self.goals = {}  # (block, item index) -> its set's predicates over SSA names
+        self.last = {}  # (block, instr index) -> the Hypothesis its last run used
+        self.goals = {}  # (block, instr index) -> its set's predicates over SSA names
 
     def hypothesis(self, tenv, path, at):
         """The one `Hypothesis` of the conjunction of `path` under `tenv`,
         which decides and caches every query on that path. `at` is the
-        path's position, (block, item index): a new Hypothesis there starts
-        its model pool with the witnesses of the one the position's last
-        run used, which satisfy this path too (see the module docstring)."""
+        path's position, (block, instruction index): a new Hypothesis there
+        starts its model pool with the witnesses of the one the position's
+        last run used, which satisfy this path too (module docstring)."""
         hyp = mk_and(*path)
         key = (tenv, hyp)
         found = self.memo.get(key)
@@ -497,31 +475,30 @@ class Engine:
 
     def abstract_post(self, label, block, inv):
         """Returns (statuses, new cubes as [(kvar, cube)])."""
-        items, tenv = self.runs[block]
+        instrs, tenv = self.runs[block]
         path = []
         statuses = []
         new = []
-        for at, item in enumerate(items):
-            if item.kind == "conj":
-                path.append(item.payload)
-            elif item.kind == "assert":
-                if item.payload == TRUE:
-                    statuses.append(AssertStatus(label, HOLDS))
+        for at, i in enumerate(instrs):
+            if isinstance(i, Assume):
+                path.append(i.pred)
+            elif isinstance(i, Assert):
+                if i.pred == TRUE:
+                    statuses.append(AssertStatus(label, VALID))
                     continue
                 hyp = self.hypothesis(tenv, path, (block, at))
-                if self.valid(hyp, item.payload) == VALID:
-                    statuses.append(AssertStatus(label, HOLDS))
-                else:
-                    statuses.append(AssertStatus(label, MAY_FAIL, implies(hyp.hyp, item.payload)))
-            elif item.kind == "get":
-                kvar, syms = item.payload
-                if not inv.cubes.get(kvar):
+                status = self.valid(hyp, i.pred)
+                query = None if status == VALID else implies(hyp.hyp, i.pred)
+                statuses.append(AssertStatus(label, status, query))
+            elif isinstance(i, Get):
+                cubes = inv.cubes.get(i.relvar)
+                if not cubes:
                     # nothing written yet: the relation is empty, the block
                     # halts here (remaining asserts vacuously hold)
                     return statuses, new
-                path.append(cubes_pred(self.preds[kvar], inv.cubes[kvar], _fields(kvar, syms)))
-            elif item.kind == "set":
-                kvar, syms = item.payload
+                path.append(cubes_pred(self.preds[i.relvar], cubes, _fields(i.relvar, i.targets)))
+            elif isinstance(i, Set):
+                kvar, syms = i.relvar, i.args
                 hyp = self.hypothesis(tenv, path, (block, at))
                 if path and self.valid(hyp, FALSE) == VALID:
                     continue  # the write is unreachable on this path
@@ -601,12 +578,8 @@ def _merge_pair(a, b):
     return None
 
 
-PROVED = "proved"
-
-
 @dataclass
 class SolveResult:
-    status: str
     invariant: AbstractInvariant
     statuses: list
     failing: AssertStatus | None = None
@@ -624,9 +597,9 @@ def solve(p, runs, preds, mode):
     inv = AbstractInvariant({k: set() for k in p.relvar_sigs})
     readers = {k: set() for k in p.relvar_sigs}  # kvar -> indices of blocks that get it
     for i, (_, block) in enumerate(p.blocks):
-        for item in runs[block][0]:
-            if item.kind == "get":
-                readers[item.payload[0]].add(i)
+        for instr in runs[block][0]:
+            if isinstance(instr, Get):
+                readers[instr.relvar].add(i)
     last = [[] for _ in p.blocks]  # each block's statuses from its last run
     stale = set(range(len(p.blocks)))
     queue = [(0, i) for i in range(len(p.blocks))]  # (pass, index) of each stale block, sorted
@@ -642,8 +615,8 @@ def solve(p, runs, preds, mode):
                     stale.add(j)
                     insort(queue, (turn + (j <= i), j))
     statuses = [st for sts in last for st in sts]
-    failing = next((st for st in statuses if st.status != HOLDS), None)
-    return SolveResult(PROVED if failing is None else INCONCLUSIVE, inv, statuses, failing)
+    failing = next((st for st in statuses if st.status != VALID), None)
+    return SolveResult(inv, statuses, failing)
 
 
 def extract_solution(inv, preds, kvar_sigs):

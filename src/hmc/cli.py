@@ -185,7 +185,7 @@ def cmd_check(args, out):
     preds = absint.harvest_predicates(p, runs, extra)
     result = absint.solve(p, runs, preds, mode)
     report.timings["solve"] = time.monotonic() - t1
-    if result.status == absint.PROVED:
+    if result.failing is None:
         sol = absint.extract_solution(result.invariant, preds, cloned.kvars)
         folded = clone_mod.fold_solution(sol, clones, cs)
         t2 = time.monotonic()

@@ -174,12 +174,13 @@ def ref_to_sexpr(ref):
 
 def _shape(form, n, what, more=False, names=1):
     """`form`, checked to be a list of `n` items (at least `n` if `more`)
-    whose first `names` items are names."""
+    whose first `names` items, one or two and at most `n`, are names."""
     if (
         not isinstance(form, list)
         or len(form) < n
         or (len(form) > n and not more)
-        or not all(isinstance(x, str) for x in form[:names])
+        or not isinstance(form[0], str)
+        or (names == 2 and not isinstance(form[1], str))
     ):
         raise ConstraintError(f"bad {what} {sexpr.to_str(form)}")
     return form

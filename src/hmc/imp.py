@@ -104,7 +104,7 @@ class Assert:
 class Seq:
     instrs: tuple
 
-    def __hash__(self):  # a block keys its symbolic run: hash it once
+    def __hash__(self):  # a block keys its SSA form: hash it once
         return self._hash
 
     @cached_property
@@ -139,13 +139,6 @@ class ImpProgram:
 
 
 class _ErrorState:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "ERROR"
 
@@ -685,8 +678,8 @@ def type_instr(p, label, i, types):
     """Check one instruction of block `label` against `types`, the types
     its block's variables hold before it, and update them to those after
     it; raise ParseError for an undeclared name, a relvar or function used at
-    another arity, or an ill-typed instruction. `parse_imp` and the symbolic
-    run (`absint.SymExec`) both follow this one rule for variable types."""
+    another arity, or an ill-typed instruction. `parse_imp` and the SSA form
+    (`absint.run_blocks`) both follow this one rule for variable types."""
     try:
         if isinstance(i, (Get, Set)):
             sig = p.relvar_sigs.get(i.relvar)

@@ -718,7 +718,7 @@ class Hypothesis:
     The hypothesis and every goal must be well typed under `env`; nothing
     here typechecks them. Each boundary checks its input
     (`constraints.parse_constraints`, `typecheck_solution`,
-    `absint.parse_preds`), the symbolic run checks each path by
+    `absint.parse_preds`), putting a block in SSA form checks its path by
     `imp.type_instr`, and harvest keeps only the candidates that typecheck.
 
     The hypothesis is handed as it is to an `smt.Context` over the

@@ -1,6 +1,8 @@
 import io
 import itertools
 import random
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,6 @@ from hmc import absint, cli, smt
 from hmc.absint import (
     AbstractInvariant,
     Engine,
-    PROVED,
     extract_solution,
     field_var,
     format_invariant,
@@ -26,15 +27,29 @@ from hmc.constraints import (
     check_satisfied,
     parse_constraints,
 )
-from hmc.imp import Assert, Get, Havoc, ImpProgram, ParseError, Set, parse_imp, seq_of
+from hmc.imp import (
+    Assert,
+    Assign,
+    Assume,
+    Get,
+    Havoc,
+    ImpProgram,
+    ParseError,
+    Set,
+    parse_imp,
+    seq_of,
+    type_instr,
+)
 from hmc.logic import (
     App,
     BOOL,
     Cmp,
     INT,
+    INVALID,
     OracleMode,
     SolverMode,
     TypeEnv,
+    UNKNOWN,
     VALID,
     ValueDomain,
     Var,
@@ -142,7 +157,7 @@ def test_solve_proves_iteri():
     runs = run_blocks(p)
     preds = harvest_predicates(p, runs)
     res = solve(p, runs, preds, SolverMode())
-    assert res.status == PROVED
+    assert res.failing is None
     sol = extract_solution(res.invariant, preds, cs.kvars)
     assert list(sol) == list(cs.kvars)
     rep = check_satisfied(cs, sol, SolverMode())
@@ -179,7 +194,6 @@ def test_unprovable_stays_inconclusive():
     p = parse_imp(text)
     runs = run_blocks(p)
     res = solve(p, runs, harvest_predicates(p, runs), SolverMode())
-    assert res.status == "inconclusive"
     assert res.failing is not None and res.failing.label == "r"
 
 
@@ -204,7 +218,7 @@ def test_empty_invariant_blocks_get():
     runs = run_blocks(p)
     preds = harvest_predicates(p, runs)
     res = solve(p, runs, preds, SolverMode())
-    assert res.status == PROVED
+    assert res.failing is None
     sol = extract_solution(res.invariant, preds, {"k": None})
     assert to_text(sol["k"]) == "false"
 
@@ -236,7 +250,7 @@ def test_parse_preds_entry_for_a_cloned_kvar_reaches_each_clone():
 
 
 def test_run_blocks_rejects_an_ill_typed_program():
-    # a program built in code skips `parse_imp`; its symbolic run checks
+    # a program built in code skips `parse_imp`; its SSA form checks
     # each instruction with the same rule, so no ill-typed query is built
     def program(*instrs):
         p = ImpProgram(relvar_sigs={"k": (INT,)}, base_types={"b": BOOL, "t": INT})
@@ -257,6 +271,55 @@ def test_run_blocks_rejects_an_ill_typed_program():
     assert [tenv.bindings for _, tenv in runs.values()] == [(("b%0", INT),)]
 
 
+def test_ssa_form_is_single_assignment_well_typed_imp():
+    # the miner's memo key and the hypothesis keys are built from the SSA
+    # names: each entry writes a name once, reads only names its type
+    # environment binds, and typechecks as IMP under that environment, one
+    # instruction for each instruction of the block but its havocs
+    sets = [load(f.read_text()) for f in sorted(EXAMPLES.glob("*.hmc"))]
+    rng = random.Random(31)
+    sets += [gen_constraint_set(rng, 3, 2, 5) for _ in range(40)]
+    programs = [program_of(cs) for cs in sets] + [translate_set_of_constraints(cs) for cs in sets]
+    for p in programs:
+        runs = run_blocks(p)
+        for label, block in p.blocks:
+            instrs, tenv = runs[block]
+            source = [i for i in block.instrs if not isinstance(i, Havoc)]
+            assert len(instrs) == len(source), label
+            written, names = [], set()
+            for src, i in zip(source, instrs):
+                if isinstance(src, Assign):
+                    assert isinstance(i, Assume) and i.pred.op == "=", label
+                    written.append(i.pred.left.name)
+                else:
+                    assert type(i) is type(src), label
+                if isinstance(i, Get):
+                    written += i.targets
+                    names |= set(i.targets)
+                elif isinstance(i, Set):
+                    names |= set(i.args)
+                else:
+                    names |= free_vars(i.pred)
+                types = dict(tenv.bindings)
+                type_instr(p, label, i, types)
+                assert types == dict(tenv.bindings), label
+            assert len(written) == len(set(written)), label
+            assert names <= dict(tenv.bindings).keys(), label
+
+
+def test_assert_status_is_its_querys_verdict():
+    # the solver refutes `x%0 <= 1`, and a solver that answers `unknown`
+    # leaves it undecided: either way the assert is the failing one
+    p = parse_imp(";; basevar x int\nloop {\n  /*b*/\n    havoc x;\n    assert (<= x 1)\n}\n")
+    runs = run_blocks(p)
+    shim = shlex.quote(sys.executable) + " -c \"print('unknown')\""
+    for mode, status in ((SolverMode(), INVALID), (SolverMode(cmd=shim), UNKNOWN)):
+        res = solve(p, runs, harvest_predicates(p, runs), mode)
+        assert [(s.label, s.status) for s in res.statuses] == [("b", status)]
+        assert res.failing is res.statuses[0]
+        assert to_text(res.failing.query) == "(<= x%0 1)"
+
+
 def test_format_invariant_mentions_preds():
     cs, _, p = program_for("iteri_mask.hmc")
     runs = run_blocks(p)
@@ -270,7 +333,7 @@ def test_engine_assert_statuses():
     cs, _, p = program_for("iteri_mask.hmc")
     runs = run_blocks(p)
     res = solve(p, runs, harvest_predicates(p, runs), SolverMode())
-    assert res.statuses and all(s.status == "holds" for s in res.statuses)
+    assert res.statuses and all(s.status == VALID for s in res.statuses)
 
 
 def test_chain_listed_last_link_first_runs_each_block_few_times(monkeypatch):
@@ -285,7 +348,7 @@ def test_chain_listed_last_link_first_runs_each_block_few_times(monkeypatch):
     monkeypatch.setattr(Engine, "abstract_post", counted)
     runs = run_blocks(p)
     res = solve(p, runs, harvest_predicates(p, runs), SolverMode())
-    assert res.status == PROVED
+    assert res.failing is None
     # each link runs once before and once after its source gains its cube;
     # re-running every block on every pass takes (24 + 2) * (24 + 1) = 650
     assert len(calls) <= 50
@@ -331,7 +394,7 @@ def round_robin(p, runs, preds, mode):
     statuses = []
     for label, block in p.blocks:
         statuses.extend(engine.abstract_post(label, block, inv)[0])
-    failing = next((s.label for s in statuses if s.status != "holds"), None)
+    failing = next((s.label for s in statuses if s.status != VALID), None)
     return inv.cubes, [(s.label, s.status) for s in statuses], failing
 
 
@@ -351,8 +414,8 @@ def test_solve_matches_round_robin():
             res.failing and res.failing.label,
         )
         assert got == round_robin(p, runs, preds, SolverMode())
-        outcomes.add(res.status)
-    assert outcomes == {PROVED, "inconclusive"}
+        outcomes.add(res.failing is None)
+    assert outcomes == {True, False}
 
 
 def scanned_order(p, runs, preds, mode):
@@ -362,9 +425,9 @@ def scanned_order(p, runs, preds, mode):
     inv = AbstractInvariant({k: set() for k in p.relvar_sigs})
     readers = {k: set() for k in p.relvar_sigs}
     for i, (_, block) in enumerate(p.blocks):
-        for item in runs[block][0]:
-            if item.kind == "get":
-                readers[item.payload[0]].add(i)
+        for instr in runs[block][0]:
+            if isinstance(instr, Get):
+                readers[instr.relvar].add(i)
     order = []
     stale = set(range(len(p.blocks)))
     while stale:
@@ -410,12 +473,12 @@ def test_solve_posts_blocks_in_round_robin_order(monkeypatch):
 # difference through three dicts
 
 
-def _ref_path_ineqs(items, upto, apps):
+def _ref_path_ineqs(instrs, upto, apps):
     les = []
-    for item in items[:upto]:
-        if item.kind != "conj":
+    for instr in instrs[:upto]:
+        if not isinstance(instr, Assume):
             continue
-        for atom in absint._flatten_and(item.payload, []):
+        for atom in absint._flatten_and(instr.pred, []):
             if isinstance(atom, Cmp) and atom.op in absint._LE:
                 sides = (smt.lin_of(atom.left, apps), smt.lin_of(atom.right, apps))
                 for l, r, c in absint._LE[atom.op]:
@@ -447,13 +510,13 @@ def _ref_project(les, keep):
 def _ref_mined_predicates(p, runs):
     out = []
     for _, block in p.blocks:
-        items = runs[block][0]
-        for idx, item in enumerate(items):
-            if item.kind != "set":
+        instrs = runs[block][0]
+        for idx, instr in enumerate(instrs):
+            if not isinstance(instr, Set):
                 continue
-            kvar, syms = item.payload
+            kvar, syms = instr.relvar, instr.args
             apps = smt.Apps()
-            les = _ref_path_ineqs(items, idx, apps)
+            les = _ref_path_ineqs(instrs, idx, apps)
             fields = {}
             for i, s in enumerate(syms):
                 fields.setdefault(s, Var(field_var(kvar, i)))

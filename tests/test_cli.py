@@ -373,7 +373,7 @@ def test_bool_valued_function_ranges_its_applications(tmp_path):
 
 def test_every_query_is_well_typed(tmp_path, monkeypatch):
     # `Hypothesis` does not typecheck: every query is built from parts that
-    # a boundary checked, and from the symbolic run, which follows the
+    # a boundary checked, and from the SSA form, which follows the
     # `.imp` type rule. Typecheck each hypothesis and goal here instead.
     asked = []
     init, check = logic.Hypothesis.__init__, logic.Hypothesis.check
@@ -710,7 +710,7 @@ def test_check_flat_conjunction(tmp_path):
 
 
 def test_check_flat_sum(tmp_path):
-    # a flat sum is one node, however long: reading it, the symbolic run,
+    # a flat sum is one node, however long: reading it, the SSA form,
     # the miner and the solver do not recurse once per term. Each term is
     # bound by an equality, which the presolve substitutes away
     f = tmp_path / "sum.hmc"
