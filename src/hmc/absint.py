@@ -449,7 +449,7 @@ class Engine:
         self.mode = mode
         self.memo = {}  # (tenv, hypothesis) -> Hypothesis
         self.last = {}  # (block, instr index) -> the Hypothesis its last run used
-        self.goals = {}  # (block, instr index) -> its set's predicates over SSA names
+        self.renamed = {}  # (block, instr index) -> its kvar's predicates over SSA names
 
     def hypothesis(self, tenv, path, at):
         """The one `Hypothesis` of the conjunction of `path` under `tenv`,
@@ -466,6 +466,17 @@ class Engine:
             if before is not None:
                 found.models.extend(before.models)
         self.last[at] = found
+        return found
+
+    def preds_at(self, block, at, i):
+        """The predicates of the kvar that the get or set `i`, at `at` in
+        `block`, reads or writes, over the SSA names it gets or sets: renamed
+        once per position, since neither depends on the invariant."""
+        found = self.renamed.get((block, at))
+        if found is None:
+            names = i.targets if isinstance(i, Get) else i.args
+            rename = _fields(i.relvar, names)
+            found = self.renamed[block, at] = [rename_pred(fq, rename) for fq in self.preds[i.relvar]]
         return found
 
     def valid(self, hyp, q):
@@ -496,26 +507,20 @@ class Engine:
                     # nothing written yet: the relation is empty, the block
                     # halts here (remaining asserts vacuously hold)
                     return statuses, new
-                path.append(cubes_pred(self.preds[i.relvar], cubes, _fields(i.relvar, i.targets)))
+                path.append(cubes_pred(self.preds_at(block, at, i), cubes))
             elif isinstance(i, Set):
-                kvar, syms = i.relvar, i.args
                 hyp = self.hypothesis(tenv, path, (block, at))
                 if path and self.valid(hyp, FALSE) == VALID:
                     continue  # the write is unreachable on this path
-                goals = self.goals.get((block, at))
-                if goals is None:
-                    rename = _fields(kvar, syms)
-                    goals = [rename_pred(fq, rename) for fq in self.preds[kvar]]
-                    self.goals[block, at] = goals
                 cube = []
-                for q in goals:
+                for q in self.preds_at(block, at, i):
                     if self.valid(hyp, q) == VALID:
                         cube.append(True)
                     elif self.valid(hyp, Not(q)) == VALID:
                         cube.append(False)
                     else:
                         cube.append(None)
-                new.append((kvar, tuple(cube)))
+                new.append((i.relvar, tuple(cube)))
         return statuses, new
 
 
@@ -524,24 +529,19 @@ def _fields(kvar, names):
     return {field_var(kvar, i): n for i, n in enumerate(names)}
 
 
-def cube_literals(preds, cube, rename):
-    """The predicates a cube fixes, renamed by `rename`: each one as is where
-    the cube holds it true, negated where false."""
-    out = []
-    for fq, bit in zip(preds, cube):
-        if bit is not None:
-            q = rename_pred(fq, rename)
-            out.append(q if bit else Not(q))
-    return out
+def cube_literals(preds, cube):
+    """The predicates a cube fixes: each one as is where the cube holds it
+    true, negated where false."""
+    return [q if bit else Not(q) for q, bit in zip(preds, cube) if bit is not None]
 
 
-def cubes_pred(preds, cubes, rename):
+def cubes_pred(preds, cubes):
     """The disjunction of the cubes, each the conjunction of its literals.
     This is where a cube set becomes a formula, for a get's hypothesis and
     for an extracted solution alike, so the cubes are merged here first:
     the formula is equivalent to the plain disjunction, and often shorter."""
     merged = sorted(merge_cubes(cubes), key=str)
-    return mk_or(*(mk_and(*cube_literals(preds, c, rename)) for c in merged))
+    return mk_or(*(mk_and(*cube_literals(preds, c)) for c in merged))
 
 
 def merge_cubes(cubes):
@@ -629,7 +629,8 @@ def extract_solution(inv, preds, kvar_sigs):
         if not cubes:
             entries[name] = FALSE
             continue
-        entries[name] = cubes_pred(preds[name], cubes, _fields(name, sig.field_names))
+        rename = _fields(name, sig.field_names)
+        entries[name] = cubes_pred([rename_pred(fq, rename) for fq in preds[name]], cubes)
     return entries
 
 
@@ -642,7 +643,7 @@ def format_invariant(inv, preds):
             lines.append(f"{kvar}: false (never written)")
             continue
         rendered = {
-            " & ".join(to_text(q) for q in cube_literals(preds[kvar], cube, {})) or "true"
+            " & ".join(to_text(q) for q in cube_literals(preds[kvar], cube)) or "true"
             for cube in cubes
         }
         lines.append(f"{kvar}: " + " | ".join(sorted(rendered)))

@@ -11,14 +11,16 @@ each SMT-LIB assert into `logic` first (`formula_of`), and from there every
 query takes the same lowering.
 
 A `Context` lowers a hypothesis once and then decides it together with one
-goal at a time. Its Ackermann table is keyed on each application's function
-and the linear forms of its arguments, not on printed text. After the
-presolve, applications whose arguments are equal once the definitions are
-substituted share one constant, and congruence axioms are built only
-between the applications left, whose arguments differ; a goal merges and
-adds only what its own definitions and applications bring. The filter
-decides a script on a context with no hypothesis, so every query goes
-through this one lowering.
+goal at a time. The hypothesis and each goal take one closing step,
+`_close`: lower, presolve, and merge into one constant the applications
+whose arguments are equal once the definitions are substituted, then build
+congruence axioms only between the applications left, whose arguments
+differ. The Ackermann table is keyed on each application's function and the
+linear forms of its arguments, not on printed text. A goal closes under the
+hypothesis's definitions and after its applications, so it merges and adds
+only what its own definitions and applications bring. The filter decides a
+script on a context with no hypothesis, so every query goes through this
+one lowering.
 
 The negation normal form folds a variable-free atom such as `(<= 1 0)` to
 true or false, drops true from a conjunction and false from a disjunction,
@@ -226,7 +228,7 @@ def parse_script(text):
 #
 # Uninterpreted functions are eliminated by Ackermannization as the terms
 # are lowered: every distinct application becomes a fresh constant.
-# Functional consistency is asserted after the presolve (`Context`), for
+# Functional consistency is asserted after the presolve (`_close`), for
 # each pair of applications of the same function whose arguments still
 # differ once the definitions are substituted.
 
@@ -237,7 +239,7 @@ class Apps:
     arguments as written, with the constant `.ackN` that stands for it. A
     copy extends an earlier table. Applications whose arguments become
     equal only under the presolve's definitions get two constants here;
-    `Context` merges them.
+    `_close` merges them.
 
     The values of the functions in `bools` are bools: each constant the
     table gains for one of them adds the atoms of `0 <= c <= 1` to
@@ -263,7 +265,7 @@ def congruence(entries, start=0):
     """NNF trees asserting, for each pair of entries (constant, function,
     arg lins) of one function whose later member is at `start` or beyond,
     that equal arguments give equal values: per function in order of first
-    use, pairs in order of their members. `Context` passes the applications
+    use, pairs in order of their members. `_close` passes the applications
     left after merging, with their arguments presolved, so no two entries
     of one function have equal arguments."""
     if start >= len(entries):
@@ -526,18 +528,15 @@ def _constrain(kind, lin, eqs, les):
     return c <= 0 if kind == "le" else c == 0
 
 
-def omega(constraints, fresh=None):
+def omega(constraints):
     """Decide a conjunction of ("le", lin) / ("eq", lin) constraints over the
-    integers. Returns a satisfying model dict, or None.
-
-    `fresh` numbers the `.sigN` variables of the mod trick; a call without
-    it starts at 1, so the answer depends on `constraints` alone."""
-    if fresh is None:
-        fresh = itertools.count(1)
+    integers. Returns a satisfying model dict, or None. The `.sigN`
+    variables of the mod trick are numbered from 1 in each call, so the
+    answer depends on `constraints` alone."""
     eqs, les = [], []
     if not all(_constrain(kind, lin, eqs, les) for kind, lin in constraints):
         return None
-    return _solve(eqs, les, fresh)
+    return _solve(eqs, les, itertools.count(1))
 
 
 def _unit_pivot(eq):
@@ -797,34 +796,54 @@ def sat_search(tree):
 # Entry points
 
 
-def _merge(tree, sub, reps, outer=None):
-    """Merge the applications that have equal arguments up to definitions.
+def _close(preds, apps, outer, reps):
+    """Close the `logic` predicates `preds` into one NNF tree for the search.
 
-    `tree` and `sub` are a presolved NNF tree and its definitions, and
-    `reps` the applications (constant, function, arg lins) left distinct so
-    far, in order. Each application whose arguments, with `sub`
-    substituted, equal an earlier one's is dropped, and the equality of the
-    two constants, with `outer` and then `sub` substituted, is conjoined to
-    the tree, which is presolved again; until no two applications left
-    share arguments. Returns the tree, the definitions (`sub` extended) and
-    the applications left, each the first of its class, with `sub`
-    substituted into their arguments."""
+    `apps` is a new Ackermann table, or a new copy of one: lowering adds the
+    predicates' applications to it, with their range atoms. `outer` holds
+    the definitions of an enclosing context, and `reps` the applications
+    (constant, function, arg lins) that context left. `outer` is substituted
+    into the tree and into the new applications' arguments, and the new
+    applications go after `reps`. Then a loop presolves the tree and
+    substitutes its definitions into the arguments. Each application whose
+    arguments equal an earlier one's is dropped, and the equality of the two
+    constants is conjoined to the tree. The loop ends when no two
+    applications left share arguments.
+
+    Returns the tree, its definitions, the applications left (each the
+    first of its class) and the axioms: the range atoms of the new
+    applications and the congruence axioms of each pair left with a new
+    application in it, with `outer` and the definitions substituted."""
+    n_apps = len(apps.table)
+    tree = _join("and", [lower(p, True, apps) for p in preds])
+    if outer:
+        tree = _subst_tree(tree, outer)
+    new = list(apps.table.values())[n_apps:]
+    old = len(reps)  # the applications of `reps` left come first
+    reps = reps + [(c, func, [lin_subst(a, outer) for a in args]) for c, func, args in new]
+    tree, sub = presolve(tree)
     while True:
-        seen, left, eqs = {}, [], []
-        for const, func, args in reps:
+        seen, left, eqs, kept = {}, [], [], 0
+        for i, (const, func, args) in enumerate(reps):
             args = [lin_subst(a, sub) for a in args]
             first = seen.setdefault((func, tuple(frozenset(a.items()) for a in args)), const)
             if first == const:
                 left.append((const, func, args))
+                kept += i < old
             else:
-                eq = lin_subst(lin_sub(lin_var(const), lin_var(first)), outer or {})
+                eq = lin_subst(lin_sub(lin_var(const), lin_var(first)), outer)
                 eqs.append(_rel("=", lin_subst(eq, sub), True))
+        reps, old = left, kept
         if not eqs:
-            return tree, sub, left
-        reps = left
+            break
         tree, more = presolve(_join("and", [tree] + eqs))
         sub = {x: lin_subst(r, more) for x, r in sub.items()}
         sub.update(more)
+    axioms = apps.ranges + congruence(reps, old)
+    for defs in (outer, sub):
+        if defs:
+            axioms = [_subst_tree(a, defs) for a in axioms]
+    return tree, sub, reps, axioms
 
 
 class Context:
@@ -838,35 +857,20 @@ class Context:
     bool-valued function by its range atoms (see `Apps`). Every
     application, nullary ones included, is its Ackermann constant.
 
-    Building the context lowers the ranges and the hypothesis's asserts,
-    `logic` predicates, to one NNF tree and presolves it. Then it merges
-    every application whose arguments, after the presolve's definitions
-    are substituted, equal an earlier one's: their constants are equated
-    and the tree presolved again, until the applications left all differ
-    in their arguments (see `_merge`). Congruence axioms are built only
-    between those: an axiom between two applications with equal arguments
-    is a plain equality, and the merge has already substituted it away. The
-    range atoms of the applications of the bool-valued functions join the
-    axioms.
-
-    `decide` lowers only the goal and substitutes the hypothesis's
-    definitions into it, folding the atoms that become variable-free, and
-    presolves the goal's own top-level unit equalities. It merges the
-    goal's applications and the hypothesis's that are left under both sets
-    of definitions, so a goal equality can merge two of the hypothesis's,
-    and adds the congruence axioms of every pair left that has a goal
-    application in it, whatever was merged. The search runs over the
-    hypothesis, then the goal, then the axioms: the hypothesis's first and
-    the goal's after them."""
+    The hypothesis (the ranges, then the asserts) takes one closing step,
+    `_close`, when the context is built, and each goal takes one in
+    `decide`, under the hypothesis's definitions and after its
+    applications, so a goal equality can merge two of the hypothesis's.
+    Congruence axioms are built only between the applications a step
+    leaves, whose arguments differ: an axiom between two applications with
+    equal arguments is a plain equality, which the merge has already
+    substituted away. The search runs over the hypothesis, then the goal,
+    then the axioms: the hypothesis's first and the goal's after them."""
 
     def __init__(self, consts, sigs, asserts):
         self.apps = Apps({name for name, sig in sigs.items() if sig.ret_type == logic.BOOL})
         ranges = [logic.bool_range(logic.Var(x)) for x, t in consts if t == logic.BOOL]
-        tree, sub = presolve(_join("and", [lower(f, True, self.apps) for f in ranges + asserts]))
-        self.tree, self.sub, self.reps = _merge(tree, sub, list(self.apps.table.values()))
-        self.hyp_acks = {const for const, _, _ in self.reps}
-        axioms = self.apps.ranges + congruence(self.reps)
-        self.axioms = [_subst_tree(a, self.sub) for a in axioms]
+        self.tree, self.sub, self.reps, self.axioms = _close(ranges + asserts, self.apps, {}, [])
 
     def decide(self, goal):
         """A model of the hypothesis and the `logic` predicate `goal`, or
@@ -875,25 +879,12 @@ class Context:
         and a dict from each function the hypothesis or the goal applies to
         its table, which maps argument values to the result."""
         apps = Apps(self.apps.bools, self.apps.table)
-        tree, sub = presolve(_subst_tree(lower(goal, True, apps), self.sub))
-        entries = list(apps.table.values())
-        reps = self.reps + [(const, func, [lin_subst(a, self.sub) for a in args])
-                            for const, func, args in entries[len(self.apps.table):]]
-        axioms = self.axioms + [_subst_tree(a, self.sub) for a in apps.ranges]
-        # with one application or none there is nothing to merge or relate,
-        # and without new applications or definitions nothing new to merge
-        if len(reps) > 1 and (len(reps) > len(self.reps) or sub):
-            tree, sub, reps = _merge(tree, sub, reps, self.sub)
-            # the hypothesis's applications left come first, so the pairs
-            # with a goal application are those whose later member is past
-            # them
-            start = sum(const in self.hyp_acks for const, _, _ in reps)
-            axioms = axioms + [_subst_tree(a, self.sub) for a in congruence(reps, start)]
-        hyp = self.tree
+        tree, sub, _, axioms = _close([goal], apps, self.sub, self.reps)
+        hyp, hyp_axioms = self.tree, self.axioms
         if sub:
             hyp = _subst_tree(hyp, sub)
-            axioms = [_subst_tree(a, sub) for a in axioms]
-        values = sat_search(_join("and", [hyp, tree] + axioms))
+            hyp_axioms = [_subst_tree(a, sub) for a in hyp_axioms]
+        values = sat_search(_join("and", [hyp, tree] + hyp_axioms + axioms))
         if values is None:
             return None
         # the goal's definitions are over the variables left; the
@@ -902,7 +893,7 @@ class Context:
             for x, repl in defs.items():
                 values[x] = eval_lin(repl, values)
         tables = {}
-        for const, func, args in entries:
+        for const, func, args in apps.table.values():
             key = tuple(eval_lin(a, values) for a in args)
             tables.setdefault(func, {})[key] = values.get(const, 0)
         return values, tables

@@ -75,7 +75,11 @@ def gen_pred(rng, names):
 # Random RWO programs
 
 
-def gen_rwo_program(rng, max_blocks=3, max_relvars=2, max_arity=2):
+def gen_rwo_program(rng, max_blocks=3, max_relvars=2, max_arity=2, get_then_set=False):
+    """A random read-write-once program. With `get_then_set`, a block may
+    also get a relvar and set it later on; without it, no block does both.
+    The keyword draws nothing when off, so a seed gives the same program
+    with or without it there."""
     p = ImpProgram()
     basevars = ["x0", "x1", "x2"]
     for x in basevars:
@@ -85,21 +89,23 @@ def gen_rwo_program(rng, max_blocks=3, max_relvars=2, max_arity=2):
             INT for _ in range(rng.randint(1, max_arity))
         )
     for b in range(rng.randint(1, max_blocks)):
-        p.blocks.append((f"b{b}", seq_of(gen_rwo_block(rng, p, basevars))))
+        p.blocks.append((f"b{b}", seq_of(gen_rwo_block(rng, p, basevars, get_then_set))))
     return p
 
 
-def gen_rwo_block(rng, p, basevars):
+def gen_rwo_block(rng, p, basevars, get_then_set=False):
     instrs = []
     plan = []
+    late = []  # sets of a relvar the block also gets: each goes after its get
     for x in rng.sample(basevars, rng.randint(1, 2)):
         plan.append(Havoc(x))
     for k, sig in p.relvar_sigs.items():
         roll = rng.random()
-        if roll < 0.35:
+        get = roll < 0.35 or (get_then_set and roll > 0.75)
+        if get:
             plan.append(Get(k, tuple(rng.choice(basevars) for _ in sig)))
         if roll > 0.55:
-            plan.append(Set(k, tuple(rng.choice(basevars) for _ in sig)))
+            (late if get else plan).append(Set(k, tuple(rng.choice(basevars) for _ in sig)))
     for _ in range(rng.randint(0, 2)):
         kind = rng.random()
         if kind < 0.4:
@@ -116,6 +122,9 @@ def gen_rwo_block(rng, p, basevars):
             )
             plan.append(Assign(rng.choice(basevars), rhs))
     rng.shuffle(plan)
+    for s in late:
+        g = next(n for n, i in enumerate(plan) if isinstance(i, Get) and i.relvar == s.relvar)
+        plan.insert(rng.randint(g + 1, len(plan)), s)
     instrs.extend(plan)
     if not instrs:
         instrs.append(Assume(TRUE))
@@ -141,17 +150,23 @@ def gen_rel_state(rng, p, domain=DOMAIN01):
 class Violation:
     label: str
     relvar: str
-    kind: str  # "READS" | "WRITES"
+    kind: str  # "READS" | "WRITES" | "READ_AFTER_WRITE"
     count: int
 
 
 def is_rwo(p):
-    """OK (None) or the first per-block read/write-once violation."""
+    """OK (None) or the first per-block read/write-once violation: a relvar
+    that one block gets twice or sets twice, or gets after its own set of
+    it. On that last one the two semantics part: the relational get may
+    pick a tuple an earlier run set, the imperative one only the tuple just
+    set."""
     for label, block in p.blocks:
-        reads, writes = {}, {}
+        reads, writes, after_set = {}, {}, None
         for i in block.instrs:
             if isinstance(i, Get):
                 reads[i.relvar] = reads.get(i.relvar, 0) + 1
+                if after_set is None and i.relvar in writes:
+                    after_set = i.relvar
             elif isinstance(i, Set):
                 writes[i.relvar] = writes.get(i.relvar, 0) + 1
         for k, n in sorted(reads.items()):
@@ -160,6 +175,8 @@ def is_rwo(p):
         for k, n in sorted(writes.items()):
             if n > 1:
                 return Violation(label, k, "WRITES", n)
+        if after_set is not None:
+            return Violation(label, after_set, "READ_AFTER_WRITE", 1)
     return None
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from gen import (
     DOMAIN01,
+    Violation,
     alpha,
     expand,
     expand_all,
@@ -219,6 +220,34 @@ def test_is_rwo():
     p = parse_imp((EXAMPLES / "tworead.imp").read_text())
     v = is_rwo(p)
     assert v is not None and v.relvar == "k" and v.kind == "READS" and v.count == 2
+
+
+SET_THEN_GET = """\
+;; relvar k arity 1 types int
+;; basevar x int
+;; basevar y int
+loop {
+  /*w*/
+    havoc x;
+    set k (x)
+[]
+  /*r*/
+    havoc x;
+    set k (x);
+    get k (y);
+    assert (= x y)
+}
+"""
+
+
+def test_is_rwo_rejects_a_get_after_the_blocks_own_set():
+    # block r reads k once and writes it once, but after its own write: the
+    # relational get may pick w's tuple, the imperative one only r's own
+    p = parse_imp(SET_THEN_GET)
+    assert is_rwo(p) == Violation("r", "k", "READ_AFTER_WRITE", 1)
+    c = ExecContext(p, DOMAIN01, {})
+    assert reach(p, c, "relational").error_trace == ["w", "r"]
+    assert reach(p, c, "imperative").error_trace is None
 
 
 def test_alpha_and_expand():

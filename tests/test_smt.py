@@ -290,13 +290,13 @@ def test_prunes_inconsistent_branches(monkeypatch):
 
 
 def test_omega_calls_on_iteri(monkeypatch):
-    # top-level calls only: a call that passes `fresh` is the omega test's own
+    # the search's calls: the omega test does not call itself
     top = [0]
     omega_ = smt.omega
 
-    def counted(constraints, fresh=None):
-        top[0] += fresh is None
-        return omega_(constraints, fresh)
+    def counted(constraints):
+        top[0] += 1
+        return omega_(constraints)
 
     monkeypatch.setattr(smt, "omega", counted)
     out = io.StringIO()
