@@ -63,7 +63,6 @@ environment, and kept if new.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from bisect import insort
 from itertools import combinations
 
@@ -108,9 +107,9 @@ def field_var(kvar, i):
     return f"{kvar}.{i}"
 
 
-@dataclass
 class AbstractInvariant:
-    cubes: dict = field(default_factory=dict)  # kvar -> set of cubes
+    def __init__(self, cubes):
+        self.cubes = cubes  # kvar -> set of cubes
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +433,11 @@ def _flatten_and(q, out):
 # Abstract execution
 
 
-@dataclass
 class AssertStatus:
-    label: str
-    status: str  # the `logic` status of its query: VALID, INVALID or UNKNOWN
-    query: object | None = None  # the query, path => assertion, unless VALID
+    def __init__(self, label, status, query=None):
+        self.label = label
+        self.status = status  # the `logic` status of its query: VALID, INVALID or UNKNOWN
+        self.query = query  # the query, path => assertion, unless VALID
 
 
 class Engine:
@@ -578,11 +577,11 @@ def _merge_pair(a, b):
     return None
 
 
-@dataclass
 class SolveResult:
-    invariant: AbstractInvariant
-    statuses: list
-    failing: AssertStatus | None = None
+    def __init__(self, invariant, statuses, failing):
+        self.invariant = invariant  # an AbstractInvariant
+        self.statuses = statuses  # [AssertStatus]
+        self.failing = failing  # the first AssertStatus that is not VALID, or None
 
 
 def solve(p, runs, preds, mode):

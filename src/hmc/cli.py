@@ -19,7 +19,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
 
 from . import absint, clone as clone_mod, constraints, imp, translate as trans
 from .logic import (
@@ -50,17 +49,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
 class RunReport:
-    verdict: str = ""
-    solution: dict = dc_field(default_factory=dict)
-    invariant: str = ""
-    trace: list | None = None
-    timings: dict = dc_field(default_factory=dict)
-    detail: str = ""
+    def __init__(self):
+        # the `--json` keys, in this order
+        self.verdict = ""
+        self.solution = {}
+        self.invariant = ""
+        self.trace = None
+        self.timings = {}
+        self.detail = ""
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(vars(self), indent=2)
 
 
 def _parse_range(text):

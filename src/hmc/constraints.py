@@ -14,11 +14,10 @@ embedding `env /\\ lhs => rhs` is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import sexpr
 from .logic import (
     BaseType,
+    Frozen,
     FuncSig,
     Implies,
     LogicError,
@@ -39,15 +38,32 @@ from .logic import (
 )
 
 
+_set = object.__setattr__
+
+
 class ConstraintError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class KVarSig:
-    name: str
-    value_type: BaseType
-    params: tuple  # ((name, BaseType), ...)
+class KVarSig(Frozen):
+    __slots__ = ("name", "value_type", "params")  # params: ((name, BaseType), ...)
+
+    def __init__(self, name, value_type, params):
+        _set(self, "name", name)
+        _set(self, "value_type", value_type)
+        _set(self, "params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.value_type == other.value_type
+            and self.params == other.params
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.value_type, self.params))
 
     @property
     def field_types(self):
@@ -58,36 +74,90 @@ class KVarSig:
         return (VALUE_VAR,) + tuple(n for n, _ in self.params)
 
 
-@dataclass(frozen=True)
-class Concrete:
-    pred: object
+class Concrete(Frozen):
+    __slots__ = ("pred",)
+
+    def __init__(self, pred):
+        _set(self, "pred", pred)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pred == other.pred
+
+    def __hash__(self):
+        return hash((self.pred,))
 
 
-@dataclass(frozen=True)
-class KApp:
-    kvar: str
-    args: tuple  # expressions, one per parameter after normalization
+class KApp(Frozen):
+    __slots__ = ("kvar", "args")  # args: expressions, one per parameter after normalization
+
+    def __init__(self, kvar, args):
+        _set(self, "kvar", kvar)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kvar == other.kvar and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.kvar, self.args))
 
 
-@dataclass(frozen=True)
-class RefType:
-    base: BaseType
-    ref: object  # Concrete | KApp
+class RefType(Frozen):
+    __slots__ = ("base", "ref")  # ref: Concrete | KApp
+
+    def __init__(self, base, ref):
+        _set(self, "base", base)
+        _set(self, "ref", ref)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.ref == other.ref
+
+    def __hash__(self):
+        return hash((self.base, self.ref))
 
 
-@dataclass(frozen=True)
-class SubConstraint:
-    label: str
-    env: tuple  # ((name, RefType), ...)
-    lhs: RefType
-    rhs: RefType
+class SubConstraint(Frozen):
+    __slots__ = ("label", "env", "lhs", "rhs")  # env: ((name, RefType), ...)
+
+    def __init__(self, label, env, lhs, rhs):
+        _set(self, "label", label)
+        _set(self, "env", env)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.label == other.label
+            and self.env == other.env
+            and self.lhs == other.lhs
+            and self.rhs == other.rhs
+        )
+
+    def __hash__(self):
+        return hash((self.label, self.env, self.lhs, self.rhs))
 
 
-@dataclass
 class ConstraintSet:
-    uninterps: dict = field(default_factory=dict)  # name -> FuncSig
-    kvars: dict = field(default_factory=dict)  # name -> KVarSig
-    constraints: list = field(default_factory=list)
+    def __init__(self, uninterps=None, kvars=None, constraints=None):
+        self.uninterps = {} if uninterps is None else uninterps  # name -> FuncSig
+        self.kvars = {} if kvars is None else kvars  # name -> KVarSig
+        self.constraints = [] if constraints is None else constraints
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.uninterps == other.uninterps
+            and self.kvars == other.kvars
+            and self.constraints == other.constraints
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +199,9 @@ def embed_sub(cs, c, sol):
     return tenv, body
 
 
-@dataclass
 class SatReport:
-    verdicts: list  # [(label, Verdict)]
+    def __init__(self, verdicts):
+        self.verdicts = verdicts  # [(label, Verdict)]
 
     @property
     def satisfied(self):

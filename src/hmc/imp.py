@@ -25,12 +25,11 @@ their least model. Otherwise `reach` searches the states.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import groupby
 
 from . import sexpr
 from .logic import (
+    Frozen,
     FuncSig,
     Interpretation,
     LogicError,
@@ -38,7 +37,6 @@ from .logic import (
     TypeMismatch,
     UnboundVariable,
     UnknownFunction,
-    ValueDomain,
     enumerate_func_tables,
     eval_expr,
     eval_pred,
@@ -55,6 +53,9 @@ from .logic import (
 )
 
 
+_set = object.__setattr__
+
+
 class ImpError(Exception):
     pass
 
@@ -67,49 +68,113 @@ class ParseError(ImpError):
 # Instructions
 
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: object
+class Assign(Frozen):
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var, expr):
+        _set(self, "var", var)
+        _set(self, "expr", expr)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.var == other.var and self.expr == other.expr
+
+    def __hash__(self):
+        return hash((self.var, self.expr))
 
 
-@dataclass(frozen=True)
-class Havoc:
-    var: str
+class Havoc(Frozen):
+    __slots__ = ("var",)
+
+    def __init__(self, var):
+        _set(self, "var", var)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.var == other.var
+
+    def __hash__(self):
+        return hash((self.var,))
 
 
-@dataclass(frozen=True)
-class Get:
-    relvar: str
-    targets: tuple  # variable names receiving the tuple components
+class Get(Frozen):
+    __slots__ = ("relvar", "targets")  # targets: variable names receiving the tuple components
+
+    def __init__(self, relvar, targets):
+        _set(self, "relvar", relvar)
+        _set(self, "targets", targets)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.relvar == other.relvar and self.targets == other.targets
+
+    def __hash__(self):
+        return hash((self.relvar, self.targets))
 
 
-@dataclass(frozen=True)
-class Set:
-    relvar: str
-    args: tuple  # variable names supplying the tuple components
+class Set(Frozen):
+    __slots__ = ("relvar", "args")  # args: variable names supplying the tuple components
+
+    def __init__(self, relvar, args):
+        _set(self, "relvar", relvar)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.relvar == other.relvar and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.relvar, self.args))
 
 
-@dataclass(frozen=True)
-class Assume:
-    pred: object
+class Assume(Frozen):
+    __slots__ = ("pred",)
+
+    def __init__(self, pred):
+        _set(self, "pred", pred)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pred == other.pred
+
+    def __hash__(self):
+        return hash((self.pred,))
 
 
-@dataclass(frozen=True)
-class Assert:
-    pred: object
+class Assert(Frozen):
+    __slots__ = ("pred",)
+
+    def __init__(self, pred):
+        _set(self, "pred", pred)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pred == other.pred
+
+    def __hash__(self):
+        return hash((self.pred,))
 
 
-@dataclass(frozen=True)
-class Seq:
-    instrs: tuple
+class Seq(Frozen):
+    __slots__ = ("instrs", "_hash")
 
-    def __hash__(self):  # a block keys its SSA form: hash it once
+    def __init__(self, instrs):
+        _set(self, "instrs", instrs)
+        _set(self, "_hash", hash(instrs))  # a block keys its SSA form: hash it once
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.instrs == other.instrs
+
+    def __hash__(self):
         return self._hash
-
-    @cached_property
-    def _hash(self):
-        return hash(self.instrs)
 
 
 SKIP = Assume(TRUE)
@@ -125,13 +190,24 @@ def seq_of(instrs):
     return Seq(tuple(flat))
 
 
-@dataclass
 class ImpProgram:
-    relvar_sigs: dict = field(default_factory=dict)  # name -> (BaseType, ...)
-    base_types: dict = field(default_factory=dict)  # name -> BaseType
-    func_sigs: dict = field(default_factory=dict)  # name -> FuncSig
-    blocks: list = field(default_factory=list)  # [(label, Seq)]
-    clones: dict = field(default_factory=dict)  # clone relvar -> original
+    def __init__(self, relvar_sigs=None, base_types=None, func_sigs=None, blocks=None, clones=None):
+        self.relvar_sigs = {} if relvar_sigs is None else relvar_sigs  # name -> (BaseType, ...)
+        self.base_types = {} if base_types is None else base_types  # name -> BaseType
+        self.func_sigs = {} if func_sigs is None else func_sigs  # name -> FuncSig
+        self.blocks = [] if blocks is None else blocks  # [(label, Seq)]
+        self.clones = {} if clones is None else clones  # clone relvar -> original
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.relvar_sigs == other.relvar_sigs
+            and self.base_types == other.base_types
+            and self.func_sigs == other.func_sigs
+            and self.blocks == other.blocks
+            and self.clones == other.clones
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +222,23 @@ class _ErrorState:
 ERROR = _ErrorState()
 
 
-@dataclass(frozen=True)
-class State:
-    base: tuple  # sorted ((name, value), ...)
-    # sorted ((relvar, frozenset of tuples), ...); under the imperative
+class State(Frozen):
+    # base: sorted ((name, value), ...)
+    # rels: sorted ((relvar, frozenset of tuples), ...); under the imperative
     # semantics a relation holds at most one tuple, and bottom is empty
-    rels: tuple
+    __slots__ = ("base", "rels")
+
+    def __init__(self, base, rels):
+        _set(self, "base", base)
+        _set(self, "rels", rels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.rels == other.rels
+
+    def __hash__(self):
+        return hash((self.base, self.rels))
 
     @staticmethod
     def make(base, rels):
@@ -170,11 +257,11 @@ def initial_state(p, domain):
 # Post relations
 
 
-@dataclass
 class ExecContext:
-    program: ImpProgram
-    domain: ValueDomain
-    tables: dict = field(default_factory=dict)  # function name -> finite map
+    def __init__(self, program, domain, tables):
+        self.program = program  # an ImpProgram
+        self.domain = domain  # a ValueDomain
+        self.tables = tables  # function name -> finite map
 
 
 def runs(instrs, ctx, base, picks):
@@ -251,11 +338,11 @@ def post(state, instr, ctx, semantics):
 # Reachability
 
 
-@dataclass
 class ReachResult:
-    states: set
-    error_trace: list | None  # block labels leading to ERROR
-    exhausted: bool  # False when the fuel cap stopped the fixpoint
+    def __init__(self, states, error_trace, exhausted):
+        self.states = states
+        self.error_trace = error_trace  # block labels leading to ERROR, or None
+        self.exhausted = exhausted  # False when the fuel cap stopped the fixpoint
 
 
 def reach(p, ctx, semantics="relational", fuel=10_000, stop_on_error=False):
@@ -301,11 +388,11 @@ def reach(p, ctx, semantics="relational", fuel=10_000, stop_on_error=False):
 # Least model
 
 
-@dataclass
 class ModelResult:
-    model: dict  # relvar -> frozenset of tuples; partial unless `exhausted`
-    error_trace: list | None  # block labels leading to ERROR
-    exhausted: bool  # False when the fuel cap stopped the fixpoint
+    def __init__(self, model, error_trace, exhausted):
+        self.model = model  # relvar -> frozenset of tuples; partial unless `exhausted`
+        self.error_trace = error_trace  # block labels leading to ERROR, or None
+        self.exhausted = exhausted  # False when the fuel cap stopped the fixpoint
 
 
 def least_model(p, ctx, fuel=10_000, stop_on_error=True):
@@ -404,12 +491,12 @@ SAMPLED = "sampled interpretations only; no counterexample found"
 FUEL_OUT = "ran out of fuel before a fixpoint; no counterexample found"
 
 
-@dataclass
 class ExecVerdict:
-    status: str
-    trace: list | None = None
-    tables: dict | None = None
-    reasons: tuple = ()  # SAMPLED and/or FUEL_OUT when INCONCLUSIVE
+    def __init__(self, status, trace=None, tables=None, reasons=()):
+        self.status = status
+        self.trace = trace  # block labels leading to ERROR, or None
+        self.tables = tables  # the function tables of that trace, or None
+        self.reasons = reasons  # SAMPLED and/or FUEL_OUT when INCONCLUSIVE
 
 
 def exec_program(p, domain, semantics="relational", table_budget=256, seed=0, fuel=10_000):

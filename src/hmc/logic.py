@@ -18,10 +18,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
-import shlex
-import subprocess
-from dataclasses import dataclass, field
 
 from . import sexpr, smt
 
@@ -61,19 +57,64 @@ class SolverProtocolError(LogicError):
 
 
 # ---------------------------------------------------------------------------
+# Immutable values
+
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes: formula nodes, types,
+    instructions and constraints. Each subclass lists its fields in
+    `__slots__` (a name starting with `_` is a cache, not a field), sets
+    them in its own `__init__` through `object.__setattr__`, and writes out
+    `__eq__` (an instance of the same class with equal fields) and
+    `__hash__` (the hash of the tuple of its fields).
+
+    Written by hand, not by `dataclasses`, which builds each method with
+    its own `exec` at every start of `hmc`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self):
+        return [f for f in self.__slots__ if f[0] != "_"]
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields())
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):  # copy and pickle rebuild through `__init__`
+        return type(self), tuple(getattr(self, f) for f in self._fields())
+
+
+# ---------------------------------------------------------------------------
 # Types
 
 
-@dataclass(frozen=True)
-class BaseType:
-    kind: str  # "int" | "bool" | "ui"
-    ui_name: str | None = None
+class BaseType(Frozen):
+    __slots__ = ("kind", "ui_name")  # kind: "int" | "bool" | "ui"
 
-    def __post_init__(self):
-        if self.kind not in ("int", "bool", "ui"):
-            raise TypeMismatch(f"bad type kind {self.kind!r}")
-        if (self.kind == "ui") != (self.ui_name is not None):
+    def __init__(self, kind, ui_name=None):
+        if kind not in ("int", "bool", "ui"):
+            raise TypeMismatch(f"bad type kind {kind!r}")
+        if (kind == "ui") != (ui_name is not None):
             raise TypeMismatch("ui types carry a name; int/bool do not")
+        _set(self, "kind", kind)
+        _set(self, "ui_name", ui_name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.ui_name == other.ui_name
+
+    def __hash__(self):
+        return hash((self.kind, self.ui_name))
 
     def __str__(self):
         """The type as written: `int`, `bool` or `(ui obj)`."""
@@ -104,45 +145,109 @@ def type_from_sexpr(form):
     raise TypeMismatch(f"bad type syntax {sexpr.to_str(form)}")
 
 
-@dataclass(frozen=True)
-class FuncSig:
-    name: str
-    arg_types: tuple
-    ret_type: BaseType
+class FuncSig(Frozen):
+    __slots__ = ("name", "arg_types", "ret_type")
+
+    def __init__(self, name, arg_types, ret_type):
+        _set(self, "name", name)
+        _set(self, "arg_types", arg_types)
+        _set(self, "ret_type", ret_type)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.arg_types == other.arg_types
+            and self.ret_type == other.ret_type
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.arg_types, self.ret_type))
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Frozen):
     """The sum of `args`, a tuple of two or more expressions, as written:
     `(+ a b c)` is one node, and a nested `Add` stays one argument."""
 
-    args: tuple
+    __slots__ = ("args",)
+
+    def __init__(self, args):
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.args == other.args
+
+    def __hash__(self):
+        return hash((self.args,))
 
 
-@dataclass(frozen=True)
-class ScalarMul:
-    coeff: int
-    arg: object
+class ScalarMul(Frozen):
+    __slots__ = ("coeff", "arg")
+
+    def __init__(self, coeff, arg):
+        _set(self, "coeff", coeff)
+        _set(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeff == other.coeff and self.arg == other.arg
+
+    def __hash__(self):
+        return hash((self.coeff, self.arg))
 
 
-@dataclass(frozen=True)
-class App:
-    func: str
-    args: tuple
+class App(Frozen):
+    __slots__ = ("func", "args")
+
+    def __init__(self, func, args):
+        _set(self, "func", func)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.func == other.func and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.func, self.args))
 
 
 # ---------------------------------------------------------------------------
@@ -151,50 +256,112 @@ class App:
 CMP_OPS = ("=", "/=", "<", "<=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    left: object
-    right: object
+class Cmp(Frozen):
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self):
-        if self.op not in CMP_OPS:
-            raise TypeMismatch(f"bad comparison operator {self.op!r}")
+    def __init__(self, op, left, right):
+        if op not in CMP_OPS:
+            raise TypeMismatch(f"bad comparison operator {op!r}")
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.op == other.op and self.left == other.left and self.right == other.right
+
+    def __hash__(self):
+        return hash((self.op, self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: object
+class Not(Frozen):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arg == other.arg
+
+    def __hash__(self):
+        return hash((self.arg,))
 
 
-@dataclass(frozen=True)
-class And:
+class And(Frozen):
     """The conjunction of `args`, a tuple of two or more predicates, as
     written: `(and a b c)` is one node, and a conjunct that is itself an
     `And` stays one argument."""
 
-    args: tuple
+    __slots__ = ("args",)
+
+    def __init__(self, args):
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.args == other.args
+
+    def __hash__(self):
+        return hash((self.args,))
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: object
-    right: object
+class Implies(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class BoolVar:
-    name: str
+class BoolVar(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class TrueLit:
-    pass
+class TrueLit(Frozen):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
 
 
-@dataclass(frozen=True)
-class FalseLit:
-    pass
+class FalseLit(Frozen):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
 
 
 TRUE = TrueLit()
@@ -399,15 +566,23 @@ def rename_pred(p, mapping):
 # Environments
 
 
-@dataclass(frozen=True)
-class TypeEnv:
-    bindings: tuple = ()  # ((name, BaseType), ...): hashable, it keys query caches
+class TypeEnv(Frozen):
+    __slots__ = ("bindings", "_types")  # ((name, BaseType), ...): hashable, it keys query caches
 
-    def __post_init__(self):
-        types = dict(self.bindings)
-        if len(types) != len(self.bindings):
+    def __init__(self, bindings=()):
+        types = dict(bindings)
+        if len(types) != len(bindings):
             raise TypeMismatch("duplicate binding in type environment")
-        object.__setattr__(self, "_types", types)
+        _set(self, "bindings", bindings)
+        _set(self, "_types", types)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bindings == other.bindings
+
+    def __hash__(self):
+        return hash((self.bindings,))
 
     def get(self, name):
         return self._types.get(name)
@@ -497,24 +672,22 @@ def typecheck_pred(env, p, sigs=None):
 # Evaluation
 
 
-@dataclass
 class Interpretation:
-    var_values: dict = field(default_factory=dict)
-    func_tables: dict = field(default_factory=dict)
+    def __init__(self, var_values=None, func_tables=None):
+        self.var_values = {} if var_values is None else var_values
+        self.func_tables = {} if func_tables is None else func_tables
 
 
-@dataclass(frozen=True)
 class ValueDomain:
-    int_range: tuple = (-2, 2)
-    ui_ranges: tuple = ()  # ((name, (lo, hi)), ...)
-
-    def __post_init__(self):
-        lo, hi = self.int_range
+    def __init__(self, int_range=(-2, 2), ui_ranges=()):
+        lo, hi = int_range
         if lo > hi or not (lo <= 0 and 1 <= hi):
             raise LogicError("int_range must be non-empty and contain 0 and 1")
-        for _, (ulo, uhi) in self.ui_ranges:
+        for _, (ulo, uhi) in ui_ranges:
             if ulo > uhi:
                 raise LogicError("empty ui range")
+        self.int_range = int_range
+        self.ui_ranges = ui_ranges  # ((name, (lo, hi)), ...)
 
     def ui_range(self, name):
         for n, r in self.ui_ranges:
@@ -633,6 +806,8 @@ def enumerate_func_tables(sigs, domain, table_budget=256, seed=0):
         return [
             {s.name: t for s, t in zip(sigs, combo)} for combo in itertools.product(*per_sig)
         ], True
+    import random  # only sampling needs it: keep it out of every start
+
     rng = random.Random(seed)
     return [
         {sig.name: {k: rng.choice(outs) for k in keys} for sig, (keys, outs) in zip(sigs, spaces)}
@@ -644,11 +819,11 @@ def enumerate_func_tables(sigs, domain, table_budget=256, seed=0):
 # Validity checking
 
 
-@dataclass(frozen=True)
 class OracleMode:
-    domain: ValueDomain
-    table_budget: int = 256
-    seed: int = 0
+    def __init__(self, domain, table_budget=256, seed=0):
+        self.domain = domain
+        self.table_budget = table_budget
+        self.seed = seed
 
 
 class QueryLog:
@@ -667,10 +842,10 @@ class QueryLog:
         self.count += 1
 
 
-@dataclass(frozen=True)
 class SolverMode:
-    cmd: str | None = None  # None: built-in decision procedure, in process
-    emit: QueryLog | None = None
+    def __init__(self, cmd=None, emit=None):
+        self.cmd = cmd  # None: built-in decision procedure, in process
+        self.emit = emit  # a QueryLog, or None
 
 
 VALID = "valid"
@@ -678,10 +853,10 @@ INVALID = "invalid"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class Verdict:
-    status: str
-    witness: Interpretation | None = None
+    def __init__(self, status, witness=None):
+        self.status = status
+        self.witness = witness  # an Interpretation, or None
 
     def __bool__(self):
         return self.status == VALID
@@ -877,6 +1052,9 @@ def _smt_form(x):
 
 def _check_valid_external(cmd, text, env):
     """The verdict of the external SMT-LIB solver `cmd` on the query `text`."""
+    import shlex  # only --smt-cmd needs these two: keep them out of every start
+    import subprocess
+
     try:
         proc = subprocess.run(
             shlex.split(cmd),

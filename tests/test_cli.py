@@ -45,6 +45,23 @@ def run_process(*argv, hash_seed="0", timeout=60):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_start_up_imports_stay_lean():
+    # one `hmc` process starts per command, and one `hmc-smt` per query
+    # under `--smt-cmd`, so importing them loads no `dataclasses` (nor the
+    # `inspect` it pulls in) and none of the modules that only the external
+    # solver or table sampling use; `-S` keeps the site hooks' imports out
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    lean = ("dataclasses", "inspect", "subprocess", "shlex", "random")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hmc.cli, hmc.smt; "
+        f"print([m for m in {lean!r} if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_translate_matches_golden():
     code, text = run("translate", ITERI, "--no-clone")
     assert code == 0

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +9,8 @@ from hmc.clone import clone
 from hmc.constraints import (
     ConstraintError,
     KApp,
+    RefType,
+    SubConstraint,
     check_satisfied,
     embed_sub,
     normalize,
@@ -75,9 +76,8 @@ def test_normalize_fills_kapp_args():
     assert rhs.args == (Var("a"), Var("b"))
     # so does `normalize`, for a set built in code
     c = cs.constraints[0]
-    built = constraints.ConstraintSet(
-        cs.uninterps, cs.kvars, [replace(c, rhs=replace(c.rhs, ref=KApp("k", ())))]
-    )
+    bare = SubConstraint(c.label, c.env, c.lhs, RefType(c.rhs.base, KApp("k", ())))
+    built = constraints.ConstraintSet(cs.uninterps, cs.kvars, [bare])
     assert normalize(built) == cs
 
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,6 +24,7 @@ from hmc.imp import (
     FUEL_OUT,
     Get,
     Havoc,
+    ImpProgram,
     ParseError,
     SAFE,
     SAMPLED,
@@ -193,7 +193,8 @@ def test_block_post_matches_stepwise_reference():
         for _ in range(4):
             labels, blocks = zip(*rng.choices(p.blocks, k=3))
             joined.append(("".join(labels), seq_of(blocks)))
-        programs += [(p, DOMAIN01), (replace(p, blocks=joined), DOMAIN01)]
+        joined = ImpProgram(p.relvar_sigs, p.base_types, p.func_sigs, joined, p.clones)
+        programs += [(p, DOMAIN01), (joined, DOMAIN01)]
     for _ in range(40):
         cs = gen_constraint_set(rng)
         programs.append((translate_set_of_constraints(cs), DOMAIN01))

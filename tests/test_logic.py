@@ -1,5 +1,7 @@
+import copy
 import io
 import os
+import pickle
 import random
 import shlex
 import shutil
@@ -10,14 +12,18 @@ import pytest
 
 import hmc
 from hmc import cli, logic, sexpr, smt
+from hmc.constraints import Concrete, KApp, KVarSig, RefType, SubConstraint
+from hmc.imp import Assert, Assign, Assume, Get, Havoc, Seq, Set, State
 from hmc.logic import (
     Add,
     And,
     App,
     BOOL,
+    BaseType,
     BoolVar,
     Cmp,
     FALSE,
+    FalseLit,
     FuncSig,
     INT,
     Implies,
@@ -26,8 +32,10 @@ from hmc.logic import (
     Not,
     OracleMode,
     QueryLog,
+    ScalarMul,
     SolverMode,
     TRUE,
+    TrueLit,
     TypeEnv,
     TypeMismatch,
     UnboundVariable,
@@ -468,3 +476,84 @@ def test_in_process_and_filter_share_one_lowering():
                 for f in ("g", "c"):
                     assert set(w.func_tables.get(f, {}).values()) <= {0, 1}, to_text(p)
     assert min(statuses.values()) >= 40, statuses
+
+
+# The immutable value classes: each row is the class, its field names and
+# the field values of a sample. The sample must hash as the tuple of its
+# fields, as the dataclasses did; a `Seq` hashes as its instruction tuple.
+_X, _ONE, _B = Var("x"), IntLit(1), BoolVar("b")
+_LE = Cmp("<=", _X, _ONE)
+_SOME = RefType(INT, KApp("k", (_X,)))
+VALUE_CLASSES = [
+    (BaseType, "kind ui_name", ("ui", "obj")),
+    (FuncSig, "name arg_types ret_type", ("len", (ui("obj"),), INT)),
+    (Var, "name", ("x",)),
+    (IntLit, "value", (-3,)),
+    (Add, "args", ((_X, _ONE),)),
+    (ScalarMul, "coeff arg", (2, _X)),
+    (App, "func args", ("len", (_X,))),
+    (Cmp, "op left right", ("<=", _X, _ONE)),
+    (Not, "arg", (_B,)),
+    (And, "args", ((_LE, _B),)),
+    (Implies, "left right", (_B, _LE)),
+    (BoolVar, "name", ("x",)),
+    (TrueLit, "", ()),
+    (FalseLit, "", ()),
+    (TypeEnv, "bindings", ((("x", INT), ("b", BOOL)),)),
+    (Assign, "var expr", ("x", _ONE)),
+    (Havoc, "var", ("x",)),
+    (Get, "relvar targets", ("k", ("x", "y"))),
+    (Set, "relvar args", ("k", ("x", "y"))),
+    (Assume, "pred", (_LE,)),
+    (Assert, "pred", (_LE,)),
+    (Seq, "instrs", ((Havoc("x"), Assume(_LE)),)),
+    (State, "base rels", ((("x", 0),), (("k", frozenset({(1,)})),))),
+    (KVarSig, "name value_type params", ("k", INT, (("a", INT),))),
+    (Concrete, "pred", (_LE,)),
+    (KApp, "kvar args", ("k", (_X,))),
+    (RefType, "base ref", (INT, Concrete(TRUE))),
+    (SubConstraint, "label env lhs rhs", ("c", (("x", _SOME),), _SOME, _SOME)),
+]
+# classes whose instances, with the same fields, must still differ
+TWINS = {
+    Var: BoolVar, BoolVar: Var, TrueLit: FalseLit, FalseLit: TrueLit,
+    Assume: Assert, Assert: Assume, Get: Set, Set: Get,
+}
+
+
+@pytest.mark.parametrize(
+    "cls, names, values", VALUE_CLASSES, ids=[c.__name__ for c, _, _ in VALUE_CLASSES]
+)
+def test_value_class_semantics(cls, names, values):
+    a, b = cls(*values), cls(*values)
+    assert a == b and not a != b and a is not b
+    assert hash(a) == hash(b) == hash(values[0] if cls is Seq else values)
+    assert a != values and a != object()
+    twin = TWINS.get(cls)
+    if twin is not None:
+        assert a != twin(*values) and twin(*values) != a
+    names = names.split()
+    assert [getattr(a, n) for n in names] == list(values)
+    for n in names + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(a, n, None)
+    for n in names:
+        with pytest.raises(AttributeError):
+            delattr(a, n)
+    assert a == b and hash(a) == hash(b)
+    body = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+    assert repr(a) == f"{cls.__name__}({body})"
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_value_classes_keep_their_checks():
+    assert repr(_LE) == "Cmp(op='<=', left=Var(name='x'), right=IntLit(value=1))"
+    for build in (
+        lambda: Cmp("==", _X, _ONE),
+        lambda: BaseType("ui"),
+        lambda: BaseType("int", "obj"),
+        lambda: BaseType("real"),
+        lambda: TypeEnv((("x", INT), ("x", BOOL))),
+    ):
+        with pytest.raises(TypeMismatch):
+            build()
