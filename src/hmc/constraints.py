@@ -38,32 +38,12 @@ from .logic import (
 )
 
 
-_set = object.__setattr__
-
-
 class ConstraintError(Exception):
     pass
 
 
 class KVarSig(Frozen):
     __slots__ = ("name", "value_type", "params")  # params: ((name, BaseType), ...)
-
-    def __init__(self, name, value_type, params):
-        _set(self, "name", name)
-        _set(self, "value_type", value_type)
-        _set(self, "params", params)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.value_type == other.value_type
-            and self.params == other.params
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.value_type, self.params))
 
     @property
     def field_types(self):
@@ -77,71 +57,17 @@ class KVarSig(Frozen):
 class Concrete(Frozen):
     __slots__ = ("pred",)
 
-    def __init__(self, pred):
-        _set(self, "pred", pred)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pred == other.pred
-
-    def __hash__(self):
-        return hash((self.pred,))
-
 
 class KApp(Frozen):
     __slots__ = ("kvar", "args")  # args: expressions, one per parameter after normalization
-
-    def __init__(self, kvar, args):
-        _set(self, "kvar", kvar)
-        _set(self, "args", args)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kvar == other.kvar and self.args == other.args
-
-    def __hash__(self):
-        return hash((self.kvar, self.args))
 
 
 class RefType(Frozen):
     __slots__ = ("base", "ref")  # ref: Concrete | KApp
 
-    def __init__(self, base, ref):
-        _set(self, "base", base)
-        _set(self, "ref", ref)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.base == other.base and self.ref == other.ref
-
-    def __hash__(self):
-        return hash((self.base, self.ref))
-
 
 class SubConstraint(Frozen):
     __slots__ = ("label", "env", "lhs", "rhs")  # env: ((name, RefType), ...)
-
-    def __init__(self, label, env, lhs, rhs):
-        _set(self, "label", label)
-        _set(self, "env", env)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.env == other.env
-            and self.lhs == other.lhs
-            and self.rhs == other.rhs
-        )
-
-    def __hash__(self):
-        return hash((self.label, self.env, self.lhs, self.rhs))
 
 
 class ConstraintSet:

@@ -37,6 +37,7 @@ from .logic import (
     TypeMismatch,
     UnboundVariable,
     UnknownFunction,
+    _set,
     enumerate_func_tables,
     eval_expr,
     eval_pred,
@@ -51,9 +52,6 @@ from .logic import (
     typecheck_expr,
     typecheck_pred,
 )
-
-
-_set = object.__setattr__
 
 
 class ImpError(Exception):
@@ -71,94 +69,25 @@ class ParseError(ImpError):
 class Assign(Frozen):
     __slots__ = ("var", "expr")
 
-    def __init__(self, var, expr):
-        _set(self, "var", var)
-        _set(self, "expr", expr)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.var == other.var and self.expr == other.expr
-
-    def __hash__(self):
-        return hash((self.var, self.expr))
-
 
 class Havoc(Frozen):
     __slots__ = ("var",)
-
-    def __init__(self, var):
-        _set(self, "var", var)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.var == other.var
-
-    def __hash__(self):
-        return hash((self.var,))
 
 
 class Get(Frozen):
     __slots__ = ("relvar", "targets")  # targets: variable names receiving the tuple components
 
-    def __init__(self, relvar, targets):
-        _set(self, "relvar", relvar)
-        _set(self, "targets", targets)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.relvar == other.relvar and self.targets == other.targets
-
-    def __hash__(self):
-        return hash((self.relvar, self.targets))
-
 
 class Set(Frozen):
     __slots__ = ("relvar", "args")  # args: variable names supplying the tuple components
-
-    def __init__(self, relvar, args):
-        _set(self, "relvar", relvar)
-        _set(self, "args", args)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.relvar == other.relvar and self.args == other.args
-
-    def __hash__(self):
-        return hash((self.relvar, self.args))
 
 
 class Assume(Frozen):
     __slots__ = ("pred",)
 
-    def __init__(self, pred):
-        _set(self, "pred", pred)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pred == other.pred
-
-    def __hash__(self):
-        return hash((self.pred,))
-
 
 class Assert(Frozen):
     __slots__ = ("pred",)
-
-    def __init__(self, pred):
-        _set(self, "pred", pred)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pred == other.pred
-
-    def __hash__(self):
-        return hash((self.pred,))
 
 
 class Seq(Frozen):
@@ -167,11 +96,6 @@ class Seq(Frozen):
     def __init__(self, instrs):
         _set(self, "instrs", instrs)
         _set(self, "_hash", hash(instrs))  # a block keys its SSA form: hash it once
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.instrs == other.instrs
 
     def __hash__(self):
         return self._hash
@@ -227,18 +151,6 @@ class State(Frozen):
     # rels: sorted ((relvar, frozenset of tuples), ...); under the imperative
     # semantics a relation holds at most one tuple, and bottom is empty
     __slots__ = ("base", "rels")
-
-    def __init__(self, base, rels):
-        _set(self, "base", base)
-        _set(self, "rels", rels)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.base == other.base and self.rels == other.rels
-
-    def __hash__(self):
-        return hash((self.base, self.rels))
 
     @staticmethod
     def make(base, rels):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hmc
-from hmc import cli, logic, sexpr, smt
+from hmc import cli, constraints, imp, logic, sexpr, smt
 from hmc.constraints import Concrete, KApp, KVarSig, RefType, SubConstraint
 from hmc.imp import Assert, Assign, Assume, Get, Havoc, Seq, Set, State
 from hmc.logic import (
@@ -544,6 +544,30 @@ def test_value_class_semantics(cls, names, values):
     body = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
     assert repr(a) == f"{cls.__name__}({body})"
     assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_value_classes_are_pinned_and_generated():
+    # a value class added later must get a row of VALUE_CLASSES; `Frozen`
+    # writes the standard methods of each, and a class writes its own only
+    # to check its fields or cache a hash
+    found = {
+        c
+        for module in (logic, imp, constraints)
+        for c in vars(module).values()
+        if isinstance(c, type) and issubclass(c, logic.Frozen) and c is not logic.Frozen
+    }
+    assert found == {cls for cls, _, _ in VALUE_CLASSES}
+    written = set()
+    for cls, names, _ in VALUE_CLASSES:
+        assert cls._fields == tuple(names.split())
+        for name in ("__init__", "__eq__", "__hash__"):
+            method = vars(cls)[name]
+            assert method.__qualname__ == f"{cls.__name__}.{name}"
+            if method.__code__.co_filename != "<string>":
+                written.add(method.__qualname__)
+    assert written == {
+        "BaseType.__init__", "Cmp.__init__", "TypeEnv.__init__", "Seq.__init__", "Seq.__hash__"
+    }
 
 
 def test_value_classes_keep_their_checks():
