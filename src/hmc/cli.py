@@ -110,10 +110,22 @@ def _pipeline_program(args, cs):
     return trans.translate_set_of_constraints(cloned, clones), cloned, clones
 
 
+def _at_least(low):
+    """An argparse type: an int no less than `low`."""
+
+    def count(text):
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return count
+
+
 def _add_domain_flags(sp):
     sp.add_argument("--int-range", default="-2..2", metavar="LO..HI")
     sp.add_argument("--ui-range", action="append", metavar="NAME=LO..HI")
-    sp.add_argument("--table-budget", type=int, default=256)
+    sp.add_argument("--table-budget", type=_at_least(1), default=256)
     sp.add_argument("--seed", type=int, default=0)
 
 
@@ -133,7 +145,7 @@ def build_parser():
     sp.add_argument("--oracle", action="store_true", help="hunt counterexamples with the finite-domain oracle")
     sp.add_argument("--preds", metavar="FILE", help="extra abstraction predicates")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--fuel", type=int, default=10_000)
+    sp.add_argument("--fuel", type=_at_least(0), default=10_000)
     _add_domain_flags(sp)
     _add_solver_flags(sp)
 
@@ -149,7 +161,7 @@ def build_parser():
     sp.add_argument("--semantics", choices=["relational", "imperative"], default="relational")
     sp.add_argument("--no-clone", action="store_true")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--fuel", type=int, default=10_000)
+    sp.add_argument("--fuel", type=_at_least(0), default=10_000)
     _add_domain_flags(sp)
 
     sp = sub.add_parser("validate", help="check a solution against constraints")
@@ -306,7 +318,8 @@ def cmd_validate(args, out):
         _emit(args, out, report, f"VIOLATED({label})\nwitness: {witness}")
         return EXIT_UNSAFE
     report.verdict = "UNKNOWN"
-    report.detail = f"{label}: solver returned unknown"
+    reason = "solver returned unknown" if args.mode == "solver" else imp.SAMPLED
+    report.detail = f"{label}: {reason}"
     _emit(args, out, report, f"UNKNOWN\n{report.detail}")
     return EXIT_INCONCLUSIVE
 

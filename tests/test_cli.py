@@ -188,6 +188,19 @@ def test_validate_modes(tmp_path):
     assert code == 0
 
 
+def test_validate_oracle_unknown_gives_its_reason(tmp_path):
+    # no solver runs under `--mode oracle`: an UNKNOWN is a valid-looking
+    # check over sampled function tables (1 of the 4 for f over 0..1)
+    hmc = tmp_path / "f.hmc"
+    hmc.write_text("(uninterp (f (int) int))\n(sub c1 (lhs int (= v (f 0))) (rhs int (= v (f 0))))\n")
+    sol = tmp_path / "empty.sol"
+    sol.write_text("(solution)\n")
+    argv = ["validate", str(hmc), "--solution", str(sol), "--mode", "oracle", "--int-range", "0..1"]
+    got = run(*argv, "--table-budget", "1")
+    assert got == (2, "UNKNOWN\nc1: sampled interpretations only; no counterexample found\n")
+    assert run(*argv, "--table-budget", "4") == (0, "SATISFIED\n")
+
+
 def test_validate_reports_witness(tmp_path):
     sol = tmp_path / "s.sol"
     sol.write_text("(solution (k (= v v)))")
@@ -550,12 +563,18 @@ UNPROVABLE = "(sub c1 (lhs int (= v 1)) (rhs int (<= 2 v)))\n"
         ("check", ["--ui-range", "obj=3..1"], "empty ui range"),
         ("exec", ["--int-range", "1..0"], "int_range must be non-empty"),
         ("validate", ["--solution", "SOL", "--int-range", "abc"], "bad range 'abc'"),
+        ("check", ["--table-budget", "0", "--oracle"], "argument --table-budget: must be at least 1, got 0"),
+        ("exec", ["--table-budget", "-3"], "argument --table-budget: must be at least 1, got -3"),
+        ("validate", ["--solution", "SOL", "--mode", "oracle", "--table-budget", "0"], "argument --table-budget"),
+        ("check", ["--fuel", "-1", "--oracle"], "argument --fuel: must be at least 0, got -1"),
+        ("exec", ["--fuel", "-1"], "argument --fuel: must be at least 0, got -1"),
     ],
 )
 @pytest.mark.parametrize("text", [PROVABLE, UNPROVABLE], ids=["provable", "unprovable"])
 def test_bad_domain_flag_is_usage_error(tmp_path, capsys, command, flags, error, text):
-    # the domain flags are checked before anything runs, so a malformed or
-    # empty range is exit 3 whether or not the oracle would have used it
+    # the domain and fuel flags are checked before anything runs, so a
+    # malformed or empty range, a table budget below 1 or a negative fuel is
+    # exit 3 whether or not the oracle would have used it
     f = tmp_path / "c.hmc"
     f.write_text(text)
     sol = tmp_path / "c.sol"
