@@ -113,13 +113,13 @@ def _pipeline_program(args, cs):
 def _at_least(low):
     """An argparse type: an int no less than `low`."""
 
-    def count(text):
+    def integer(text):
         n = int(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
         return n
 
-    return count
+    return integer
 
 
 def _add_domain_flags(sp):

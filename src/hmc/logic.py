@@ -75,19 +75,17 @@ class Frozen:
     not write itself is written as plain code, one `exec` per class.
 
     `dataclasses` would generate the same methods, but importing it costs
-    8.5 ms, 7.2 of them in `inspect`, and it builds each method with its own
-    `exec`. With one `exec` per class, `import hmc.cli, hmc.smt` took a
-    median of 10.1 ms with a warm bytecode cache and 50.8 ms when every
-    launch compiles the sources (7.3 and 49.7 ms with every method written
-    out in the source; Python 3.11, x86-64)."""
+    about 8.5 ms, 7.2 of them in `inspect`, and it builds each method with
+    its own `exec`. With one `exec` per class, `import hmc.cli, hmc.smt`
+    took a median of 10.3 ms with a warm bytecode cache and 47.1 ms when
+    every launch compiles the sources, against 7.4 and 47.1 ms with every
+    method written out in the source (2-core x86-64, Python 3.11.7)."""
 
     __slots__ = ()
     _fields = ()
 
     def __init_subclass__(cls):
-        super().__init_subclass__()
-        own = vars(cls).get("__slots__", ())
-        cls._fields = fields = cls._fields + tuple(f for f in own if f[0] != "_")
+        cls._fields = fields = tuple(f for f in cls.__slots__ if f[0] != "_")
         sets = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields) or "    pass\n"
         same = " and ".join(f"self.{f} == other.{f}" for f in fields) or "True"
         code = {
@@ -99,6 +97,7 @@ class Frozen:
             "__hash__": "def __hash__(self):\n"
             f"    return hash(({''.join(f'self.{f}, ' for f in fields)}))\n",
         }
+        # a class that writes `__eq__` alone has `__hash__` set to None
         todo = [name for name in code if vars(cls).get(name) is None]
         namespace = {"_set": _set, "__name__": cls.__module__}
         exec("".join(code[name] for name in todo), namespace)

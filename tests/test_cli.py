@@ -189,8 +189,8 @@ def test_validate_modes(tmp_path):
 
 
 def test_validate_oracle_unknown_gives_its_reason(tmp_path):
-    # no solver runs under `--mode oracle`: an UNKNOWN is a valid-looking
-    # check over sampled function tables (1 of the 4 for f over 0..1)
+    # no solver runs under `--mode oracle`: UNKNOWN means no counterexample
+    # under sampled function tables (here 1 of the 4 for f over 0..1)
     hmc = tmp_path / "f.hmc"
     hmc.write_text("(uninterp (f (int) int))\n(sub c1 (lhs int (= v (f 0))) (rhs int (= v (f 0))))\n")
     sol = tmp_path / "empty.sol"

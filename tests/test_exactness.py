@@ -132,7 +132,6 @@ def moved(want, got):
 
 
 def test_outputs_match_the_digest():
-    assert [rid for rid, _, _ in runs()] == list(read_digest())
     ran = moved(read_digest(), digests(outputs()))
     assert not ran, f"{len(ran)} runs moved: {' '.join(ran)}"
 
