@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -599,6 +600,30 @@ def test_usage_errors():
 def test_solver_failure_exit_code(tmp_path):
     code, _ = run("check", ITERI, "--smt-cmd", "/nonexistent/solver")
     assert code == 4
+
+
+def stub_solver(tmp_path, answer):
+    """An `--smt-cmd` that reads its query and prints `answer`, whatever it
+    was asked."""
+    script = tmp_path / "stub.py"
+    script.write_text(f"import sys\nsys.stdin.read()\nsys.stdout.write({answer!r})\n")
+    return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+
+
+@pytest.mark.parametrize(
+    "answer, reason",
+    [("", "empty solver output"), ("(error x)\n", "(error x)"), ("banana\n", "banana")],
+    ids=["empty", "error", "banana"],
+)
+def test_solver_answer_outside_the_protocol_is_exit_4(tmp_path, answer, reason):
+    got = run_process("check", ITERI, "--smt-cmd", stub_solver(tmp_path, answer))
+    assert got == (4, "", f"solver failure: {reason}\n")
+
+
+def test_solver_sat_without_a_model_is_inconclusive(tmp_path):
+    # every query is refuted with no witness, so nothing is proved
+    code, out, err = run_process("check", ITERI, "--smt-cmd", stub_solver(tmp_path, "sat\n"))
+    assert (code, out.splitlines()[0], err) == (2, "INCONCLUSIVE", "")
 
 
 def test_emit_smt_dir(tmp_path):
