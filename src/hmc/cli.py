@@ -21,17 +21,9 @@ import sys
 import time
 
 from . import absint, clone as clone_mod, constraints, imp, translate as trans
-from .logic import (
-    INVALID,
-    LogicError,
-    OracleMode,
-    QueryLog,
-    SolverMode,
-    SolverProtocolError,
-    SolverUnavailable,
-    ValueDomain,
-)
+from .logic import INVALID, LogicError, OracleMode, SolverMode, ValueDomain
 from .sexpr import SexprError
+from .smt import QueryLog, SolverProtocolError, SolverUnavailable
 
 EXIT_SAFE = 0
 EXIT_UNSAFE = 1

@@ -17,7 +17,6 @@ keep a function per sort, since they return different things for each.
 from __future__ import annotations
 
 import itertools
-import os
 
 from . import sexpr, smt
 
@@ -45,14 +44,6 @@ class NonBoolAtom(LogicError):
 
 
 class MissingBinding(LogicError):
-    pass
-
-
-class SolverUnavailable(LogicError):
-    pass
-
-
-class SolverProtocolError(LogicError):
     pass
 
 
@@ -694,26 +685,10 @@ class OracleMode:
         self.seed = seed
 
 
-class QueryLog:
-    """The directory in which one run writes each query it sends to the
-    search, as an SMT-LIB script: q_0.smt2, q_1.smt2, ... in the order the
-    run asks them. The run that creates the log owns its query index."""
-
-    def __init__(self, directory):
-        self.directory = directory
-        self.count = 0
-
-    def write(self, text):
-        os.makedirs(self.directory, exist_ok=True)
-        with open(os.path.join(self.directory, f"q_{self.count}.smt2"), "w") as fh:
-            fh.write(text)
-        self.count += 1
-
-
 class SolverMode:
     def __init__(self, cmd=None, emit=None):
         self.cmd = cmd  # None: built-in decision procedure, in process
-        self.emit = emit  # a QueryLog, or None
+        self.emit = emit  # an `smt.QueryLog`, or None
 
 
 VALID = "valid"
@@ -745,11 +720,11 @@ def check_valid(env, p, mode, sigs=None):
     The bundled solver runs in process on an `smt.Context` over the
     declarations of `env` and `sigs`, which lowers `p` itself, with no
     SMT-LIB text or form on the way, and the witness comes straight from its
-    model, with a table for each function the query applies. The query is
-    printed as SMT-LIB text by `solver_query` only for `mode.emit` and for
-    an external solver `mode.cmd`, whose printed model `_parse_model` reads
-    back without tables. A witness lists the variables of `env` in binding
-    order. `p` must be well typed under `env`, as for `Hypothesis`.
+    model, with a table for each function the query applies. `smt` prints
+    the query as SMT-LIB text only for `mode.emit` and for an external
+    solver `mode.cmd`, whose model `smt.ask_solver` reads back without
+    tables. A witness lists the variables of `env` in binding order. `p`
+    must be well typed under `env`, as for `Hypothesis`.
     """
     return Hypothesis(env, TRUE, mode, sigs).check(p)
 
@@ -809,11 +784,11 @@ class Hypothesis:
     def _solve(self, goal):
         mode = self.mode
         if mode.emit or mode.cmd:
-            text = emit_solver_query(self.env, implies(self.hyp, goal), self.sigs)
+            text = smt.emit_solver_query(self.env, implies(self.hyp, goal), self.sigs)
             if mode.emit:
                 mode.emit.write(text)
             if mode.cmd:
-                return _check_valid_external(mode.cmd, text, self.env)
+                return smt.ask_solver(mode.cmd, text, self.env)
         if self._context is None:
             self._context = smt.Context(self.env.bindings, self.sigs, [self.hyp])
         model = self._context.decide(Not(goal))
@@ -833,141 +808,3 @@ def _check_valid_oracle(env, p, mode, sigs):
             if not eval_pred(interp, p):
                 return Verdict(INVALID, interp)
     return Verdict(VALID) if exhaustive else Verdict(UNKNOWN)
-
-
-def solver_query(env, p, sigs=None):
-    """The SMT-LIB commands, as sexpr forms, that ask the solver for a model
-    of the negation of `p` under `env`. Sorts are declared in order of first
-    use, then the variables, then the functions `p` applies, by name, bools
-    as Int; so each bool variable, and then each distinct application in
-    `p` of a bool-valued function, is asserted to lie in {0, 1}."""
-    sigs = sigs or {}
-    sorts = []
-
-    def sort_name(t):
-        if t.kind == "ui":
-            if t.ui_name not in sorts:
-                sorts.append(t.ui_name)
-            return t.ui_name
-        return "Int"
-
-    decls = [["declare-fun", name, [], sort_name(t)] for name, t in env.bindings]
-    apps = applications(p)
-    for fname in sorted({a.func for a in apps}):
-        sig = sigs.get(fname)
-        if sig is None:
-            raise UnknownFunction(fname)
-        args = [sort_name(t) for t in sig.arg_types]
-        decls.append(["declare-fun", sig.name, args, sort_name(sig.ret_type)])
-    ranges = [bool_range(Var(name)) for name, t in env.bindings if t == BOOL]
-    ranges += [bool_range(a) for a in apps if sigs[a.func].ret_type == BOOL]
-    return (
-        [["set-logic", "QF_UFLIA"]]
-        + [["declare-sort", s, 0] for s in sorts]
-        + decls
-        + [["assert", _smt_form(r)] for r in ranges]
-        + [["assert", ["not", _smt_form(p)]], ["check-sat"], ["get-model"]]
-    )
-
-
-def bool_range(e):
-    """`0 <= e <= 1`: the bool-valued term `e` is 0 or 1."""
-    return And((Cmp("<=", IntLit(0), e), Cmp("<=", e, IntLit(1))))
-
-
-def emit_solver_query(env, p, sigs=None):
-    """The text of `solver_query`, one command a line: what `--emit-smt`
-    writes and an external solver reads."""
-    return "".join(sexpr.to_str(c) + "\n" for c in solver_query(env, p, sigs))
-
-
-def _smt_num(n):
-    return n if n >= 0 else ["-", -n]
-
-
-def _smt_form(x):
-    """A predicate or expression as an SMT-LIB form: negative numbers are
-    negations, true and false are (= 0 0) and (= 0 1), a bool variable b is
-    (= b 1) and (/= l r) is (not (= l r)). Only the text of `solver_query`
-    needs it; the bundled solver lowers formulas itself (`smt.lower`)."""
-    if isinstance(x, Var):
-        return x.name
-    if isinstance(x, IntLit):
-        return _smt_num(x.value)
-    if isinstance(x, Add):
-        return ["+", *map(_smt_form, x.args)]
-    if isinstance(x, ScalarMul):
-        return ["*", _smt_num(x.coeff), _smt_form(x.arg)]
-    if isinstance(x, App):
-        return [x.func, *map(_smt_form, x.args)] if x.args else x.func
-    if isinstance(x, TrueLit):
-        return ["=", 0, 0]
-    if isinstance(x, FalseLit):
-        return ["=", 0, 1]
-    if isinstance(x, BoolVar):
-        return ["=", x.name, 1]
-    if isinstance(x, Cmp):
-        atom = ["=" if x.op == "/=" else x.op, _smt_form(x.left), _smt_form(x.right)]
-        return ["not", atom] if x.op == "/=" else atom
-    if isinstance(x, Not):
-        return ["not", _smt_form(x.arg)]
-    if isinstance(x, And):
-        return ["and", *map(_smt_form, x.args)]
-    if isinstance(x, Implies):
-        return ["=>", _smt_form(x.left), _smt_form(x.right)]
-    raise TypeMismatch(f"not a predicate or expression: {x!r}")
-
-
-def _check_valid_external(cmd, text, env):
-    """The verdict of the external SMT-LIB solver `cmd` on the query `text`."""
-    import shlex  # only --smt-cmd needs these two: keep them out of every start
-    import subprocess
-
-    try:
-        proc = subprocess.run(
-            shlex.split(cmd),
-            input=text,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-    except FileNotFoundError as exc:
-        raise SolverUnavailable(str(exc)) from exc
-    except subprocess.TimeoutExpired:
-        return Verdict(UNKNOWN)
-    output = proc.stdout
-    tokens = output.split()
-    if not tokens:
-        raise SolverProtocolError("empty solver output")
-    first = tokens[0]
-    if first == "unsat":
-        return Verdict(VALID)
-    if first == "unknown":
-        return Verdict(UNKNOWN)
-    if first != "sat":
-        raise SolverProtocolError(output.splitlines()[0])
-    return Verdict(INVALID, _parse_model(output, env))
-
-
-def _parse_model(output, env):
-    """Pull variable assignments out of `(define-fun x () S v)` entries."""
-    try:
-        body = output[output.index("\n") :]
-        forms = sexpr.parse_many(body)
-    except (ValueError, sexpr.SexprError):
-        return Interpretation()
-    values = {}
-    stack = list(forms)
-    while stack:
-        f = stack.pop()
-        if not isinstance(f, list):
-            continue
-        if len(f) == 5 and f[0] == "define-fun" and f[2] == []:
-            val = f[4]
-            if isinstance(val, list) and len(val) == 2 and val[0] == "-":
-                val = -val[1]
-            if isinstance(val, int) and env.get(f[1]) is not None:
-                values[f[1]] = val
-        else:
-            stack.extend(f)
-    return Interpretation({n: values[n] for n, _ in env.bindings if n in values}, {})

@@ -63,15 +63,18 @@ bool-valued function in {0, 1}.
 
 Exposed as a library and as a filter. `Context.decide` returns a model with
 a table for each function, which `hmc.logic` turns into a witness; a
-variable the model leaves out is 0. The text form, `solve_script`, is for
-the filter only: `python -m hmc.smt` and the `hmc-smt` executable read a
-script on stdin and print `sat`/`unsat` plus a model.
+variable the model leaves out is 0. SMT-LIB text is read and written here
+only. The filter, `solve_script`, behind `python -m hmc.smt` and the
+`hmc-smt` executable, reads a script on stdin and prints `sat`/`unsat` plus
+a model; `emit_solver_query` prints a `logic` query for `--emit-smt` and
+for an external solver, whose answer `ask_solver` reads back.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 
 from . import logic, sexpr
@@ -79,6 +82,14 @@ from . import logic, sexpr
 
 class SmtError(Exception):
     pass
+
+
+class SolverUnavailable(Exception):
+    """The external solver of `ask_solver` could not be started."""
+
+
+class SolverProtocolError(Exception):
+    """The external solver of `ask_solver` answered outside the protocol."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,86 +150,6 @@ def lin_subst(lin, sub):
 def eval_lin(lin, model):
     """The value of `lin` under `model`, where an absent variable is 0."""
     return sum(c if k is None else c * model.get(k, 0) for k, c in lin.items())
-
-
-# ---------------------------------------------------------------------------
-# Scripts
-
-
-class Script:
-    """A script's declarations as `logic` types, the one copy that both the
-    typechecking of its asserts and the solver read, and its asserts."""
-
-    def __init__(self):
-        self.consts = {}  # name -> `logic` type (0-ary declarations)
-        self.sigs = {}  # name -> FuncSig (declarations with arguments)
-        self.asserts = []  # `logic` formulas
-        self.want_model = False
-
-
-def _symbol(x):
-    """Whether `x` is a symbol a script may declare: a name, which cannot
-    start with a digit, nor with `.` or `@`, which SMT-LIB reserves for the
-    solver (this one names its own constants `.ackN` and `.sigN`)."""
-    return isinstance(x, str) and not x[0].isdigit() and x[0] not in ".@"
-
-
-def script_of(commands):
-    """The Script of a sequence of SMT-LIB commands given as sexpr forms. A
-    declaration must name a symbol not declared before and give its sorts,
-    those of a function's arguments in a list: `Int`, `Bool` or a sort of a
-    `declare-sort` before it. An assert must have one formula, read into
-    `logic` (`formula_of`), which must typecheck over the declarations."""
-    script = Script()
-    sorts = {"Int": logic.INT, "Bool": logic.BOOL}
-    consts, sigs = script.consts, script.sigs
-
-    def sort(name):
-        if name not in sorts:
-            raise SmtError(f"unknown sort {name}")
-        return sorts[name]
-
-    for form in commands:
-        head, *rest = form if isinstance(form, list) and form else [None]
-        if head in ("set-logic", "set-option", "set-info", "check-sat", "exit"):
-            continue
-        if head == "get-model":
-            script.want_model = True
-            continue
-        if head == "declare-sort" and len(rest) == 2 and _symbol(rest[0]) and rest[1] == 0:
-            if rest[0] in sorts:
-                raise SmtError(f"sort {rest[0]} declared twice")
-            sorts[rest[0]] = logic.ui(rest[0])
-            continue
-        if head == "declare-const" and len(rest) == 2 and all(map(_symbol, rest)):
-            name, args, ret = rest[0], [], rest[1]
-        elif head == "declare-fun" and len(rest) == 3 and isinstance(rest[1], list) and all(
-            map(_symbol, [rest[0], *rest[1], rest[2]])
-        ):
-            name, args, ret = rest
-        elif head == "assert" and len(rest) == 1:
-            formula = formula_of(rest[0], sigs)
-            try:
-                logic.typecheck_pred(consts, formula, sigs)
-            except logic.LogicError as exc:
-                raise SmtError(
-                    f"ill-typed assert {sexpr.to_str(rest[0])}: {type(exc).__name__}: {exc}"
-                ) from exc
-            script.asserts.append(formula)
-            continue
-        else:
-            raise SmtError(f"bad command {sexpr.to_str(form)}")
-        if name in consts or name in sigs:
-            raise SmtError(f"{name} declared twice")
-        if args:
-            sigs[name] = logic.FuncSig(name, tuple(map(sort, args)), sort(ret))
-        else:
-            consts[name] = sort(ret)
-    return script
-
-
-def parse_script(text):
-    return script_of(sexpr.parse_many(text))
 
 
 # ---------------------------------------------------------------------------
@@ -379,84 +310,6 @@ def lower(p, positive, apps):
     if isinstance(p, logic.FalseLit):
         return _truth(not positive)
     raise SmtError(f"bad formula {p!r}")
-
-
-# ---------------------------------------------------------------------------
-# The filter's reader: SMT-LIB forms to `logic`
-
-
-_RELATIONS = {"<=": "<=", "<": "<", ">=": ">=", ">": ">", "=": "=", "distinct": "/="}
-
-
-def formula_of(form, sigs):
-    """The `logic` predicate of an SMT-LIB formula, where `sigs` maps each
-    function that takes arguments to its `FuncSig`. A bare symbol is a bool
-    variable; `or` and `=>` become implications and `distinct` a
-    disequality."""
-    if form in ("true", "false"):
-        return logic.TRUE if form == "true" else logic.FALSE
-    if _symbol(form):
-        return logic.BoolVar(form)
-    if not isinstance(form, list) or not form or not isinstance(form[0], str):
-        raise SmtError(f"bad formula {sexpr.to_str(form)}")
-    head, args = form[0], form[1:]
-    if head in _RELATIONS:
-        if len(args) != 2:
-            raise SmtError(f"{head} takes two arguments")
-        return logic.Cmp(_RELATIONS[head], term_of(args[0], sigs), term_of(args[1], sigs))
-    if head == "not" and len(args) == 1:
-        return logic.Not(formula_of(args[0], sigs))
-    if head not in ("and", "or", "=>") or (head == "=>" and not args):
-        raise SmtError(f"bad formula head {head}")
-    kids = [formula_of(f, sigs) for f in args]
-    if head == "and":
-        return logic.mk_and(*kids)
-    if head == "or":
-        return logic.mk_or(*kids)
-    out = kids[-1]
-    for kid in reversed(kids[:-1]):
-        out = logic.Implies(kid, out)
-    return out
-
-
-def term_of(form, sigs):
-    """The `logic` expression of an SMT-LIB term (see `formula_of`): a sum
-    or a difference is one `Add`, as written. All factors of a product but
-    one must be constant, and an application must have the arity of its
-    `FuncSig`."""
-    if isinstance(form, int):
-        return logic.IntLit(form)
-    if _symbol(form):
-        return logic.Var(form)
-    if not (isinstance(form, list) and form and isinstance(form[0], str)
-            and (form[0] in ("+", "-", "*") or form[0] in sigs)):
-        raise SmtError(f"bad term {sexpr.to_str(form)}")
-    head, args = form[0], [term_of(f, sigs) for f in form[1:]]
-    if head == "+":
-        if len(args) < 2:
-            return args[0] if args else logic.IntLit(0)
-        return logic.Add(tuple(args))
-    if head == "-":
-        if not args:
-            raise SmtError("- takes one or more arguments")
-        if len(args) == 1:
-            return logic.ScalarMul(-1, args[0])
-        return logic.Add((args[0], *[logic.ScalarMul(-1, a) for a in args[1:]]))
-    if head == "*":
-        coeff, term = 1, None
-        for arg in args:
-            lin = lin_of(arg, Apps())
-            if not lin_vars(lin):
-                coeff *= lin.get(None, 0)
-            elif term is not None and coeff:
-                raise SmtError(f"nonlinear product {sexpr.to_str(form)}")
-            else:
-                term = arg
-        return logic.IntLit(coeff) if term is None else logic.ScalarMul(coeff, term)
-    arity = len(sigs[head].arg_types)
-    if len(args) != arity:
-        raise SmtError(f"{head} expects {arity} args, got {len(args)}")
-    return logic.App(head, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +699,11 @@ def _close(preds, apps, outer, reps):
     return tree, sub, reps, axioms
 
 
+def bool_range(e):
+    """`0 <= e <= 1`: the bool-valued `logic` term `e` is 0 or 1."""
+    return logic.And((logic.Cmp("<=", logic.IntLit(0), e), logic.Cmp("<=", e, logic.IntLit(1))))
+
+
 class Context:
     """A hypothesis lowered once, then decided together with one goal at a
     time: the one entry into the solver.
@@ -853,7 +711,7 @@ class Context:
     `consts` holds (name, `logic` type) pairs, a `TypeEnv`'s bindings or a
     script's constants, and `sigs` maps each function to its `FuncSig`.
     From these the context ranges each bool variable in {0, 1}, as
-    `logic.bool_range` ahead of the asserts, and each application of a
+    `bool_range` ahead of the asserts, and each application of a
     bool-valued function by its range atoms (see `Apps`). Every
     application, nullary ones included, is its Ackermann constant.
 
@@ -869,7 +727,7 @@ class Context:
 
     def __init__(self, consts, sigs, asserts):
         self.apps = Apps({name for name, sig in sigs.items() if sig.ret_type == logic.BOOL})
-        ranges = [logic.bool_range(logic.Var(x)) for x, t in consts if t == logic.BOOL]
+        ranges = [bool_range(logic.Var(x)) for x, t in consts if t == logic.BOOL]
         self.tree, self.sub, self.reps, self.axioms = _close(ranges + asserts, self.apps, {}, [])
 
     def decide(self, goal):
@@ -899,6 +757,315 @@ class Context:
         return values, tables
 
 
+# ---------------------------------------------------------------------------
+# SMT-LIB text: the filter's reader and printer, the query writer and the
+# reader of an external solver's answer, each spelling beside its reader.
+
+
+class Script:
+    """A script's declarations as `logic` types, the one copy that both the
+    typechecking of its asserts and the solver read, and its asserts."""
+
+    def __init__(self):
+        self.consts = {}  # name -> `logic` type (0-ary declarations)
+        self.sigs = {}  # name -> FuncSig (declarations with arguments)
+        self.asserts = []  # `logic` formulas
+        self.want_model = False
+
+
+def _symbol(x):
+    """Whether `x` is a symbol a script may declare: a name, which cannot
+    start with a digit, nor with `.` or `@`, which SMT-LIB reserves for the
+    solver (this one names its own constants `.ackN` and `.sigN`)."""
+    return isinstance(x, str) and not x[0].isdigit() and x[0] not in ".@"
+
+
+def script_of(commands):
+    """The Script of a sequence of SMT-LIB commands given as sexpr forms. A
+    declaration must name a symbol not declared before and give its sorts,
+    those of a function's arguments in a list: `Int`, `Bool` or a sort of a
+    `declare-sort` before it. An assert must have one formula, read into
+    `logic` (`formula_of`), which must typecheck over the declarations."""
+    script = Script()
+    sorts = {"Int": logic.INT, "Bool": logic.BOOL}
+    consts, sigs = script.consts, script.sigs
+
+    def sort(name):
+        if name not in sorts:
+            raise SmtError(f"unknown sort {name}")
+        return sorts[name]
+
+    for form in commands:
+        head, *rest = form if isinstance(form, list) and form else [None]
+        if head in ("set-logic", "set-option", "set-info", "check-sat", "exit"):
+            continue
+        if head == "get-model":
+            script.want_model = True
+            continue
+        if head == "declare-sort" and len(rest) == 2 and _symbol(rest[0]) and rest[1] == 0:
+            if rest[0] in sorts:
+                raise SmtError(f"sort {rest[0]} declared twice")
+            sorts[rest[0]] = logic.ui(rest[0])
+            continue
+        if head == "declare-const" and len(rest) == 2 and all(map(_symbol, rest)):
+            name, args, ret = rest[0], [], rest[1]
+        elif head == "declare-fun" and len(rest) == 3 and isinstance(rest[1], list) and all(
+            map(_symbol, [rest[0], *rest[1], rest[2]])
+        ):
+            name, args, ret = rest
+        elif head == "assert" and len(rest) == 1:
+            formula = formula_of(rest[0], sigs)
+            try:
+                logic.typecheck_pred(consts, formula, sigs)
+            except logic.LogicError as exc:
+                raise SmtError(
+                    f"ill-typed assert {sexpr.to_str(rest[0])}: {type(exc).__name__}: {exc}"
+                ) from exc
+            script.asserts.append(formula)
+            continue
+        else:
+            raise SmtError(f"bad command {sexpr.to_str(form)}")
+        if name in consts or name in sigs:
+            raise SmtError(f"{name} declared twice")
+        if args:
+            sigs[name] = logic.FuncSig(name, tuple(map(sort, args)), sort(ret))
+        else:
+            consts[name] = sort(ret)
+    return script
+
+
+def parse_script(text):
+    return script_of(sexpr.parse_many(text))
+
+
+# SMT-LIB relation -> `logic` comparison. `_smt_form` writes `/=` as
+# (not (= l r)), which reads back through `not` and `=`.
+_RELATIONS = {"<=": "<=", "<": "<", ">=": ">=", ">": ">", "=": "=", "distinct": "/="}
+
+
+def _smt_num(n):
+    """The integer `n` as an SMT-LIB form, a negative one as `(- m)`: in
+    queries and the filter's models, and as `_parse_model` reads it."""
+    return n if n >= 0 else ["-", -n]
+
+
+def _smt_form(x):
+    """A predicate or expression as an SMT-LIB form: negative numbers are
+    negations (`_smt_num`), true and false are (= 0 0) and (= 0 1), a bool
+    variable b is (= b 1) and (/= l r) is (not (= l r)). Only the text of
+    `solver_query` needs it; the solver lowers formulas itself (`lower`)."""
+    if isinstance(x, logic.Var):
+        return x.name
+    if isinstance(x, logic.IntLit):
+        return _smt_num(x.value)
+    if isinstance(x, logic.Add):
+        return ["+", *map(_smt_form, x.args)]
+    if isinstance(x, logic.ScalarMul):
+        return ["*", _smt_num(x.coeff), _smt_form(x.arg)]
+    if isinstance(x, logic.App):
+        return [x.func, *map(_smt_form, x.args)] if x.args else x.func
+    if isinstance(x, logic.TrueLit):
+        return ["=", 0, 0]
+    if isinstance(x, logic.FalseLit):
+        return ["=", 0, 1]
+    if isinstance(x, logic.BoolVar):
+        return ["=", x.name, 1]
+    if isinstance(x, logic.Cmp):
+        atom = ["=" if x.op == "/=" else x.op, _smt_form(x.left), _smt_form(x.right)]
+        return ["not", atom] if x.op == "/=" else atom
+    if isinstance(x, logic.Not):
+        return ["not", _smt_form(x.arg)]
+    if isinstance(x, logic.And):
+        return ["and", *map(_smt_form, x.args)]
+    if isinstance(x, logic.Implies):
+        return ["=>", _smt_form(x.left), _smt_form(x.right)]
+    raise logic.TypeMismatch(f"not a predicate or expression: {x!r}")
+
+
+def formula_of(form, sigs):
+    """The `logic` predicate of an SMT-LIB formula, where `sigs` maps each
+    function that takes arguments to its `FuncSig`. A bare symbol is a bool
+    variable; `or` and `=>` become implications and `distinct` a
+    disequality."""
+    if form in ("true", "false"):
+        return logic.TRUE if form == "true" else logic.FALSE
+    if _symbol(form):
+        return logic.BoolVar(form)
+    if not isinstance(form, list) or not form or not isinstance(form[0], str):
+        raise SmtError(f"bad formula {sexpr.to_str(form)}")
+    head, args = form[0], form[1:]
+    if head in _RELATIONS:
+        if len(args) != 2:
+            raise SmtError(f"{head} takes two arguments")
+        return logic.Cmp(_RELATIONS[head], term_of(args[0], sigs), term_of(args[1], sigs))
+    if head == "not" and len(args) == 1:
+        return logic.Not(formula_of(args[0], sigs))
+    if head not in ("and", "or", "=>") or (head == "=>" and not args):
+        raise SmtError(f"bad formula head {head}")
+    kids = [formula_of(f, sigs) for f in args]
+    if head == "and":
+        return logic.mk_and(*kids)
+    if head == "or":
+        return logic.mk_or(*kids)
+    out = kids[-1]
+    for kid in reversed(kids[:-1]):
+        out = logic.Implies(kid, out)
+    return out
+
+
+def term_of(form, sigs):
+    """The `logic` expression of an SMT-LIB term (see `formula_of`): a sum
+    or a difference is one `Add`, as written. All factors of a product but
+    one must be constant, and an application must have the arity of its
+    `FuncSig`."""
+    if isinstance(form, int):
+        return logic.IntLit(form)
+    if _symbol(form):
+        return logic.Var(form)
+    if not (isinstance(form, list) and form and isinstance(form[0], str)
+            and (form[0] in ("+", "-", "*") or form[0] in sigs)):
+        raise SmtError(f"bad term {sexpr.to_str(form)}")
+    head, args = form[0], [term_of(f, sigs) for f in form[1:]]
+    if head == "+":
+        if len(args) < 2:
+            return args[0] if args else logic.IntLit(0)
+        return logic.Add(tuple(args))
+    if head == "-":
+        if not args:
+            raise SmtError("- takes one or more arguments")
+        if len(args) == 1:
+            return logic.ScalarMul(-1, args[0])
+        return logic.Add((args[0], *[logic.ScalarMul(-1, a) for a in args[1:]]))
+    if head == "*":
+        coeff, term = 1, None
+        for arg in args:
+            lin = lin_of(arg, Apps())
+            if not lin_vars(lin):
+                coeff *= lin.get(None, 0)
+            elif term is not None and coeff:
+                raise SmtError(f"nonlinear product {sexpr.to_str(form)}")
+            else:
+                term = arg
+        return logic.IntLit(coeff) if term is None else logic.ScalarMul(coeff, term)
+    arity = len(sigs[head].arg_types)
+    if len(args) != arity:
+        raise SmtError(f"{head} expects {arity} args, got {len(args)}")
+    return logic.App(head, tuple(args))
+
+
+def solver_query(env, p, sigs=None):
+    """The SMT-LIB commands, as sexpr forms, that ask the solver for a model
+    of the negation of the `logic` predicate `p` under the `TypeEnv` `env`.
+    Sorts are declared in order of first use, then the variables, then the
+    functions `p` applies, by name, bools as Int; so each bool variable, and
+    then each distinct application in `p` of a bool-valued function, is
+    asserted to lie in {0, 1} (`bool_range`)."""
+    sigs = sigs or {}
+    sorts = []
+
+    def sort_name(t):
+        if t.kind == "ui":
+            if t.ui_name not in sorts:
+                sorts.append(t.ui_name)
+            return t.ui_name
+        return "Int"
+
+    decls = [["declare-fun", name, [], sort_name(t)] for name, t in env.bindings]
+    apps = logic.applications(p)
+    for fname in sorted({a.func for a in apps}):
+        sig = sigs.get(fname)
+        if sig is None:
+            raise logic.UnknownFunction(fname)
+        args = [sort_name(t) for t in sig.arg_types]
+        decls.append(["declare-fun", sig.name, args, sort_name(sig.ret_type)])
+    ranges = [bool_range(logic.Var(name)) for name, t in env.bindings if t == logic.BOOL]
+    ranges += [bool_range(a) for a in apps if sigs[a.func].ret_type == logic.BOOL]
+    return (
+        [["set-logic", "QF_UFLIA"]]
+        + [["declare-sort", s, 0] for s in sorts]
+        + decls
+        + [["assert", _smt_form(r)] for r in ranges]
+        + [["assert", ["not", _smt_form(p)]], ["check-sat"], ["get-model"]]
+    )
+
+
+def emit_solver_query(env, p, sigs=None):
+    """The text of `solver_query`, one command a line: what `--emit-smt`
+    writes and an external solver reads."""
+    return "".join(sexpr.to_str(c) + "\n" for c in solver_query(env, p, sigs))
+
+
+class QueryLog:
+    """The directory in which one run writes each query it sends to the
+    search, as an SMT-LIB script: q_0.smt2, q_1.smt2, ... in the order the
+    run asks them. The run that creates the log owns its query index."""
+
+    def __init__(self, directory):
+        self.directory = directory
+        self.count = 0
+
+    def write(self, text):
+        os.makedirs(self.directory, exist_ok=True)
+        with open(os.path.join(self.directory, f"q_{self.count}.smt2"), "w") as fh:
+            fh.write(text)
+        self.count += 1
+
+
+def ask_solver(cmd, text, env):
+    """The `logic.Verdict` of the external SMT-LIB solver `cmd` on the query
+    `text`, written for the `TypeEnv` `env`: `unsat` is VALID, `unknown`
+    or no answer in 60 s UNKNOWN, and `sat` INVALID, with the model that
+    `_parse_model` reads. A solver that cannot be started raises
+    `SolverUnavailable`, and any other answer `SolverProtocolError`."""
+    import shlex  # only --smt-cmd needs these two: keep them out of every start
+    import subprocess
+
+    try:
+        proc = subprocess.run(
+            shlex.split(cmd), input=text, capture_output=True, text=True, timeout=60
+        )
+    except FileNotFoundError as exc:
+        raise SolverUnavailable(str(exc)) from exc
+    except subprocess.TimeoutExpired:
+        return logic.Verdict(logic.UNKNOWN)
+    output = proc.stdout
+    words = output.split(maxsplit=1)
+    if not words:
+        raise SolverProtocolError("empty solver output")
+    if words[0] == "sat":
+        return logic.Verdict(logic.INVALID, _parse_model(output, env))
+    if words[0] not in ("unsat", "unknown"):
+        raise SolverProtocolError(output.splitlines()[0])
+    return logic.Verdict(logic.VALID if words[0] == "unsat" else logic.UNKNOWN)
+
+
+def _parse_model(output, env):
+    """The `logic.Interpretation` of the model after the first line of a
+    `sat` answer: the value of each variable of `env` that a
+    `(define-fun x () S v)` entry gives as a number, written as `_smt_num`
+    writes it, in binding order. It has no function tables."""
+    try:
+        body = output[output.index("\n") :]
+        forms = sexpr.parse_many(body)
+    except (ValueError, sexpr.SexprError):
+        return logic.Interpretation()
+    values = {}
+    stack = list(forms)
+    while stack:
+        f = stack.pop()
+        if not isinstance(f, list):
+            continue
+        if len(f) == 5 and f[0] == "define-fun" and f[2] == []:
+            val = f[4]
+            if isinstance(val, list) and len(val) == 2 and val[0] == "-" and isinstance(val[1], int):
+                val = -val[1]
+            if isinstance(val, int) and env.get(f[1]) is not None:
+                values[f[1]] = val
+        else:
+            stack.extend(f)
+    return logic.Interpretation({n: values[n] for n, _ in env.bindings if n in values}, {})
+
+
 def solve_script(text):
     """The filter's answer to an SMT-LIB script: `unsat`, or `sat` and, when
     the script asks for it, the value of every declared constant, a `Bool`
@@ -918,7 +1085,7 @@ def solve_script(text):
             if t == logic.BOOL:
                 sort, txt = "Bool", "true" if val == 1 else "false"
             else:
-                sort, txt = t.ui_name or "Int", str(val) if val >= 0 else f"(- {-val})"
+                sort, txt = t.ui_name or "Int", sexpr.to_str(_smt_num(val))
             lines.append(f"  (define-fun {name} () {sort} {txt})")
         lines.append(")")
     return "\n".join(lines) + "\n"

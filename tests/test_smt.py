@@ -1,14 +1,42 @@
 import io
 import itertools
+import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hmc
 from hmc import cli, logic, sexpr, smt
-from hmc.smt import SmtError, eval_lin, omega, parse_script, solve_script
+from hmc.logic import (
+    BOOL,
+    INT,
+    INVALID,
+    VALID,
+    FuncSig,
+    SolverMode,
+    TypeEnv,
+    Verdict,
+    check_valid,
+    eval_pred,
+    pred_from_sexpr,
+    to_text,
+    ui,
+)
+from hmc.smt import (
+    QueryLog,
+    SmtError,
+    emit_solver_query,
+    eval_lin,
+    omega,
+    parse_script,
+    solve_script,
+    solver_query,
+)
 
 ITERI = str(Path(__file__).resolve().parent.parent / "examples" / "iteri_mask.hmc")
 
@@ -832,3 +860,140 @@ def _model(out):
         val = val.replace("(- ", "-").replace(")", "").replace(" ", "")
         model[name] = int(val)
     return model
+
+
+# ---------------------------------------------------------------------------
+# The query writer and the external solver: `logic` queries as SMT-LIB text,
+# and the answer of a solver run as a child process
+
+LEN = FuncSig("len", (ui("obj"),), INT)
+SIGS = {"len": LEN}
+
+
+def P(text):
+    return pred_from_sexpr(sexpr.parse_one(text))
+
+
+def test_solver_query_text():
+    env = TypeEnv.of(("a", ui("obj")), ("v", INT), ("b", BOOL))
+    script = emit_solver_query(env, P("(and (<= 0 v) (< v (len a)))"), SIGS)
+    assert "(set-logic QF_UFLIA)" in script
+    assert "(declare-sort obj 0)" in script
+    assert "(declare-fun len (obj) Int)" in script
+    assert "(assert (and (<= 0 b) (<= b 1)))" in script
+    assert script.splitlines()[-2] == "(check-sat)"
+
+
+def _check_subprocess_solver(cmd):
+    env = TypeEnv.of(("x", INT))
+    mode = SolverMode(cmd=cmd)
+    assert check_valid(env, P("(= x x)"), mode).status == VALID
+    assert check_valid(env, P("(= x 3)"), mode).status == INVALID
+
+
+def test_solver_mode_subprocess(monkeypatch):
+    # the bundled SMT-LIB filter as a child process, found through the
+    # absolute location of the imported package (a relative PYTHONPATH
+    # does not survive outside the repository root)
+    src = str(Path(hmc.__file__).resolve().parent.parent)
+    monkeypatch.setenv("PYTHONPATH", src, prepend=os.pathsep)
+    _check_subprocess_solver(shlex.quote(sys.executable) + " -m hmc.smt")
+
+
+@pytest.mark.skipif(
+    shutil.which("hmc-smt") is None, reason="hmc-smt script not installed"
+)
+def test_solver_mode_subprocess_installed_script():
+    _check_subprocess_solver("hmc-smt")
+
+
+def test_solver_emit_dir(tmp_path):
+    env = TypeEnv.of(("x", INT))
+    mode = SolverMode(emit=QueryLog(str(tmp_path)))
+    check_valid(env, P("(= x x)"), mode)
+    check_valid(env, P("(= x 0)"), mode)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["q_0.smt2", "q_1.smt2"]
+
+
+# a ui sort, a bool binder, a 0-ary, a unary and a binary function, negative
+# constants and coefficients, /=, true and false
+QUERY_ENV = TypeEnv.of(("a", ui("obj")), ("v", INT), ("f", BOOL))
+QUERY_SIGS = {
+    "len": LEN,
+    "c": FuncSig("c", (), INT),
+    "at": FuncSig("at", (ui("obj"), INT), INT),
+}
+QUERY_PRED = (
+    "(=> (and f true) (and (/= (at a (- v 3)) (* -2 (c)))"
+    " (not (<= (+ v -1) (len a))) (=> false f)))"
+)
+
+
+def test_solver_query_bytes():
+    assert emit_solver_query(QUERY_ENV, P(QUERY_PRED), QUERY_SIGS) == (
+        "(set-logic QF_UFLIA)\n"
+        "(declare-sort obj 0)\n"
+        "(declare-fun a () obj)\n"
+        "(declare-fun v () Int)\n"
+        "(declare-fun f () Int)\n"
+        "(declare-fun at (obj Int) Int)\n"
+        "(declare-fun c () Int)\n"
+        "(declare-fun len (obj) Int)\n"
+        "(assert (and (<= 0 f) (<= f 1)))\n"
+        "(assert (not (=> (and (= f 1) (= 0 0)) (and (not (= (at a (+ v (- 3)))"
+        " (* (- 2) c))) (not (<= (+ v (- 1)) (len a))) (=> (= 0 1) (= f 1))))))\n"
+        "(check-sat)\n"
+        "(get-model)\n"
+    )
+
+
+def _text_verdict(env, p, sigs):
+    """The verdict of the SMT-LIB text path: print the query, answer it with
+    the filter, read the answer back."""
+    out = solve_script(emit_solver_query(env, p, sigs))
+    if out.startswith("unsat"):
+        return Verdict(VALID)
+    return Verdict(INVALID, smt._parse_model(out, env))
+
+
+def test_in_process_query_matches_text_path():
+    from gen import gen_pred
+
+    rng = random.Random(0)
+    xyz = TypeEnv.of(("x", INT), ("y", INT), ("z", INT))
+    cases = [(xyz, gen_pred(rng, ["x", "y", "z"]), {}) for _ in range(60)]
+    typed = [
+        QUERY_PRED,
+        "(=> (= a b) (= (len a) (len b)))",
+        "(=> (and (<= 0 v) (< v (len a))) (< 0 (len a)))",
+        "(=> f (>= (len a) (- 3)))",
+        "(not (and f (/= v (* -2 v))))",
+        "(=> (= a b) (= (at a v) (at b v)))",
+        "(=> (= (at a v) 0) (= (at b (+ v 1)) (len a)))",
+        "(= (c) (+ v 1))",
+        "(=> (not f) (not f))",
+    ]
+    env = TypeEnv.of(("a", ui("obj")), ("b", ui("obj")), ("v", INT), ("f", BOOL))
+    cases += [(env, P(text), QUERY_SIGS) for text in typed]
+    statuses = set()
+    tabled = 0
+    for env, p, sigs in cases:
+        query = solver_query(env, p, sigs)
+        script = smt.script_of(query)
+        parsed = smt.parse_script(emit_solver_query(env, p, sigs))
+        assert query == sexpr.parse_many(emit_solver_query(env, p, sigs)), to_text(p)
+        assert (script.consts, script.sigs, script.asserts) == (
+            parsed.consts, parsed.sigs, parsed.asserts
+        ), to_text(p)
+        got = check_valid(env, p, SolverMode(), sigs)
+        # the printed model has no function tables
+        text = _text_verdict(env, p, sigs)
+        assert got.status == text.status, to_text(p)
+        if got.status == INVALID:
+            assert got.witness.var_values == text.witness.var_values, to_text(p)
+            # the witness, function tables included, is a countermodel
+            assert not eval_pred(got.witness, p), to_text(p)
+            tabled += "len" in got.witness.func_tables or "at" in got.witness.func_tables
+        statuses.add(got.status)
+    assert statuses == {VALID, INVALID}
+    assert tabled >= 3
