@@ -189,9 +189,12 @@ def harvest_predicates(p, runs, extra=None):
     """kvar -> ordered list of predicates, each a formula over the kvar's
     field variables: harvested atoms first (for each write, in block order,
     every block's atoms whose variables are all written arguments, mapped to
-    the fields), then mined projections, then user extras. A candidate is
-    kept if it is not already in the list and typechecks in its kvar's field
-    environment, built once here; `parse_preds` typechecked the extras."""
+    the fields), then mined projections, then user extras. A harvested or
+    mined candidate is kept if it is not already in the list, the list holds
+    fewer than `MAX_PREDS_PER_KVAR`, and it typechecks in its kvar's field
+    environment, built once here. The extras, which `parse_preds`
+    typechecked, sit outside the cap: each one not already in the list is
+    appended, in their order."""
     envs = {k: field_env(p, k) for k in p.relvar_sigs}
     preds = {k: [] for k in p.relvar_sigs}
 
@@ -236,7 +239,8 @@ def harvest_predicates(p, runs, extra=None):
     for kvar, q in mined_predicates(p, runs):
         add(kvar, q)
     for kvar, q in extra or []:
-        keep(kvar, q)  # `parse_preds` typechecked it
+        if q not in preds[kvar]:
+            preds[kvar].append(q)
     return preds
 
 

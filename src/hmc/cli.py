@@ -310,8 +310,8 @@ def cmd_validate(args, out):
         _emit(args, out, report, f"VIOLATED({label})\nwitness: {witness}")
         return EXIT_UNSAFE
     report.verdict = "UNKNOWN"
-    reason = "solver returned unknown" if args.mode == "solver" else imp.SAMPLED
-    report.detail = f"{label}: {reason}"
+    reasons = verdict.reasons or ("solver returned unknown",)
+    report.detail = "\n".join(f"{label}: {reason}" for reason in reasons)
     _emit(args, out, report, f"UNKNOWN\n{report.detail}")
     return EXIT_INCONCLUSIVE
 

@@ -33,6 +33,9 @@ from .logic import (
     FuncSig,
     Interpretation,
     LogicError,
+    MissingBinding,
+    OUTSIDE,
+    SAMPLED,
     TRUE,
     TypeMismatch,
     UnboundVariable,
@@ -174,6 +177,7 @@ class ExecContext:
         self.program = program  # an ImpProgram
         self.domain = domain  # a ValueDomain
         self.tables = tables  # function name -> finite map
+        self.outside = False  # set when a run needs an entry that `tables` lacks
 
 
 def runs(instrs, ctx, base, picks):
@@ -184,7 +188,9 @@ def runs(instrs, ctx, base, picks):
     valuation, or None where an assert fails, reads, sets): `sets` are the
     (relvar, tuple) facts the run's sets write, in order, and `reads` the
     facts its gets take, but for a tuple the run set itself. A failing
-    assume, or a get with nothing to pick, ends its run without a yield."""
+    assume, or a get with nothing to pick, ends its run without a yield; so
+    does an evaluation that needs a table entry `ctx.tables` lacks, and it
+    sets `ctx.outside`."""
     stack = [(0, dict(base), (), ())]
     while stack:
         j, base, reads, sets = stack.pop()
@@ -192,7 +198,11 @@ def runs(instrs, ctx, base, picks):
             i = instrs[j]
             j += 1
             if isinstance(i, Assign):
-                base[i.var] = eval_expr(Interpretation(base, ctx.tables), i.expr)
+                try:
+                    base[i.var] = eval_expr(Interpretation(base, ctx.tables), i.expr)
+                except MissingBinding:
+                    ctx.outside = True
+                    break
             elif isinstance(i, Set):
                 sets += ((i.relvar, tuple(base[x] for x in i.args)),)
             elif isinstance(i, Havoc):
@@ -207,7 +217,12 @@ def runs(instrs, ctx, base, picks):
                     stack.append((j, b, reads if fact in sets else reads + (fact,), sets))
                 break
             elif isinstance(i, (Assume, Assert)):
-                if not eval_pred(Interpretation(base, ctx.tables), i.pred):
+                try:
+                    holds = eval_pred(Interpretation(base, ctx.tables), i.pred)
+                except MissingBinding:
+                    ctx.outside = True
+                    break
+                if not holds:
                     if isinstance(i, Assert):
                         yield None, reads, sets
                     break
@@ -398,8 +413,8 @@ SAFE = "safe"
 UNSAFE = "unsafe"
 INCONCLUSIVE = "inconclusive"
 
-# why a run without a counterexample is INCONCLUSIVE
-SAMPLED = "sampled interpretations only; no counterexample found"
+# why a run without a counterexample is INCONCLUSIVE, beside `logic`'s
+# SAMPLED and OUTSIDE
 FUEL_OUT = "ran out of fuel before a fixpoint; no counterexample found"
 
 
@@ -408,7 +423,7 @@ class ExecVerdict:
         self.status = status
         self.trace = trace  # block labels leading to ERROR, or None
         self.tables = tables  # the function tables of that trace, or None
-        self.reasons = reasons  # SAMPLED and/or FUEL_OUT when INCONCLUSIVE
+        self.reasons = reasons  # SAMPLED, OUTSIDE and FUEL_OUT, those that hold, when INCONCLUSIVE
 
 
 def exec_program(p, domain, semantics="relational", table_budget=256, seed=0, fuel=10_000):
@@ -418,7 +433,8 @@ def exec_program(p, domain, semantics="relational", table_budget=256, seed=0, fu
     before they read it gets its least model (`least_model`); any other
     program, and any under the imperative semantics, gets the state search
     (`reach`). A clean run is INCONCLUSIVE rather than SAFE when the tables
-    were sampled or a search ran out of `fuel`, with those reasons."""
+    were sampled, a run needed an entry outside them (`runs`) or a search
+    ran out of `fuel`, with those reasons."""
     choices, exhaustive = enumerate_func_tables(p.func_sigs.values(), domain, table_budget, seed)
     horn = semantics == "relational" and not any(
         reads_before_writing(block) for _, block in p.blocks
@@ -432,8 +448,9 @@ def exec_program(p, domain, semantics="relational", table_budget=256, seed=0, fu
             r = reach(p, ctx, semantics, fuel, stop_on_error=True)
         if r.error_trace is not None:
             return ExecVerdict(UNSAFE, r.error_trace, tables)
-        if not r.exhausted and FUEL_OUT not in reasons:
-            reasons.append(FUEL_OUT)
+        for reason, hit in ((OUTSIDE, ctx.outside), (FUEL_OUT, not r.exhausted)):
+            if hit and reason not in reasons:
+                reasons.append(reason)
     return ExecVerdict(INCONCLUSIVE if reasons else SAFE, reasons=tuple(reasons))
 
 

@@ -623,6 +623,10 @@ def eval_pred(interp, p):
 # ---------------------------------------------------------------------------
 # Interpretation enumeration (oracle machinery)
 
+# why the oracle, finding no counterexample, cannot say SAFE or VALID
+SAMPLED = "sampled interpretations only; no counterexample found"
+OUTSIDE = "an application outside the domain left cases unevaluated; no counterexample found"
+
 
 def enumerate_valuations(env, domain):
     names = [n for n, _ in env.bindings]
@@ -631,36 +635,33 @@ def enumerate_valuations(env, domain):
         yield dict(zip(names, combo))
 
 
-def table_space(sig, domain):
-    """Domain keys and codomain values of one function's finite tables."""
-    keys = list(
-        itertools.product(*[list(domain.values(t)) for t in sig.arg_types])
-    )
+def table_space(sig, domain, keys=None):
+    """Domain keys and codomain values of one function's finite tables: the
+    argument tuples that `keys` lists for the function, else every tuple
+    over the domain."""
     outs = list(domain.values(sig.ret_type))
-    return keys, outs
+    if keys and sig.name in keys:
+        return keys[sig.name], outs
+    return list(itertools.product(*map(domain.values, sig.arg_types))), outs
 
 
-def count_tables(sigs, domain):
-    total = 1
-    for sig in sigs:
-        keys, outs = table_space(sig, domain)
-        total *= len(outs) ** len(keys)
-    return total
-
-
-def enumerate_func_tables(sigs, domain, table_budget=256, seed=0):
-    """(choices, exhaustive): each choice assigns each sig a total finite
-    map. When the exhaustive count exceeds the budget, the choices are
-    `table_budget` seeded uniform samples instead, and exhaustive is False.
+def enumerate_func_tables(sigs, domain, table_budget=256, seed=0, keys=None):
+    """(choices, exhaustive): each choice assigns each sig a finite map over
+    its keys (`table_space`). When the exhaustive count exceeds the budget,
+    the choices are `table_budget` seeded uniform samples instead, and
+    exhaustive is False.
     """
     sigs = sorted(sigs, key=lambda s: s.name)
     if not sigs:
         return [{}], True
-    spaces = [table_space(s, domain) for s in sigs]
-    if count_tables(sigs, domain) <= table_budget:
+    spaces = [table_space(s, domain, keys) for s in sigs]
+    count = 1
+    for ks, outs in spaces:
+        count *= len(outs) ** len(ks)
+    if count <= table_budget:
         per_sig = [
-            [dict(zip(keys, vals)) for vals in itertools.product(outs, repeat=len(keys))]
-            for keys, outs in spaces
+            [dict(zip(ks, vals)) for vals in itertools.product(outs, repeat=len(ks))]
+            for ks, outs in spaces
         ]
         return [
             {s.name: t for s, t in zip(sigs, combo)} for combo in itertools.product(*per_sig)
@@ -669,7 +670,7 @@ def enumerate_func_tables(sigs, domain, table_budget=256, seed=0):
 
     rng = random.Random(seed)
     return [
-        {sig.name: {k: rng.choice(outs) for k in keys} for sig, (keys, outs) in zip(sigs, spaces)}
+        {sig.name: {k: rng.choice(outs) for k in ks} for sig, (ks, outs) in zip(sigs, spaces)}
         for _ in range(table_budget)
     ], False
 
@@ -697,9 +698,10 @@ UNKNOWN = "unknown"
 
 
 class Verdict:
-    def __init__(self, status, witness=None):
+    def __init__(self, status, witness=None, reasons=()):
         self.status = status
         self.witness = witness  # an Interpretation, or None
+        self.reasons = reasons  # why the oracle's UNKNOWN is not VALID: SAMPLED, OUTSIDE
 
     def __bool__(self):
         return self.status == VALID
@@ -800,11 +802,38 @@ class Hypothesis:
 
 
 def _check_valid_oracle(env, p, mode, sigs):
+    """The oracle's verdict on `p`: a function whose every application in
+    `p` has variable-free arguments gets its tables over the tuples those
+    take, any other one over the whole domain. A valuation whose evaluation
+    needs a table entry that the tables lack decides nothing, and `p` is
+    then UNKNOWN unless another valuation refutes it."""
     active = [sigs[f] for f in sorted({a.func for a in applications(p)})]
-    tables, exhaustive = enumerate_func_tables(active, mode.domain, mode.table_budget, mode.seed)
+    tables, exhaustive = enumerate_func_tables(
+        active, mode.domain, mode.table_budget, mode.seed, _applied_keys(p)
+    )
+    outside = False
     for tab in tables:
         for vals in enumerate_valuations(env, mode.domain):
             interp = Interpretation(vals, tab)
-            if not eval_pred(interp, p):
-                return Verdict(INVALID, interp)
-    return Verdict(VALID) if exhaustive else Verdict(UNKNOWN)
+            try:
+                if not eval_pred(interp, p):
+                    return Verdict(INVALID, interp)
+            except MissingBinding:
+                outside = True
+    reasons = (() if exhaustive else (SAMPLED,)) + ((OUTSIDE,) if outside else ())
+    return Verdict(UNKNOWN, reasons=reasons) if reasons else Verdict(VALID)
+
+
+def _applied_keys(p):
+    """function -> the sorted argument tuples of its applications in `p`,
+    for each function whose every application has variable-free arguments:
+    no variable and no application in them."""
+    keys, free, nothing = {}, set(), Interpretation()
+    for a in applications(p):
+        try:
+            key = tuple(eval_expr(nothing, e) for e in a.args)
+        except MissingBinding:
+            free.add(a.func)
+        else:
+            keys.setdefault(a.func, set()).add(key)
+    return {f: sorted(ks) for f, ks in keys.items() if f not in free}

@@ -10,6 +10,7 @@ import pytest
 from gen import gen_constraint_set
 from hmc import absint, cli, smt
 from hmc.absint import (
+    MAX_PREDS_PER_KVAR,
     AbstractInvariant,
     Engine,
     extract_solution,
@@ -247,6 +248,28 @@ def test_parse_preds_entry_for_a_cloned_kvar_reaches_each_clone():
         ("k.1", "(<= k.1.0 k.1.1)"),
         ("k.2", "(<= k.2.0 k.2.1)"),
     ]
+
+
+# k already holds MAX_PREDS_PER_KVAR = 14 harvested predicates from c0, and
+# c1 needs `v <= 50` (or any bound below 100), which only an extra gives
+CAPPED = (
+    "(kvar k (v int))\n"
+    "(sub c0 (lhs int (and " + " ".join(f"(<= {-i} v)" for i in range(14)) + " (<= v 7)))"
+    " (rhs int (kapp k)))\n"
+    "(sub c1 (env (x int (kapp k))) (lhs int (= v x)) (rhs int (< v 100)))\n"
+)
+
+
+def test_preds_extras_sit_outside_the_cap():
+    p = program_of(load(CAPPED))
+    runs = run_blocks(p)
+    extra = parse_preds("(solution (k (<= v 50)))", p)
+    plain = harvest_predicates(p, runs)["k"]
+    assert len(plain) == MAX_PREDS_PER_KVAR
+    preds = harvest_predicates(p, runs, extra + extra)
+    assert [to_text(q) for q in preds["k"]] == [to_text(q) for q in plain] + ["(<= k.0 50)"]
+    assert solve(p, runs, preds, SolverMode()).failing is None
+    assert solve(p, runs, {"k": plain}, SolverMode()).failing is not None
 
 
 def test_run_blocks_rejects_an_ill_typed_program():

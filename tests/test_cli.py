@@ -191,7 +191,7 @@ def test_validate_modes(tmp_path):
 
 def test_validate_oracle_unknown_gives_its_reason(tmp_path):
     # no solver runs under `--mode oracle`: UNKNOWN means no counterexample
-    # under sampled function tables (here 1 of the 4 for f over 0..1)
+    # under sampled function tables (here 1 of the 2 for f at 0)
     hmc = tmp_path / "f.hmc"
     hmc.write_text("(uninterp (f (int) int))\n(sub c1 (lhs int (= v (f 0))) (rhs int (= v (f 0))))\n")
     sol = tmp_path / "empty.sol"
@@ -200,6 +200,59 @@ def test_validate_oracle_unknown_gives_its_reason(tmp_path):
     got = run(*argv, "--table-budget", "1")
     assert got == (2, "UNKNOWN\nc1: sampled interpretations only; no counterexample found\n")
     assert run(*argv, "--table-budget", "4") == (0, "SATISFIED\n")
+
+
+def test_validate_oracle_tables_cover_the_applied_arguments(tmp_path):
+    # c1 applies f at 0 only, so two tables, f(0) = 0 and f(0) = 1, cover
+    # every case over 0..1
+    hmc = tmp_path / "f.hmc"
+    hmc.write_text("(uninterp (f (int) int))\n(sub c1 (lhs int (= v (f 0))) (rhs int (= v (f 0))))\n")
+    sol = tmp_path / "empty.sol"
+    sol.write_text("(solution)\n")
+    argv = ["validate", str(hmc), "--solution", str(sol), "--mode", "oracle", "--int-range", "0..1"]
+    assert run(*argv, "--table-budget", "2") == (0, "SATISFIED\n")
+
+
+OUTSIDE = str(EXAMPLES / "outside.hmc")
+OUTSIDE_TEXT = (
+    "an application outside the domain left cases unevaluated; no counterexample found\n"
+)
+
+
+def test_exec_ends_a_run_outside_the_domain():
+    # outside.hmc applies f at x + 1: with x = 2 (x = 1 over 0..1) no table
+    # of f holds the entry, and that run ends there; over 0..1 the four
+    # tables of f are all tried
+    for sem in ("relational", "imperative"):
+        got = run("exec", OUTSIDE, "--semantics", sem)
+        assert got == (2, SAMPLED_TEXT + OUTSIDE_TEXT), sem
+        got = run("exec", OUTSIDE, "--semantics", sem, "--int-range", "0..1")
+        assert got == (2, "INCONCLUSIVE\n" + OUTSIDE_TEXT), sem
+
+
+def test_check_oracle_ends_a_run_outside_the_domain():
+    for domain in ("-2..2", "0..1"):
+        got = run_process("check", OUTSIDE, "--oracle", "--int-range", domain)
+        assert got == (2, "INCONCLUSIVE\nabstraction cannot prove c0\n", ""), domain
+
+
+def test_validate_oracle_ends_a_valuation_outside_the_domain(tmp_path):
+    # another valuation may still refute: with k = (< v 1), x = 0 and
+    # f(1) = 1 do
+    hmc = tmp_path / "outside.hmc"
+    hmc.write_text(
+        "(uninterp (f (int) int))\n(kvar k (v int))\n"
+        "(sub c0 (env (x int true)) (lhs int (= v (f (+ x 1)))) (rhs int (kapp k)))\n"
+    )
+    sol = tmp_path / "k.sol"
+    argv = ["validate", str(hmc), "--solution", str(sol), "--mode", "oracle"]
+    sol.write_text("(solution (k true))\n")
+    unknown = "UNKNOWN\nc0: " + SAMPLED_TEXT.split("\n")[1] + "\nc0: " + OUTSIDE_TEXT
+    assert run(*argv) == (2, unknown)
+    assert run(*argv, "--int-range", "0..1") == (2, "UNKNOWN\nc0: " + OUTSIDE_TEXT)
+    sol.write_text("(solution (k (< v 1)))\n")
+    code, text = run(*argv, "--int-range", "0..1")
+    assert code == 1 and text.startswith("VIOLATED(c0)\nwitness: {'x': 0, 'v': 1}")
 
 
 def test_validate_reports_witness(tmp_path):
@@ -520,6 +573,7 @@ GOLDEN_CHECKS = {
     "deeperr": (1, ["--oracle"]),
     "chain8": (0, []),
     "capture": (0, []),
+    "outside": (2, ["--oracle"]),
 }
 
 

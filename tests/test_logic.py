@@ -201,6 +201,18 @@ def test_oracle_sampling_degrades_to_unknown():
     assert check_valid(env, p, mode, {"f": f}).status == UNKNOWN
 
 
+def test_oracle_tables_over_applied_arguments():
+    # f applied at 0 alone gets tables over (0,) only: 2 over 0..1; at
+    # (f 0) as well, its tables span the domain: 4
+    sigs = {"f": FuncSig("f", (INT,), INT)}
+    at_0, nested = P("(= (f 0) (f 0))"), P("(= (f (f 0)) (f (f 0)))")
+    for p, tables in ((at_0, 2), (nested, 4)):
+        check = lambda budget: check_valid(TypeEnv.of(), p, OracleMode(ValueDomain((0, 1)), budget), sigs)
+        assert check(tables - 1).status == UNKNOWN and check(tables).status == VALID, to_text(p)
+    # an argument outside the domain gets its own entry
+    assert check_valid(TypeEnv.of(), P("(<= (f 5) 1)"), OracleMode(ValueDomain((0, 1)), 2), sigs)
+
+
 def test_table_sampling_deterministic():
     f = FuncSig("f", (BOOL,), INT)
     d = ValueDomain((-2, 2))
