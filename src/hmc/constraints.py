@@ -30,9 +30,8 @@ from .logic import (
     mk_and,
     pred_from_sexpr,
     subst,
-    to_sexpr,
+    to_text,
     type_from_sexpr,
-    type_to_sexpr,
     typecheck_expr,
     typecheck_pred,
 )
@@ -143,29 +142,55 @@ class SatReport:
 
 def check_satisfied(cs, sol, mode):
     """Check every constraint's embedding under `sol`, which is left as it
-    is; missing kvar entries default to true. Constraints that embed to the
-    same (tenv, q) pair share one decision: the embeddings are looked up in
-    a cache local to this call, so the result is that of deciding each."""
+    is; missing kvar entries default to true.
+
+    A constraint's embedding is fixed by its shape: each binder's name,
+    base and refinement, the lhs base and refinement, and the rhs
+    refinement. A concrete refinement stands for its predicate, and a kapp
+    for its arguments and the kvar's solution entry and parameter names:
+    kvars with one entry but parameters in another order embed the same
+    arguments differently. Each distinct shape is embedded once, and
+    constraints that embed to the same (tenv, q) pair share one decision,
+    so the solver is asked once per distinct embedding, in the order each
+    is first seen. Both caches are local to this call, so the result is
+    that of deciding each constraint's embedding."""
     sol = dict.fromkeys(cs.kvars, TRUE) | sol
+    # (solution entry, parameter names) -> its number, so that a shape
+    # hashes each kvar's entry once per call and not once per kapp
+    kvar_keys = {}
+    kvar_key = {
+        name: kvar_keys.setdefault((sol[name], sig.field_names), len(kvar_keys))
+        for name, sig in cs.kvars.items()
+    }
+
+    def ref_key(ref):
+        if isinstance(ref, Concrete):
+            return ref.pred
+        return kvar_key[ref.kvar], ref.args
+
+    by_shape = {}
     decided = {}
     verdicts = []
     for c in cs.constraints:
-        key = embed_sub(cs, c, sol)
-        verdict = decided.get(key)
+        shape = (
+            tuple((n, rt.base, ref_key(rt.ref)) for n, rt in c.env),
+            c.lhs.base,
+            ref_key(c.lhs.ref),
+            ref_key(c.rhs.ref),
+        )
+        verdict = by_shape.get(shape)
         if verdict is None:
-            verdict = decided[key] = check_valid(*key, mode, cs.uninterps)
+            key = embed_sub(cs, c, sol)
+            verdict = decided.get(key)
+            if verdict is None:
+                verdict = decided[key] = check_valid(*key, mode, cs.uninterps)
+            by_shape[shape] = verdict
         verdicts.append((c.label, verdict))
     return SatReport(verdicts)
 
 
 # ---------------------------------------------------------------------------
 # Concrete syntax
-
-
-def ref_to_sexpr(ref):
-    if isinstance(ref, Concrete):
-        return to_sexpr(ref.pred)
-    return ["kapp", ref.kvar] + [to_sexpr(a) for a in ref.args]
 
 
 def _shape(form, n, what, more=False, names=1):
@@ -317,35 +342,27 @@ def parse_constraints(text):
     return cs
 
 
+def _ref_text(ref):
+    if isinstance(ref, Concrete):
+        return to_text(ref.pred)
+    return f"({' '.join(('kapp', ref.kvar, *map(to_text, ref.args)))})"
+
+
 def print_constraints(cs):
     lines = []
     for sig in cs.uninterps.values():
-        lines.append(
-            sexpr.to_str(
-                [
-                    "uninterp",
-                    [
-                        sig.name,
-                        [type_to_sexpr(t) for t in sig.arg_types],
-                        type_to_sexpr(sig.ret_type),
-                    ],
-                ]
-            )
-        )
+        args = " ".join(map(str, sig.arg_types))
+        lines.append(f"(uninterp ({sig.name} ({args}) {sig.ret_type}))")
     for sig in cs.kvars.values():
-        form = ["kvar", sig.name, [VALUE_VAR, type_to_sexpr(sig.value_type)]]
-        form += [[n, type_to_sexpr(t)] for n, t in sig.params]
-        lines.append(sexpr.to_str(form))
+        fields = "".join(f" ({n} {t})" for n, t in sig.params)
+        lines.append(f"(kvar {sig.name} ({VALUE_VAR} {sig.value_type}){fields})")
     for c in cs.constraints:
-        form = ["sub", c.label]
-        if c.env:
-            form.append(
-                ["env"]
-                + [[n, type_to_sexpr(rt.base), ref_to_sexpr(rt.ref)] for n, rt in c.env]
-            )
-        form.append(["lhs", type_to_sexpr(c.lhs.base), ref_to_sexpr(c.lhs.ref)])
-        form.append(["rhs", type_to_sexpr(c.rhs.base), ref_to_sexpr(c.rhs.ref)])
-        lines.append(sexpr.to_str(form))
+        env = "".join(f" ({n} {rt.base} {_ref_text(rt.ref)})" for n, rt in c.env)
+        env = f" (env{env})" if env else ""
+        lines.append(
+            f"(sub {c.label}{env} (lhs {c.lhs.base} {_ref_text(c.lhs.ref)})"
+            f" (rhs {c.rhs.base} {_ref_text(c.rhs.ref)}))"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -387,5 +404,5 @@ def typecheck_solution(cs, sol):
 
 
 def print_solution(sol):
-    form = ["solution"] + [[name, to_sexpr(p)] for name, p in sorted(sol.items())]
-    return sexpr.to_str(form) + "\n"
+    entries = "".join(f" ({name} {to_text(p)})" for name, p in sorted(sol.items()))
+    return f"(solution{entries})\n"

@@ -47,11 +47,9 @@ from .logic import (
     expr_from_sexpr,
     free_vars,
     pred_from_sexpr,
-    to_sexpr,
     to_text,
     type_from_sexpr,
     type_of,
-    type_to_sexpr,
     typecheck_expr,
     typecheck_pred,
 )
@@ -729,10 +727,10 @@ def type_instr(p, label, i, types):
 
 
 def _print_pred_group(pred):
-    form = to_sexpr(pred)
-    if isinstance(form, (str, int)):
-        return f"({form})"
-    return sexpr.to_str(form)
+    """`pred`'s text in parentheses: an atom, a bool variable, `true` or
+    `false`, is wrapped in a pair of its own."""
+    text = to_text(pred)
+    return text if text[0] == "(" else f"({text})"
 
 
 def print_instr(i):
@@ -754,8 +752,8 @@ def print_instr(i):
 def print_imp(p):
     lines = []
     for sig in p.func_sigs.values():
-        args = sexpr.to_str([type_to_sexpr(t) for t in sig.arg_types])
-        lines.append(f";; uninterp {sig.name} {args} {sig.ret_type}")
+        args = " ".join(map(str, sig.arg_types))
+        lines.append(f";; uninterp {sig.name} ({args}) {sig.ret_type}")
     for name, types in p.relvar_sigs.items():
         ts = " ".join(map(str, types))
         lines.append(f";; relvar {name} arity {len(types)} types {ts}")

@@ -10,8 +10,9 @@ Formulas and terms keep the shape they are written in: `(and a b c)` is one
 conjunction or sum is a wide node, not a deep one, and it prints back as
 written. Each job over formulas is one visitor over
 predicates and expressions alike: `free_vars` collects variables, `subst`
-substitutes, and `to_sexpr` and `to_text` print. Typechecking and evaluation
-keep a function per sort, since they return different things for each.
+substitutes, and `to_text` writes the text that the readers read back, in
+one walk with no list form on the way. Typechecking and evaluation keep a
+function per sort, since they return different things for each.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class BaseType(Frozen):
 
     def __str__(self):
         """The type as written: `int`, `bool` or `(ui obj)`."""
-        return sexpr.to_str(type_to_sexpr(self))
+        return f"(ui {self.ui_name})" if self.kind == "ui" else self.kind
 
 
 INT = BaseType("int")
@@ -137,12 +138,6 @@ BOOL = BaseType("bool")
 
 def ui(name):
     return BaseType("ui", name)
-
-
-def type_to_sexpr(t):
-    if t.kind == "ui":
-        return ["ui", t.ui_name]
-    return t.kind
 
 
 def type_from_sexpr(form):
@@ -324,36 +319,33 @@ def pred_from_sexpr(form):
     raise TypeMismatch(f"bad predicate {sexpr.to_str(form)}")
 
 
-def to_sexpr(x):
-    """The predicate or expression `x` as the sexpr form that
-    `pred_from_sexpr` or `expr_from_sexpr` reads back."""
+def to_text(x):
+    """The predicate or expression `x` as the text that `pred_from_sexpr`
+    or `expr_from_sexpr` reads back, written in one walk: canonical, as
+    `sexpr.to_str` prints, with single spaces and no line breaks."""
+    if isinstance(x, Cmp):
+        return f"({x.op} {to_text(x.left)} {to_text(x.right)})"
     if isinstance(x, (Var, BoolVar)):
         return x.name
     if isinstance(x, IntLit):
-        return x.value
-    if isinstance(x, Cmp):
-        return [x.op, to_sexpr(x.left), to_sexpr(x.right)]
+        return str(x.value)
     if isinstance(x, Add):
-        return ["+", *map(to_sexpr, x.args)]
+        return f"(+ {' '.join(map(to_text, x.args))})"
     if isinstance(x, ScalarMul):
-        return ["*", x.coeff, to_sexpr(x.arg)]
+        return f"(* {x.coeff} {to_text(x.arg)})"
     if isinstance(x, App):
-        return [x.func, *map(to_sexpr, x.args)]
+        return f"({' '.join((x.func, *map(to_text, x.args)))})"
+    if isinstance(x, And):
+        return f"(and {' '.join(map(to_text, x.args))})"
+    if isinstance(x, Not):
+        return f"(not {to_text(x.arg)})"
+    if isinstance(x, Implies):
+        return f"(=> {to_text(x.left)} {to_text(x.right)})"
     if isinstance(x, TrueLit):
         return "true"
     if isinstance(x, FalseLit):
         return "false"
-    if isinstance(x, Not):
-        return ["not", to_sexpr(x.arg)]
-    if isinstance(x, And):
-        return ["and", *map(to_sexpr, x.args)]
-    if isinstance(x, Implies):
-        return ["=>", to_sexpr(x.left), to_sexpr(x.right)]
     raise TypeMismatch(f"not a predicate or expression: {x!r}")
-
-
-def to_text(x):
-    return sexpr.to_str(to_sexpr(x))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,16 @@ from hmc.constraints import (
     print_constraints,
     print_solution,
 )
-from hmc.logic import TRUE, OracleMode, SolverMode, ValueDomain, VALID, check_valid, to_text
+from hmc.logic import (
+    INVALID,
+    TRUE,
+    VALID,
+    OracleMode,
+    SolverMode,
+    ValueDomain,
+    check_valid,
+    to_text,
+)
 from hmc.sexpr import parse_one
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -173,6 +182,24 @@ def test_check_satisfied_decides_each_embedding_once(mode, monkeypatch):
             assert (label, verdict.status) == (c.label, check_valid(*key, mode, cs.uninterps).status)
         repeats += len(keys) - len(calls)
     assert repeats > 0
+
+
+@pytest.mark.parametrize(
+    "mode", [SolverMode(), OracleMode(ValueDomain((-1, 1)))], ids=["solver", "oracle"]
+)
+def test_check_satisfied_tells_apart_kvars_with_parameters_in_another_order(mode):
+    # both entries read (<= p q), but k2 lists q first: under the same
+    # arguments c1 embeds to (<= 0 1) and c2 to (<= 1 0), so two constraints
+    # of one shape but for the parameter names decide differently
+    cs = load(
+        "(kvar k1 (v int) (p int) (q int))\n"
+        "(kvar k2 (v int) (q int) (p int))\n"
+        "(sub c1 (lhs int true) (rhs int (kapp k1 0 1)))\n"
+        "(sub c2 (lhs int true) (rhs int (kapp k2 0 1)))\n"
+    )
+    sol = parse_solution("(solution (k1 (<= p q)) (k2 (<= p q)))")
+    rep = check_satisfied(cs, sol, mode)
+    assert [(label, v.status) for label, v in rep.verdicts] == [("c1", VALID), ("c2", INVALID)]
 
 
 def test_uninterp_signature_used():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gen import gen_constraint_set, gen_expr, gen_pred, points_pred
 from hmc import cli, constraints, imp, logic, sexpr, smt
 from hmc.constraints import Concrete, KApp, KVarSig, RefType, SubConstraint
 from hmc.imp import Assert, Assign, Assume, Get, Havoc, Seq, Set, State
@@ -90,6 +91,73 @@ def test_and_prints_as_written():
         p = P(text)
         assert isinstance(p, And) and to_text(p) == text
     assert len(P("(and b b (and b b) b)").args) == 4
+
+
+def _list_form(x):
+    """The list form of the predicate or expression `x` that the printer
+    built before `to_text`, which `sexpr.to_str` then joined: the reference
+    that `to_text`'s text must match byte for byte."""
+    if isinstance(x, (Var, BoolVar)):
+        return x.name
+    if isinstance(x, IntLit):
+        return x.value
+    if isinstance(x, Cmp):
+        return [x.op, _list_form(x.left), _list_form(x.right)]
+    if isinstance(x, Add):
+        return ["+", *map(_list_form, x.args)]
+    if isinstance(x, ScalarMul):
+        return ["*", x.coeff, _list_form(x.arg)]
+    if isinstance(x, App):
+        return [x.func, *map(_list_form, x.args)]
+    if isinstance(x, TrueLit):
+        return "true"
+    if isinstance(x, FalseLit):
+        return "false"
+    if isinstance(x, Not):
+        return ["not", _list_form(x.arg)]
+    if isinstance(x, And):
+        return ["and", *map(_list_form, x.args)]
+    if isinstance(x, Implies):
+        return ["=>", _list_form(x.left), _list_form(x.right)]
+    raise TypeMismatch(f"not a predicate or expression: {x!r}")
+
+
+def test_to_text_matches_the_list_form_printer():
+    # formulas of `gen.py`: atoms, their conjunctions and disjunctions, point
+    # predicates, and the embeddings of random constraint sets; then the
+    # edge cases that `gen.py` does not draw
+    rng = random.Random(0)
+    names = ["x", "y", "v"]
+    formulas = []
+    for _ in range(200):
+        formulas += [gen_expr(rng, names), gen_pred(rng, names)]
+        formulas.append(mk_and(*(gen_pred(rng, names) for _ in range(rng.randint(0, 4)))))
+        formulas.append(mk_or(*(gen_pred(rng, names) for _ in range(rng.randint(0, 4)))))
+    for seed in range(100):
+        rng = random.Random(seed)
+        cs = gen_constraint_set(rng, max_params=2, v_args=True)
+        sol = {}
+        for k, sig in cs.kvars.items():
+            width = len(sig.field_names)
+            points = {tuple(rng.choice((0, 1)) for _ in range(width)) for _ in range(3)}
+            sol[k] = points_pred(sig, points)
+        formulas += sol.values()
+        formulas += [constraints.embed_sub(cs, c, sol)[1] for c in cs.constraints]
+    formulas += [
+        App("f", ()),
+        Cmp("=", App("f", ()), IntLit(-3)),
+        Add((ScalarMul(-2, Var("x")), IntLit(-1), App("g", (App("h", ()), Var("y"))))),
+        BoolVar("b"),
+        Not(BoolVar("b")),
+        TRUE,
+        FALSE,
+        And((And((BoolVar("b"), TRUE)), And((FALSE, Cmp("<", IntLit(-1), Var("x")))))),
+        Add((Add((Var("x"), IntLit(1))), ScalarMul(-3, Add((Var("y"), IntLit(-7)))))),
+        Implies(Implies(BoolVar("p"), BoolVar("q")), Implies(TRUE, Implies(FALSE, BoolVar("r")))),
+        P("(and (=> (not b) (and p (<= (+ x (- y)) (* -1 (f))))) (= (g x (f)) -12) false)"),
+    ]
+    for x in formulas:
+        assert to_text(x) == sexpr.to_str(_list_form(x)), repr(x)
 
 
 # a sum of three terms, as written, and what each job over terms makes of it
